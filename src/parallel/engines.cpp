@@ -251,17 +251,17 @@ class SimdEngine final : public Engine {
     const std::size_t n_out = a.cols();
     const float inv_b = 1.0f / static_cast<float>(batch);
 
-    std::vector<float> mean_x(n_in, 0.0f);
+    mean_x_.assign(n_in, 0.0f);
     for (std::size_t b = 0; b < batch; ++b) {
-      tensor::axpy(inv_b, x.row(b), mean_x.data(), n_in);
+      tensor::axpy(inv_b, x.row(b), mean_x_.data(), n_in);
     }
-    tensor::ema_update(pi, mean_x.data(), alpha, n_in);
+    tensor::ema_update(pi, mean_x_.data(), alpha, n_in);
 
-    std::vector<float> mean_a(n_out, 0.0f);
+    mean_a_.assign(n_out, 0.0f);
     for (std::size_t b = 0; b < batch; ++b) {
-      tensor::axpy(inv_b, a.row(b), mean_a.data(), n_out);
+      tensor::axpy(inv_b, a.row(b), mean_a_.data(), n_out);
     }
-    tensor::ema_update(pj, mean_a.data(), alpha, n_out);
+    tensor::ema_update(pj, mean_a_.data(), alpha, n_out);
 
     // p_ij = (1-alpha) p_ij + (alpha/B) X^T A as one GEMM.
     tensor::gemm(tensor::Transpose::kYes, tensor::Transpose::kNo,
@@ -275,8 +275,9 @@ class SimdEngine final : public Engine {
     const std::size_t n_out = pij.cols();
     w.resize(n_in, n_out);
     const float eps2 = eps * eps;
-    std::vector<float> log_pj(n_out);
-    tensor::vlog_floored(pj, log_pj.data(), eps, n_out);
+    log_pj_.resize(n_out);
+    tensor::vlog_floored(pj, log_pj_.data(), eps, n_out);
+    const float* log_pj = log_pj_.data();
     for (std::size_t j = 0; j < n_out; ++j) bias[j] = k_beta * log_pj[j];
 #pragma omp parallel for schedule(static)
     for (std::size_t i = 0; i < n_in; ++i) {
@@ -290,6 +291,14 @@ class SimdEngine final : public Engine {
       }
     }
   }
+
+ private:
+  // Per-batch scratch, reused across calls so steady-state training
+  // allocates nothing. Safe because an engine is never shared between
+  // threads: every rank and serving replica owns its own.
+  std::vector<float> mean_x_;
+  std::vector<float> mean_a_;
+  std::vector<float> log_pj_;
 };
 
 /// Host emulation of the paper's fully-offloaded CUDA backend. All state
@@ -359,8 +368,8 @@ void register_builtin_engines(EngineRegistry& registry) {
   registry.register_engine(
       {"simd",
        std::string("runtime-dispatched KernelSet engine (") + kernels.name +
-           " tier): blocked GEMM tiles over the ThreadPool + vectorized "
-           "exp/log",
+           " tier): blocked GEMM tiles over the ThreadPool, skipping "
+           "exact-zero inputs (bit-identical) + vectorized exp/log",
        /*simd_width=*/kernels.simd_width, /*offload=*/false,
        /*counts_transfers=*/false, /*dispatch=*/kernels.name},
       [] { return std::make_unique<SimdEngine>(); });

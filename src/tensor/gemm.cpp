@@ -1,8 +1,12 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -69,9 +73,14 @@ void apply_beta(float beta, MatrixF& c, const KernelSet& kernels) {
 
 // K-panel blocking keeps the streamed B panel resident in L2.
 constexpr std::size_t kBlockK = 256;
-// Minimum rows per fan-out task: below this the submit overhead beats
-// the parallelism.
+// Minimum rows per dense fan-out task: below this the submit overhead
+// beats the parallelism.
 constexpr std::size_t kMinRowsPerTask = 32;
+// Minimum multiply-adds (nnz x n) per zero-skipping fan-out task, about
+// 50 us of work: a 64-row one-hot batch into 300 outputs (~0.5M) stays on
+// the calling thread.
+constexpr std::size_t kMinSparseWorkPerTask = std::size_t{1} << 21;
+constexpr std::uint32_t kNegativeZeroBits = 0x80000000u;
 
 // Rows [r0, r1) of C, all K panels, on the calling thread. Per C element
 // the accumulation order is fixed (ascending k), so results are
@@ -84,6 +93,180 @@ void run_row_range(const KernelSet& kernels, float alpha, const float* a,
     kernels.gemm_block(alpha, a + r0 * k + p0, k, b + p0 * n, n, c.row(r0), n,
                        r1 - r0, n, kb);
   }
+}
+
+// How many tasks to fan a product out over: `by_work` capped by the pool
+// and the STREAMBRAIN_THREADS / OMP_NUM_THREADS pin, and 1 on a pool
+// worker (a nested fan-out would deadlock a single-worker pool).
+std::size_t task_count(std::size_t by_work) {
+  if (parallel::ThreadPool::in_worker()) return 1;
+  return std::max<std::size_t>(
+      1, std::min({parallel::global_pool().size(), detail::max_compute_tasks(),
+                   by_work}));
+}
+
+// body(t) for every t in [0, tasks): t = 0 on the calling thread,
+// overlapping the rest on the shared ThreadPool.
+template <typename Body>
+void fan_out(std::size_t tasks, const Body& body) {
+  std::vector<std::future<void>> futures;
+  futures.reserve(tasks - 1);
+  for (std::size_t t = 1; t < tasks; ++t) {
+    futures.push_back(parallel::global_pool().submit([&body, t] { body(t); }));
+  }
+  body(0);
+  for (auto& future : futures) future.get();
+}
+
+// C += alpha * A * B over packed row-major operands, C already scaled by
+// beta; row blocks fanned out.
+void multiply_dense(const KernelSet& kernels, float alpha, const float* a,
+                    const float* b, MatrixF& c, std::size_t m, std::size_t n,
+                    std::size_t k) {
+  const std::size_t tasks = task_count(m / kMinRowsPerTask);
+  const std::size_t rows_per_task = (m + tasks - 1) / tasks;
+  fan_out((m + rows_per_task - 1) / rows_per_task, [&](std::size_t t) {
+    const std::size_t r0 = t * rows_per_task;
+    run_row_range(kernels, alpha, a, b, c, r0, std::min(r0 + rows_per_task, m),
+                  n, k);
+  });
+}
+
+// The nonzero entries of op(A), row by row in ascending k (CSR layout).
+// Thread-local, so the buffers keep their capacity from call to call and
+// the zero-skipping path allocates nothing in steady state.
+struct NonzeroRows {
+  std::vector<std::uint64_t> row_ptr;
+  std::vector<std::uint32_t> col_idx;
+  std::vector<float> values;
+  // trans_a = kYes only: each op(A) row's next free slot, and one
+  // stored row's nonzero positions.
+  std::vector<std::uint64_t> cursor;
+  std::vector<std::size_t> positions;
+};
+
+NonzeroRows& nonzero_scratch() {
+  thread_local NonzeroRows rows;
+  return rows;
+}
+
+// Fills `rows` with the nonzeros of op(A) (m x k). A counting pass runs
+// first and gives up, returning false, as soon as more than max_nnz
+// nonzeros have been seen, so a dense operand costs a fraction of one
+// compare pass over A.
+bool collect_nonzeros(Transpose trans, const MatrixF& a, std::size_t m,
+                      std::size_t k, std::size_t max_nnz, NonzeroRows& rows) {
+  if (k > std::numeric_limits<std::uint32_t>::max()) return false;
+  auto& row_ptr = rows.row_ptr;
+  row_ptr.assign(m + 1, 0);
+  std::uint64_t nnz = 0;
+  if (trans == Transpose::kNo) {
+    for (std::size_t i = 0; i < m; ++i) {
+      const float* a_row = a.row(i);
+      std::uint32_t count = 0;
+      for (std::size_t p = 0; p < k; ++p) count += a_row[p] != 0.0f;
+      nnz += count;
+      if (nnz > max_nnz) return false;
+      row_ptr[i + 1] = nnz;
+    }
+    // Branchless fill: every entry is written, only nonzeros advance.
+    rows.col_idx.resize(nnz + 1);
+    rows.values.resize(nnz + 1);
+    std::uint64_t pos = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const float* a_row = a.row(i);
+      for (std::size_t p = 0; p < k; ++p) {
+        rows.col_idx[pos] = static_cast<std::uint32_t>(p);
+        rows.values[pos] = a_row[p];
+        pos += a_row[p] != 0.0f;
+      }
+    }
+    return true;
+  }
+  // op(A) row i is stored column i: count per column, then place each
+  // stored row's nonzeros at their column's cursor (k ascends with the
+  // stored row). The row's nonzero positions are compacted branch-free
+  // first, so the scatter touches only the nonzeros.
+  for (std::size_t p = 0; p < k; ++p) {
+    const float* a_row = a.row(p);
+    std::uint32_t count = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::uint32_t nonzero = a_row[i] != 0.0f;
+      row_ptr[i + 1] += nonzero;
+      count += nonzero;
+    }
+    nnz += count;
+    if (nnz > max_nnz) return false;
+  }
+  for (std::size_t i = 0; i < m; ++i) row_ptr[i + 1] += row_ptr[i];
+  rows.col_idx.resize(nnz);
+  rows.values.resize(nnz);
+  rows.cursor.assign(row_ptr.begin(), row_ptr.end() - 1);
+  rows.positions.resize(m + 1);
+  for (std::size_t p = 0; p < k; ++p) {
+    const float* a_row = a.row(p);
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      rows.positions[count] = i;
+      count += a_row[i] != 0.0f;
+    }
+    for (std::size_t t = 0; t < count; ++t) {
+      const std::size_t i = rows.positions[t];
+      const std::uint64_t pos = rows.cursor[i]++;
+      rows.col_idx[pos] = static_cast<std::uint32_t>(p);
+      rows.values[pos] = a_row[i];
+    }
+  }
+  return true;
+}
+
+// C = beta * C with apply_beta's arithmetic; reports whether any element
+// is now -0.0, the one C value a skipped +0 term would have changed.
+bool scale_finds_negative_zero(float beta, MatrixF& c) {
+  if (beta == 0.0f) {
+    c.fill(0.0f);
+    return false;
+  }
+  float* data = c.data();
+  std::uint32_t found = 0;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const float value = beta == 1.0f ? data[i] : beta * data[i];
+    data[i] = value;
+    found |= std::bit_cast<std::uint32_t>(value) == kNegativeZeroBits;
+  }
+  return found != 0;
+}
+
+// C = alpha * op(A) * op(B) + beta * C from op(A)'s nonzero lists.
+void multiply_sparse(float alpha, const NonzeroRows& rows, Transpose trans_a,
+                     const MatrixF& a, Transpose trans_b, const MatrixF& b,
+                     float beta, MatrixF& c, std::size_t m, std::size_t n,
+                     std::size_t k) {
+  std::vector<float> b_storage;
+  const float* b_ptr = pack_b(trans_b, b, k, n, b_storage);
+  const KernelSet& kernels = active_kernels();
+  if (scale_finds_negative_zero(beta, c)) {
+    std::vector<float> a_storage;
+    multiply_dense(kernels, alpha, pack_a(trans_a, a, m, k, a_storage), b_ptr,
+                   c, m, n, k);
+    return;
+  }
+  const std::uint64_t* row_ptr = rows.row_ptr.data();
+  const std::uint64_t nnz = row_ptr[m];
+  const std::size_t tasks = task_count(nnz * n / kMinSparseWorkPerTask);
+  // Row ranges of about equal nonzero count.
+  const auto boundary = [&](std::size_t t) {
+    if (t == tasks) return m;
+    return static_cast<std::size_t>(
+        std::lower_bound(row_ptr, row_ptr + m, nnz * t / tasks) - row_ptr);
+  };
+  fan_out(tasks, [&](std::size_t t) {
+    const std::size_t r0 = boundary(t);
+    const std::size_t r1 = boundary(t + 1);
+    kernels.gemm_sparse_rows(alpha, rows.values.data(), rows.col_idx.data(),
+                             row_ptr + r0, r1 - r0, b_ptr, n,
+                             c.data() + r0 * n, n, n);
+  });
 }
 
 }  // namespace
@@ -135,39 +318,40 @@ void gemm_blocked(Transpose trans_a, Transpose trans_b, float alpha,
   const KernelSet& kernels = active_kernels();
   apply_beta(beta, c, kernels);
   if (m == 0 || n == 0 || k == 0) return;
+  multiply_dense(kernels, alpha, a_ptr, b_ptr, c, m, n, k);
+}
 
-  // Fan the row blocks out over the shared ThreadPool — unless we are
-  // already on a pool worker (nested GEMM would deadlock a single-worker
-  // pool) or the matrix is too small to amortize the submits.
-  parallel::ThreadPool& pool = parallel::global_pool();
-  const std::size_t max_tasks = std::max<std::size_t>(
-      1,
-      std::min({pool.size(), detail::max_compute_tasks(),
-                m / kMinRowsPerTask}));
-  if (max_tasks <= 1 || parallel::ThreadPool::in_worker()) {
-    run_row_range(kernels, alpha, a_ptr, b_ptr, c, 0, m, n, k);
+void gemm_sparse_a(Transpose trans_a, Transpose trans_b, float alpha,
+                   const MatrixF& a, const MatrixF& b, float beta,
+                   MatrixF& c) {
+  const auto [m, n, k] = check_dims(trans_a, trans_b, a, b, c);
+  NonzeroRows& rows = nonzero_scratch();
+  if (m == 0 || n == 0 || k == 0 ||
+      !collect_nonzeros(trans_a, a, m, k, m * k, rows)) {
+    gemm_blocked(trans_a, trans_b, alpha, a, b, beta, c);
     return;
   }
-
-  const std::size_t rows_per_task = (m + max_tasks - 1) / max_tasks;
-  std::vector<std::future<void>> tasks;
-  tasks.reserve(max_tasks - 1);
-  for (std::size_t r0 = rows_per_task; r0 < m; r0 += rows_per_task) {
-    const std::size_t r1 = std::min(r0 + rows_per_task, m);
-    tasks.push_back(pool.submit([&kernels, alpha, a_ptr, b_ptr, &c, r0, r1, n,
-                                 k] {
-      run_row_range(kernels, alpha, a_ptr, b_ptr, c, r0, r1, n, k);
-    }));
-  }
-  // First block on the calling thread, overlapping the pool workers.
-  run_row_range(kernels, alpha, a_ptr, b_ptr, c, 0,
-                std::min(rows_per_task, m), n, k);
-  for (auto& task : tasks) task.get();
+  multiply_sparse(alpha, rows, trans_a, a, trans_b, b, beta, c, m, n, k);
 }
 
 void gemm(Transpose trans_a, Transpose trans_b, float alpha, const MatrixF& a,
           const MatrixF& b, float beta, MatrixF& c) {
-  gemm_blocked(trans_a, trans_b, alpha, a, b, beta, c);
+  const auto [m, n, k] = check_dims(trans_a, trans_b, a, b, c);
+  if (m == 0 || n == 0 || k == 0) {
+    gemm_blocked(trans_a, trans_b, alpha, a, b, beta, c);
+    return;
+  }
+  // Strictly below the crossover density.
+  const auto total = static_cast<double>(m) * static_cast<double>(k);
+  const auto max_nnz = static_cast<std::size_t>(
+      std::ceil(kSparseDensityCrossover * total) - 1.0);
+  NonzeroRows& rows = nonzero_scratch();
+  if (!collect_nonzeros(trans_a, a, m, k, max_nnz, rows) ||
+      rows.row_ptr[m] == 0) {
+    gemm_blocked(trans_a, trans_b, alpha, a, b, beta, c);
+    return;
+  }
+  multiply_sparse(alpha, rows, trans_a, a, trans_b, b, beta, c, m, n, k);
 }
 
 MatrixF matmul(const MatrixF& a, const MatrixF& b) {

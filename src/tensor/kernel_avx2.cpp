@@ -2,8 +2,9 @@
 // -mavx2 -mfma -fopenmp-simd (8 float lanes); the GEMM tile is replaced
 // by a hand-written micro-kernel with 4-row x 16-column register
 // blocking, which loads each B panel row once per 4 rows of A and keeps
-// 8 FMA accumulators live. When the build lacks the flags this TU
-// degrades to a null tier.
+// 8 FMA accumulators live. The zero-skipping rows kernel is replaced
+// with it, so both keep the same FMA arithmetic. When the build lacks the
+// flags this TU degrades to a null tier.
 
 #include "tensor/kernel_tiers.hpp"
 
@@ -217,6 +218,58 @@ inline void k_gemm_block(float alpha, const float* a, std::size_t lda,
   }
 }
 
+// Zero-skipping rows with the dense tile's arithmetic: per 32-column
+// strip, four FMA accumulators run over the row's stored entries in
+// ascending k, each term fmadd(alpha * a_p, B[p], acc) exactly as in
+// gemm_row1/gemm_rows4 (std::fma in the ragged tail), so every C element
+// sees the dense sequence minus its zero terms.
+inline void k_gemm_sparse_rows(float alpha, const float* values,
+                               const std::uint32_t* col_idx,
+                               const std::uint64_t* row_ptr, std::size_t mr,
+                               const float* b, std::size_t ldb, float* c,
+                               std::size_t ldc, std::size_t n) {
+  for (std::size_t i = 0; i < mr; ++i) {
+    const std::uint64_t begin = row_ptr[i];
+    const std::uint64_t end = row_ptr[i + 1];
+    float* c_row = c + i * ldc;
+    std::size_t j = 0;
+    for (; j + 32 <= n; j += 32) {
+      __m256 acc0 = _mm256_loadu_ps(c_row + j);
+      __m256 acc1 = _mm256_loadu_ps(c_row + j + 8);
+      __m256 acc2 = _mm256_loadu_ps(c_row + j + 16);
+      __m256 acc3 = _mm256_loadu_ps(c_row + j + 24);
+      for (std::uint64_t q = begin; q < end; ++q) {
+        const __m256 av = _mm256_set1_ps(alpha * values[q]);
+        const float* b_row = b + col_idx[q] * ldb + j;
+        acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row), acc0);
+        acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row + 8), acc1);
+        acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row + 16), acc2);
+        acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row + 24), acc3);
+      }
+      _mm256_storeu_ps(c_row + j, acc0);
+      _mm256_storeu_ps(c_row + j + 8, acc1);
+      _mm256_storeu_ps(c_row + j + 16, acc2);
+      _mm256_storeu_ps(c_row + j + 24, acc3);
+    }
+    for (; j + 8 <= n; j += 8) {
+      __m256 acc = _mm256_loadu_ps(c_row + j);
+      for (std::uint64_t q = begin; q < end; ++q) {
+        const __m256 av = _mm256_set1_ps(alpha * values[q]);
+        acc = _mm256_fmadd_ps(av, _mm256_loadu_ps(b + col_idx[q] * ldb + j),
+                              acc);
+      }
+      _mm256_storeu_ps(c_row + j, acc);
+    }
+    for (; j < n; ++j) {
+      float acc = c_row[j];
+      for (std::uint64_t q = begin; q < end; ++q) {
+        acc = std::fma(alpha * values[q], b[col_idx[q] * ldb + j], acc);
+      }
+      c_row[j] = acc;
+    }
+  }
+}
+
 }  // namespace avx2_impl
 
 namespace detail {
@@ -240,6 +293,7 @@ const KernelSet* kernel_set_avx2() noexcept {
       &k_softmax_block,
       &k_gemv,
       &k_gemm_block,
+      &k_gemm_sparse_rows,
       &k_momentum_update,
       &k_spmv,
       &k_spmm,

@@ -1,8 +1,8 @@
 #pragma once
 // Runtime-dispatched SIMD kernel subsystem. A KernelSet is a vtable of
-// the hot-loop primitives (gemm tile, gemv, axpy, dot, reductions,
-// relu / threshold-mask, exp/log transforms, per-block softmax); three
-// sets exist, one per instruction tier:
+// the hot-loop primitives (gemm tile and its zero-skipping twin, gemv,
+// axpy, dot, reductions, relu / threshold-mask, exp/log transforms,
+// per-block softmax); three sets exist, one per instruction tier:
 //
 //   scalar : plain ordered loops, no reassociation — the correctness
 //            reference (and the only tier on non-x86 hosts)
@@ -66,13 +66,27 @@ struct KernelSet {
                std::size_t m, std::size_t k);
   /// GEMM register tile: C[mr x n] += alpha * A[mr x k] * B[k x n], all
   /// row-major with leading dimensions lda/ldb/ldc. The cache-blocked
-  /// driver (tensor::gemm) feeds K-panels of packed A/B through this.
-  /// Accumulation order over k is ascending for every C element in every
-  /// tier, so tiers differ only by rounding (FMA / lane splits).
+  /// driver (tensor::gemm_blocked) feeds K-panels of packed A/B through
+  /// this. Accumulation order over k is ascending for every C element in
+  /// every tier, so tiers differ only by rounding (FMA / lane splits).
   void (*gemm_block)(float alpha, const float* a, std::size_t lda,
                      const float* b, std::size_t ldb, float* c,
                      std::size_t ldc, std::size_t mr, std::size_t n,
                      std::size_t k);
+  /// Zero-skipping GEMM rows: C[mr x n] += alpha * A[mr x k] * B[k x n]
+  /// with A given only by its nonzero entries, CSR-style: row i holds
+  /// (col_idx[q], values[q]) for q in [row_ptr[i], row_ptr[i+1]), col_idx
+  /// ascending. Each entry applies gemm_block's exact per-element update
+  /// in the same ascending-k order, so per C element the work is
+  /// gemm_block's minus the terms whose A entry is zero. Those add exactly
+  /// zero when B is finite (unless the C element is -0.0, which a +0 term
+  /// turns into +0; the tensor::gemm driver checks for that), so the
+  /// result is bit-identical to gemm_block in the same tier.
+  void (*gemm_sparse_rows)(float alpha, const float* values,
+                           const std::uint32_t* col_idx,
+                           const std::uint64_t* row_ptr, std::size_t mr,
+                           const float* b, std::size_t ldb, float* c,
+                           std::size_t ldc, std::size_t n);
   /// Fused SGD momentum step (one pass over the three arrays):
   ///   v[i] = mu * v[i] - lr * (g[i] + l2 * w[i]);  w[i] += v[i]
   void (*momentum_update)(float mu, float lr, float l2, const float* g,

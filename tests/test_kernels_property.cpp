@@ -7,10 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <tuple>
 #include <vector>
 
+#include "parallel/thread_pool.hpp"
 #include "tensor/cpu_features.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/kernel_set.hpp"
@@ -492,5 +498,273 @@ TEST(KernelProperty, ForceDispatchRejectsUnavailableTiersAndRoundTrips) {
   if (st::kernel_set_for(st::DispatchLevel::kAvx2) == nullptr) {
     EXPECT_THROW(st::force_dispatch(st::DispatchLevel::kAvx2),
                  std::invalid_argument);
+  }
+}
+
+// --- Zero-skip wall: tensor::gemm vs gemm_blocked, bit for bit ------------
+
+namespace {
+
+/// Every tier this host can run, scalar first.
+std::vector<st::DispatchLevel> runnable_levels() {
+  std::vector<st::DispatchLevel> levels;
+  for (const st::DispatchLevel level :
+       {st::DispatchLevel::kScalar, st::DispatchLevel::kSse42,
+        st::DispatchLevel::kAvx2}) {
+    if (st::kernel_set_for(level) != nullptr) levels.push_back(level);
+  }
+  return levels;
+}
+
+/// Restores the active tier when a test leaves scope, failed or not.
+class DispatchGuard {
+ public:
+  DispatchGuard() : original_(st::active_kernels().level) {}
+  ~DispatchGuard() { st::force_dispatch(original_); }
+  DispatchGuard(const DispatchGuard&) = delete;
+  DispatchGuard& operator=(const DispatchGuard&) = delete;
+
+ private:
+  st::DispatchLevel original_;
+};
+
+// The paper's input code: 28 features x 10 quantile bins, one bin hot.
+constexpr std::size_t kFeatures = 28;
+constexpr std::size_t kBins = 10;
+constexpr std::size_t kOneHotWidth = kFeatures * kBins;
+
+/// Which nonzero pattern op(A) gets.
+enum class Pattern { kZero, kOneHot, kTenth, kBelowCrossover, kAtCrossover,
+                     kDense };
+
+const char* pattern_name(Pattern pattern) {
+  switch (pattern) {
+    case Pattern::kZero: return "zero";
+    case Pattern::kOneHot: return "one-hot";
+    case Pattern::kTenth: return "0.1";
+    case Pattern::kBelowCrossover: return "below-crossover";
+    case Pattern::kAtCrossover: return "at-crossover";
+    case Pattern::kDense: return "dense";
+  }
+  return "?";
+}
+
+/// A zero of either sign: the skipped entries include -0.0f.
+float signed_zero(su::Rng& rng) {
+  return rng.uniform() < 0.5 ? 0.0f : -0.0f;
+}
+
+/// A nonzero value of either sign.
+float nonzero_value(su::Rng& rng) {
+  const float v = static_cast<float>(rng.uniform(0.05, 1.0));
+  return rng.uniform() < 0.5 ? v : -v;
+}
+
+/// op(A) as an m x k logical matrix with the requested pattern. Random
+/// patterns keep every fifth row all-zero; the crossover patterns place
+/// an exact nonzero count one short of, and exactly at, the density
+/// where gemm switches path.
+st::MatrixF make_op_a(Pattern pattern, std::size_t m, std::size_t k,
+                      su::Rng& rng) {
+  st::MatrixF op_a(m, k, 0.0f);
+  for (float& v : op_a) v = signed_zero(rng);
+  const std::size_t total = m * k;
+  switch (pattern) {
+    case Pattern::kZero:
+      break;
+    case Pattern::kOneHot:
+      for (std::size_t i = 0; i < m; ++i) {
+        if (i % 5 == 4) continue;
+        for (std::size_t f = 0; f < kFeatures && f * kBins < k; ++f) {
+          const auto bin = static_cast<std::size_t>(rng.uniform_int(0, kBins - 1));
+          op_a(i, f * kBins + bin) = 1.0f;
+        }
+      }
+      break;
+    case Pattern::kTenth:
+    case Pattern::kDense:
+      for (std::size_t i = 0; i < m; ++i) {
+        if (pattern == Pattern::kTenth && i % 5 == 4) continue;
+        for (std::size_t p = 0; p < k; ++p) {
+          if (pattern == Pattern::kDense || rng.uniform() < 0.1) {
+            op_a(i, p) = nonzero_value(rng);
+          }
+        }
+      }
+      break;
+    case Pattern::kBelowCrossover:
+    case Pattern::kAtCrossover: {
+      const auto at = static_cast<std::size_t>(std::ceil(
+          st::kSparseDensityCrossover * static_cast<double>(total)));
+      const std::size_t nnz =
+          pattern == Pattern::kAtCrossover ? at : (at == 0 ? 0 : at - 1);
+      std::vector<std::size_t> slots(total);
+      std::iota(slots.begin(), slots.end(), std::size_t{0});
+      for (std::size_t s = 0; s < nnz; ++s) {
+        const auto pick = static_cast<std::size_t>(rng.uniform_int(
+            static_cast<std::int64_t>(s), static_cast<std::int64_t>(total - 1)));
+        std::swap(slots[s], slots[pick]);
+        op_a.data()[slots[s]] = nonzero_value(rng);
+      }
+      break;
+    }
+  }
+  return op_a;
+}
+
+st::MatrixF transposed(const st::MatrixF& x) {
+  st::MatrixF t(x.cols(), x.rows(), 0.0f);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t j = 0; j < x.cols(); ++j) t(j, i) = x(i, j);
+  }
+  return t;
+}
+
+/// Stored operand for op(X) given the logical matrix.
+st::MatrixF stored(st::Transpose trans, const st::MatrixF& op_x) {
+  return trans == st::Transpose::kNo ? op_x : transposed(op_x);
+}
+
+/// Finite B (k x n logical): mixed signs, about 5% zeros of either sign,
+/// so skipped terms can be +0 or -0.
+st::MatrixF make_op_b(std::size_t k, std::size_t n, su::Rng& rng) {
+  st::MatrixF op_b(k, n, 0.0f);
+  for (float& v : op_b) {
+    v = rng.uniform() < 0.05 ? signed_zero(rng) : nonzero_value(rng);
+  }
+  return op_b;
+}
+
+/// C's prior contents; with zeros of either sign when asked, which makes
+/// beta * C hold -0.0 (the value the zero-skip must not change).
+st::MatrixF make_c(std::size_t m, std::size_t n, bool signed_zeros,
+                   su::Rng& rng) {
+  st::MatrixF c(m, n, 0.0f);
+  for (float& v : c) {
+    v = signed_zeros && rng.uniform() < 0.2 ? signed_zero(rng)
+                                            : nonzero_value(rng);
+  }
+  return c;
+}
+
+::testing::AssertionResult same_bits(const st::MatrixF& expected,
+                                     const st::MatrixF& actual) {
+  if (expected.rows() != actual.rows() || expected.cols() != actual.cols()) {
+    return ::testing::AssertionFailure() << "shape differs";
+  }
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto want = std::bit_cast<std::uint32_t>(expected.data()[i]);
+    const auto got = std::bit_cast<std::uint32_t>(actual.data()[i]);
+    if (want != got) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": expected " << expected.data()[i]
+             << " (bits " << want << "), got " << actual.data()[i]
+             << " (bits " << got << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+}  // namespace
+
+TEST(KernelProperty, GemmZeroSkipIsBitIdenticalToBlockedAtEveryTier) {
+  const DispatchGuard guard;
+  const auto transposes = {st::Transpose::kNo, st::Transpose::kYes};
+  std::uint64_t seed = 0;
+  for (const std::size_t m : {0UL, 1UL, 33UL, 257UL}) {
+    for (const Pattern pattern :
+         {Pattern::kZero, Pattern::kOneHot, Pattern::kTenth,
+          Pattern::kBelowCrossover, Pattern::kAtCrossover, Pattern::kDense}) {
+      // The one-hot code fixes k = 280 (past one 256-deep K panel of the
+      // dense driver); the other patterns use a short ragged k so the
+      // sweep stays affordable under the sanitizers.
+      const std::size_t k = pattern == Pattern::kOneHot ? kOneHotWidth : 41;
+      su::Rng rng(++seed * 7919);
+      const st::MatrixF op_a = make_op_a(pattern, m, k, rng);
+      const st::MatrixF a_stored[] = {stored(st::Transpose::kNo, op_a),
+                                      stored(st::Transpose::kYes, op_a)};
+      for (const std::size_t n : {1UL, 7UL, 15UL, 17UL, 300UL, 3000UL}) {
+        const st::MatrixF op_b = make_op_b(k, n, rng);
+        const st::MatrixF b_stored[] = {stored(st::Transpose::kNo, op_b),
+                                        stored(st::Transpose::kYes, op_b)};
+        // alpha = 0.37 also seeds C with signed zeros.
+        const std::pair<float, st::MatrixF> alphas[] = {
+            {1.0f, make_c(m, n, false, rng)}, {0.37f, make_c(m, n, true, rng)}};
+        for (const st::Transpose ta : transposes) {
+          const st::MatrixF& a = a_stored[ta == st::Transpose::kYes];
+          for (const st::Transpose tb : transposes) {
+            const st::MatrixF& b = b_stored[tb == st::Transpose::kYes];
+            for (const auto& [alpha, c0] : alphas) {
+              for (const float beta : {0.0f, 1.0f, 0.95f}) {
+                for (const st::DispatchLevel level : runnable_levels()) {
+                  st::force_dispatch(level);
+                  st::MatrixF expected = c0;
+                  st::gemm_blocked(ta, tb, alpha, a, b, beta, expected);
+                  st::MatrixF dispatched = c0;
+                  st::gemm(ta, tb, alpha, a, b, beta, dispatched);
+                  st::MatrixF skipping = c0;
+                  st::gemm_sparse_a(ta, tb, alpha, a, b, beta, skipping);
+                  const auto where = [&] {
+                    return ::testing::Message()
+                           << st::dispatch_level_name(level) << " m=" << m
+                           << " n=" << n << " pattern=" << pattern_name(pattern)
+                           << " trans_a=" << (ta == st::Transpose::kYes)
+                           << " trans_b=" << (tb == st::Transpose::kYes)
+                           << " alpha=" << alpha << " beta=" << beta;
+                  };
+                  ASSERT_TRUE(same_bits(expected, dispatched))
+                      << "gemm " << where();
+                  ASSERT_TRUE(same_bits(expected, skipping))
+                      << "gemm_sparse_a " << where();
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelProperty, GemmZeroSkipIsBitIdenticalSerialAndOverThePool) {
+  // A call from a pool worker runs serially (fan-out 1); from any other
+  // thread it fans out over the pool. Both must equal gemm_blocked, at the
+  // paper's shapes: support X W and the trace product X^T A.
+  const DispatchGuard guard;
+  for (const st::DispatchLevel level : runnable_levels()) {
+    st::force_dispatch(level);
+    su::Rng rng(static_cast<std::uint64_t>(level) + 11);
+    const st::MatrixF x = make_op_a(Pattern::kOneHot, 257, kOneHotWidth, rng);
+    const st::MatrixF w = make_op_b(kOneHotWidth, 3000, rng);
+    const st::MatrixF act = make_op_b(257, 3000, rng);
+    struct Case {
+      st::Transpose trans_a;
+      const st::MatrixF* b;
+      float alpha;
+      float beta;
+    };
+    for (const Case& run : {Case{st::Transpose::kNo, &w, 1.0f, 0.0f},
+                            Case{st::Transpose::kYes, &act, 0.37f, 0.95f}}) {
+      const std::size_t m =
+          run.trans_a == st::Transpose::kNo ? x.rows() : x.cols();
+      const st::MatrixF c0 = make_c(m, 3000, false, rng);
+      st::MatrixF expected = c0;
+      st::gemm_blocked(run.trans_a, st::Transpose::kNo, run.alpha, x, *run.b,
+                       run.beta, expected);
+      st::MatrixF pooled = c0;
+      st::gemm(run.trans_a, st::Transpose::kNo, run.alpha, x, *run.b,
+               run.beta, pooled);
+      st::MatrixF serial = c0;
+      streambrain::parallel::global_pool()
+          .submit([&] {
+            st::gemm(run.trans_a, st::Transpose::kNo, run.alpha, x, *run.b,
+                     run.beta, serial);
+          })
+          .get();
+      ASSERT_TRUE(same_bits(expected, pooled))
+          << st::dispatch_level_name(level) << " pooled";
+      ASSERT_TRUE(same_bits(expected, serial))
+          << st::dispatch_level_name(level) << " serial";
+    }
   }
 }
