@@ -1,13 +1,22 @@
 // google-benchmark microbenchmarks for the StreamBrain compute backends
-// (paper Section III-A): the four BCPNN primitives per engine at
-// Higgs-experiment dimensions, plus GEMM naive-vs-blocked. These support
-// the paper's claim that hand-vectorized CPU kernels close the gap to
-// framework baselines, and expose the dimension-dependent "jiggs" the
-// paper observes on the GPU.
+// (paper Section III-A), as a dispatch-tier sweep: the four BCPNN
+// primitives and a full epoch at Higgs-experiment dimensions on the
+// scalar reference engine ("naive") and on the "simd" engine at every
+// kernel tier this host can run (simd_scalar / simd_sse42 / simd_avx2,
+// pinned with tensor::force_dispatch), plus GEMM naive-vs-blocked. These
+// support the paper's claim that hand-vectorized CPU kernels close the
+// gap to framework baselines, and expose the dimension-dependent "jiggs"
+// the paper observes on the GPU.
+//
+//   ./build/bench_backends --benchmark_filter='BM_Support/'
+//   ./build/bench_backends --benchmark_min_time=0.01   (smoke run)
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "streambrain/streambrain.hpp"
 
@@ -52,49 +61,84 @@ Workload& workload() {
   return w;
 }
 
-void BM_Support(benchmark::State& state, const std::string& engine_name) {
-  auto engine = parallel::EngineRegistry::instance().create(engine_name);
+/// One column of the backend ablation: an engine, and for "simd" the
+/// kernel tier it runs on.
+struct Backend {
+  std::string engine;
+  std::optional<tensor::DispatchLevel> tier;
+
+  [[nodiscard]] std::string label() const {
+    return tier ? engine + "_" + tensor::dispatch_level_name(*tier) : engine;
+  }
+};
+
+/// The backend's engine, with its tier pinned for the scope's lifetime.
+class BackendScope {
+ public:
+  explicit BackendScope(const Backend& backend)
+      : previous_(backend.tier ? std::optional(
+                                     tensor::force_dispatch(*backend.tier))
+                               : std::nullopt),
+        engine_(parallel::EngineRegistry::instance().create(backend.engine)) {}
+  ~BackendScope() {
+    if (previous_) tensor::force_dispatch(*previous_);
+  }
+  BackendScope(const BackendScope&) = delete;
+  BackendScope& operator=(const BackendScope&) = delete;
+
+  parallel::Engine& engine() { return *engine_; }
+
+ private:
+  std::optional<tensor::DispatchLevel> previous_;
+  std::unique_ptr<parallel::Engine> engine_;
+};
+
+void BM_Support(benchmark::State& state, const Backend& backend) {
+  BackendScope scope(backend);
+  parallel::Engine& engine = scope.engine();
   auto& w = workload();
   tensor::MatrixF s;
   for (auto _ : state) {
-    engine->support(w.x, w.w, w.bias.data(), s);
+    engine.support(w.x, w.w, w.bias.data(), s);
     benchmark::DoNotOptimize(s.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(w.batch));
 }
 
-void BM_SoftmaxHcu(benchmark::State& state, const std::string& engine_name) {
-  auto engine = parallel::EngineRegistry::instance().create(engine_name);
+void BM_SoftmaxHcu(benchmark::State& state, const Backend& backend) {
+  BackendScope scope(backend);
+  parallel::Engine& engine = scope.engine();
   auto& w = workload();
   tensor::MatrixF s = w.a;
   for (auto _ : state) {
-    engine->softmax_hcu(s, w.mcus, 1.0f);
+    engine.softmax_hcu(s, w.mcus, 1.0f);
     benchmark::DoNotOptimize(s.data());
   }
 }
 
-void BM_TraceUpdate(benchmark::State& state, const std::string& engine_name) {
-  auto engine = parallel::EngineRegistry::instance().create(engine_name);
+void BM_TraceUpdate(benchmark::State& state, const Backend& backend) {
+  BackendScope scope(backend);
+  parallel::Engine& engine = scope.engine();
   auto& w = workload();
   auto pi = w.pi;
   auto pj = w.pj;
   auto pij = w.pij;
   for (auto _ : state) {
-    engine->update_traces(w.x, w.a, 0.05f, pi.data(), pj.data(), pij);
+    engine.update_traces(w.x, w.a, 0.05f, pi.data(), pj.data(), pij);
     benchmark::DoNotOptimize(pij.data());
   }
 }
 
-void BM_WeightRecompute(benchmark::State& state,
-                        const std::string& engine_name) {
-  auto engine = parallel::EngineRegistry::instance().create(engine_name);
+void BM_WeightRecompute(benchmark::State& state, const Backend& backend) {
+  BackendScope scope(backend);
+  parallel::Engine& engine = scope.engine();
   auto& w = workload();
   tensor::MatrixF weights;
   std::vector<float> bias(w.n_out);
   for (auto _ : state) {
-    engine->recompute_weights(w.pi.data(), w.pj.data(), w.pij, 1e-4f, 1.0f,
-                              weights, bias.data());
+    engine.recompute_weights(w.pi.data(), w.pj.data(), w.pij, 1e-4f, 1.0f,
+                             weights, bias.data());
     benchmark::DoNotOptimize(weights.data());
   }
 }
@@ -142,11 +186,12 @@ void BM_GemmMcuDimension(benchmark::State& state) {
                           280 * static_cast<int64_t>(mcus));
 }
 
-// End-to-end training epoch per engine (the §III-A parity claim is about
+// End-to-end training epoch per backend (the §III-A parity claim is about
 // whole-loop throughput, not single kernels): one unsupervised epoch of
 // the Higgs-shaped layer, reported as events/second.
-void BM_FullEpoch(benchmark::State& state, const std::string& engine_name) {
-  auto engine = parallel::EngineRegistry::instance().create(engine_name);
+void BM_FullEpoch(benchmark::State& state, const Backend& backend) {
+  BackendScope scope(backend);
+  parallel::Engine& engine = scope.engine();
   auto& w = workload();
   std::vector<float> pi = w.pi;
   std::vector<float> pj = w.pj;
@@ -157,12 +202,12 @@ void BM_FullEpoch(benchmark::State& state, const std::string& engine_name) {
   for (auto _ : state) {
     // 8 batches = one scaled epoch.
     for (int batch = 0; batch < 8; ++batch) {
-      engine->support(w.x, weights, bias.data(), activations);
-      engine->softmax_hcu(activations, w.mcus, 1.0f);
-      engine->update_traces(w.x, activations, 0.05f, pi.data(), pj.data(),
-                            pij);
-      engine->recompute_weights(pi.data(), pj.data(), pij, 1e-4f, 1.0f,
-                                weights, bias.data());
+      engine.support(w.x, weights, bias.data(), activations);
+      engine.softmax_hcu(activations, w.mcus, 1.0f);
+      engine.update_traces(w.x, activations, 0.05f, pi.data(), pj.data(),
+                           pij);
+      engine.recompute_weights(pi.data(), pj.data(), pij, 1e-4f, 1.0f,
+                               weights, bias.data());
     }
     benchmark::DoNotOptimize(weights.data());
   }
@@ -172,25 +217,37 @@ void BM_FullEpoch(benchmark::State& state, const std::string& engine_name) {
 
 }  // namespace
 
-BENCHMARK_CAPTURE(BM_FullEpoch, naive, "naive")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_FullEpoch, openmp, "openmp")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_FullEpoch, simd, "simd")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_FullEpoch, device_sim, "device_sim")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_Support, naive, "naive")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_Support, openmp, "openmp")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_Support, simd, "simd")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_Support, device_sim, "device_sim")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_SoftmaxHcu, naive, "naive")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_SoftmaxHcu, simd, "simd")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_TraceUpdate, naive, "naive")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_TraceUpdate, openmp, "openmp")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_TraceUpdate, simd, "simd")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_WeightRecompute, naive, "naive")->MinTime(0.1);
-BENCHMARK_CAPTURE(BM_WeightRecompute, simd, "simd")->MinTime(0.1);
-BENCHMARK(BM_GemmNaive)->MinTime(0.1);
-BENCHMARK(BM_GemmBlocked)->MinTime(0.1);
+BENCHMARK(BM_GemmNaive);
+BENCHMARK(BM_GemmBlocked);
 BENCHMARK(BM_GemmMcuDimension)
-    ->Arg(30)->Arg(100)->Arg(256)->Arg(300)->Arg(512)->Arg(1000)
-    ->MinTime(0.05);
+    ->Arg(30)->Arg(100)->Arg(256)->Arg(300)->Arg(512)->Arg(1000);
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  std::vector<Backend> backends = {{"naive", std::nullopt}};
+  for (const tensor::DispatchLevel tier :
+       {tensor::DispatchLevel::kScalar, tensor::DispatchLevel::kSse42,
+        tensor::DispatchLevel::kAvx2}) {
+    if (tensor::kernel_set_for(tier) != nullptr) {
+      backends.push_back({"simd", tier});
+    }
+  }
+  using Primitive = void (*)(benchmark::State&, const Backend&);
+  const std::pair<const char*, Primitive> primitives[] = {
+      {"BM_FullEpoch", BM_FullEpoch},
+      {"BM_Support", BM_Support},
+      {"BM_SoftmaxHcu", BM_SoftmaxHcu},
+      {"BM_TraceUpdate", BM_TraceUpdate},
+      {"BM_WeightRecompute", BM_WeightRecompute}};
+  for (const auto& [name, primitive] : primitives) {
+    for (const Backend& backend : backends) {
+      benchmark::RegisterBenchmark(
+          (std::string(name) + "/" + backend.label()).c_str(), primitive,
+          backend);
+    }
+  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

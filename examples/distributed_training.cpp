@@ -16,10 +16,6 @@
 //    rank 0 prints the report. E.g.:
 //        sb_launch -n 4 --backend shm -- ./example_distributed_training
 //
-// Migration note: the older core::distributed_unsupervised_fit() only
-// trained a bare hidden layer; fit_distributed() trains the full model,
-// head included.
-//
 // Usage:
 //   example_distributed_training [--ranks 4] [--events 2400] [--mcus 80]
 //                                [--ring] [--cadence 1]

@@ -40,9 +40,10 @@ int main(int argc, char** argv) {
   auto& registry = parallel::EngineRegistry::instance();
   for (const auto& name : registry.names()) {
     const parallel::EngineInfo info = registry.info(name);
+    const std::string tier =
+        info.dispatch.empty() ? "" : "  [" + info.dispatch + "]";
     std::printf("  %-10s  lanes=%zu%s  %s\n", info.name.c_str(),
-                info.simd_width, info.offload ? "  [offload]" : "",
-                info.description.c_str());
+                info.simd_width, tier.c_str(), info.description.c_str());
   }
 
   // --- 1. Data ------------------------------------------------------------

@@ -668,11 +668,6 @@ RunStats run_transport(Backend backend, int size,
   return stats;
 }
 
-RunStats run_reported(int size,
-                      const std::function<void(Communicator&)>& body) {
-  return run_transport(Backend::kInProcess, size, body);
-}
-
 void run(int size, const std::function<void(Communicator&)>& body) {
   (void)run_transport(Backend::kInProcess, size, body);
 }

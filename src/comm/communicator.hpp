@@ -184,11 +184,6 @@ struct RunStats {
 /// after every thread joined.
 void run(int size, const std::function<void(Communicator&)>& body);
 
-/// Like run(), but returns the true per-rank byte counters so callers can
-/// report honest totals even when traffic is asymmetric across ranks.
-RunStats run_reported(int size,
-                      const std::function<void(Communicator&)>& body);
-
 /// Threads-as-ranks execution over any backend: builds a `size`-rank
 /// world of `backend` transports (loopback TCP mesh / private shm
 /// segment), runs `body` on each rank thread, joins, returns the byte

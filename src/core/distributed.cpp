@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -14,10 +13,8 @@
 #include "core/serialization.hpp"
 #include "core/sgd_head.hpp"
 #include "data/dataset.hpp"
-#include "parallel/engine_registry.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/kernels.hpp"
-#include "util/annotated_mutex.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -676,109 +673,6 @@ DistributedReport fit_distributed(Model& model, const tensor::MatrixF& x,
                                   const std::vector<int>& labels,
                                   const DistributedOptions& options) {
   return DistributedTrainer(options).fit(model, x, labels);
-}
-
-DistributedReport distributed_unsupervised_fit(BcpnnLayer& layer,
-                                               const tensor::MatrixF& x,
-                                               int ranks) {
-  const BcpnnConfig cfg = layer.config();
-  DistributedReport report;
-  report.ranks = ranks;
-  util::Stopwatch watch;
-
-  // Final state captured from rank 0.
-  std::unique_ptr<ProbabilityTraces> final_traces;
-  std::unique_ptr<ReceptiveFieldMasks> final_masks;
-  // Only rank 0 writes and the writes happen-before the join, but the
-  // lock keeps the capture protocol explicit (and future-proof against a
-  // multi-writer capture).
-  sb::Mutex result_mutex;
-  std::size_t sync_count = 0;
-
-  const comm::RunStats stats = comm::run_reported(
-      ranks, [&](comm::Communicator& comm) {
-    const int rank = comm.rank();
-    const int world = comm.size();
-
-    // Same seed everywhere: identical initial masks and traces. Only the
-    // noise RNG is split per rank (different shards explore differently;
-    // trace averaging merges them).
-    auto engine = parallel::EngineRegistry::instance().create(cfg.engine);
-    util::Rng mask_rng(cfg.seed);
-    BcpnnLayer local(cfg, *engine, mask_rng);
-    util::Rng noise_rng(cfg.seed ^ (0x9E3779B9ULL * (rank + 1)));
-
-    // Round-robin shard of the row indices.
-    std::vector<std::size_t> shard;
-    for (std::size_t r = static_cast<std::size_t>(rank); r < x.rows();
-         r += static_cast<std::size_t>(world)) {
-      shard.push_back(r);
-    }
-    // Every rank must execute the same number of batches so the allreduce
-    // schedule matches; pad the smallest shards by wrapping.
-    const std::size_t max_shard = (x.rows() + world - 1) / world;
-    const std::size_t original_size = shard.size();
-    while (shard.size() < max_shard && original_size > 0) {
-      shard.push_back(shard[(shard.size() - original_size) % original_size]);
-    }
-    const std::size_t batches_per_epoch =
-        (max_shard + cfg.batch_size - 1) / cfg.batch_size;
-
-    tensor::MatrixF batch;
-    std::size_t local_syncs = 0;
-    for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
-      const float progress =
-          cfg.epochs > 1
-              ? static_cast<float>(epoch) / static_cast<float>(cfg.epochs - 1)
-              : 1.0f;
-      const float noise =
-          cfg.noise_start + (cfg.noise_end - cfg.noise_start) * progress;
-      noise_rng.shuffle(shard);
-      for (std::size_t b = 0; b < batches_per_epoch; ++b) {
-        const std::size_t start = b * cfg.batch_size;
-        const std::size_t end = std::min(start + cfg.batch_size, shard.size());
-        if (start >= end) break;
-        batch.resize(end - start, x.cols());
-        for (std::size_t r = start; r < end; ++r) {
-          std::copy_n(x.row(shard[r]), x.cols(), batch.row(r - start));
-        }
-        local.train_batch(batch, noise);
-
-        // Synchronize traces: one allreduce per batch. This is ALL the
-        // communication BCPNN data-parallelism needs.
-        auto& traces = local.mutable_traces();
-        comm.allreduce_mean(traces.mutable_pi().data(), traces.pi().size());
-        comm.allreduce_mean(traces.mutable_pj().data(), traces.pj().size());
-        comm.allreduce_mean(traces.mutable_pij().data(),
-                            traces.pij().size());
-        local.recompute_weights();
-        ++local_syncs;
-      }
-      // Identical traces -> identical plasticity decision on every rank.
-      local.plasticity_step();
-    }
-
-    if (rank == 0) {
-      const sb::MutexLock lock(result_mutex);
-      final_traces = std::make_unique<ProbabilityTraces>(local.traces());
-      final_masks = std::make_unique<ReceptiveFieldMasks>(local.masks());
-      sync_count = local_syncs;
-    }
-    comm.barrier();
-  });
-
-  if (final_traces && final_masks) {
-    layer.set_state(*final_traces, *final_masks);
-  }
-  report.seconds = watch.seconds();
-  report.bytes_per_rank = stats.bytes_per_rank.empty()
-                              ? 0
-                              : stats.bytes_per_rank[0];
-  // True per-rank sum — NOT rank 0's counter times the world size, which
-  // over- or under-counts whenever traffic is asymmetric across ranks.
-  report.total_bytes = stats.total_bytes;
-  report.sync_count = sync_count;
-  return report;
 }
 
 }  // namespace streambrain::core

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
-#include "core/layer.hpp"
 #include "core/model.hpp"
 #include "tensor/matrix.hpp"
 
@@ -113,19 +112,5 @@ class DistributedTrainer {
 DistributedReport fit_distributed(Model& model, const tensor::MatrixF& x,
                                   const std::vector<int>& labels,
                                   const DistributedOptions& options = {});
-
-/// Unsupervised data-parallel training of `layer` on encoded inputs `x` —
-/// the legacy single-layer entry point (one trace allreduce_mean per
-/// batch, rows sharded round-robin). New code should train a full model
-/// through DistributedTrainer instead.
-///
-/// Rows are sharded round-robin across `ranks` simulated ranks; every rank
-/// runs the identical annealing schedule and plasticity steps (which stay
-/// deterministic because traces are identical after each allreduce). On
-/// return, `layer` holds the synchronized state. With ranks == 1 this
-/// degenerates to ordinary training.
-DistributedReport distributed_unsupervised_fit(BcpnnLayer& layer,
-                                               const tensor::MatrixF& x,
-                                               int ranks);
 
 }  // namespace streambrain::core

@@ -1,8 +1,6 @@
 #pragma once
-// The single public read-out (head) enum. Historically `Model::Head` and
-// `core::HeadType` coexisted with identical meaning; every layer of the
-// stack — NetworkConfig, the Model builder, serialization — now speaks
-// this one type.
+// The single public read-out (head) enum. Every layer of the stack —
+// NetworkConfig, the Model builder, serialization — speaks this one type.
 //
 //   kBcpnn : supervised BCPNN classification layer ("pure BCPNN")
 //   kSgd   : softmax-regression read-out trained by SGD on the frozen

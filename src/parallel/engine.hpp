@@ -1,7 +1,11 @@
 #pragma once
-// Compute-backend abstraction mirroring StreamBrain's multi-backend design
-// (Section III-A of the paper: OpenMP+SIMD CPU backends, a fully-offloaded
-// CUDA backend, and a prototype FPGA path).
+// Compute-backend abstraction. The paper's Section III-A backends
+// (OpenMP CPU, SIMD CPU, offloaded GPU) collapse into one engine, "simd",
+// over the runtime-dispatched tensor::KernelSet; its instruction tier
+// (scalar / sse42 / avx2) is picked by CPUID, STREAMBRAIN_DISPATCH or
+// tensor::force_dispatch. "naive" is the scalar reference it is tested
+// against. Engines are created by name through parallel::EngineRegistry
+// (engine_registry.hpp).
 //
 // An Engine supplies the four primitives that dominate BCPNN training:
 //
@@ -9,17 +13,9 @@
 //   softmax   : per-hypercolumn soft-WTA normalization of S
 //   traces    : EMA update of p_i, p_j, p_ij from a batch (X, A)
 //   weights   : w_ij = log(p_ij / (p_i p_j)), b_j = k_beta * log(p_j)
-//
-// Engines share exact semantics; they differ in how loops are scheduled
-// and vectorized. `DeviceSimEngine` emulates the paper's fully-offloaded
-// GPU loop on the host, tracking host<->device transfer volume so the
-// Amdahl-serialization argument of Section III-A can be benchmarked.
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "tensor/matrix.hpp"
 
@@ -55,21 +51,6 @@ class Engine {
                                  const tensor::MatrixF& pij, float eps,
                                  float k_beta, tensor::MatrixF& w,
                                  float* bias) = 0;
-
-  /// Bytes "moved to/from the device" so far. Zero for host engines; the
-  /// DeviceSim engine accounts every logical transfer.
-  [[nodiscard]] virtual std::uint64_t transfer_bytes() const { return 0; }
 };
-
-/// Compatibility shim over EngineRegistry::instance().create(name) — see
-/// parallel/engine_registry.hpp. Resolves any registered engine (the
-/// built-ins "naive", "openmp", "simd", "device_sim" plus user-registered
-/// ones). Throws std::invalid_argument for unknown names. New code should
-/// call the registry directly.
-std::unique_ptr<Engine> make_engine(const std::string& name);
-
-/// Names of the built-in engines, in registration order. For the full
-/// set including user-registered engines use EngineRegistry::names().
-const std::vector<std::string>& engine_names();
 
 }  // namespace streambrain::parallel

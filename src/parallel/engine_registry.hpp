@@ -1,10 +1,8 @@
 #pragma once
-// Open, thread-safe registry of compute engines — the extension point that
-// replaces the old closed `make_engine` string switch. The four built-in
-// engines (naive / openmp / simd / device_sim) self-register with
-// capability metadata; user code can plug in custom engines and resolve
-// them anywhere an engine name is accepted (Model::compile, NetworkConfig,
-// the bench and example drivers):
+// Open, thread-safe registry of compute engines. The two built-in engines
+// (naive / simd) self-register with capability metadata; user code can
+// plug in custom engines and resolve them anywhere an engine name is
+// accepted (Model::compile, NetworkConfig, the bench and example drivers):
 //
 //   parallel::EngineRegistry::instance().register_engine(
 //       {.name = "my_engine", .description = "...", .simd_width = 8},
@@ -32,11 +30,6 @@ struct EngineInfo {
   /// Logical float lanes the engine's inner loops are written for
   /// (1 = scalar). Purely descriptive; used by bench reporting.
   std::size_t simd_width = 1;
-  /// True for engines that model (or run on) an offload device whose
-  /// state lives across a host/device boundary.
-  bool offload = false;
-  /// True when Engine::transfer_bytes() reports meaningful numbers.
-  bool counts_transfers = false;
   /// Kernel dispatch tier the engine's math runs on ("scalar" / "sse42"
   /// / "avx2" for engines built on tensor::KernelSet, empty for engines
   /// with their own loops). Reflects the runtime CPUID selection and the

@@ -1,20 +1,49 @@
 #include "parallel/parallel_for.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdlib>
+
+#include "util/log.hpp"
 
 namespace streambrain::parallel {
 
-void parallel_for_pool(
-    ThreadPool& pool, std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (end <= begin) return;
-  if (grain == 0) grain = 1;
-  std::vector<std::future<void>> futures;
-  for (std::size_t lo = begin; lo < end; lo += grain) {
-    const std::size_t hi = std::min(lo + grain, end);
-    futures.push_back(pool.submit([&body, lo, hi] { body(lo, hi); }));
-  }
-  for (auto& f : futures) f.get();  // propagate exceptions
+std::optional<std::size_t> parse_thread_count(std::string_view text) noexcept {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value == 0) return std::nullopt;
+  return value;
+}
+
+namespace {
+
+// Resolved once. OMP_NUM_THREADS is honored too, so one variable pins
+// both this fan-out and the remaining OpenMP loops.
+std::size_t max_compute_tasks() {
+  static const std::size_t limit = [] {
+    if (const char* env = std::getenv("STREAMBRAIN_THREADS")) {
+      if (const auto threads = parse_thread_count(env)) return *threads;
+      SB_LOG(util::LogLevel::kWarn)
+          << "STREAMBRAIN_THREADS: '" << env
+          << "' is not a positive integer; falling back to OMP_NUM_THREADS, "
+             "then the pool size";
+    }
+    if (const char* env = std::getenv("OMP_NUM_THREADS")) {
+      const long value = std::atol(env);
+      if (value > 0) return static_cast<std::size_t>(value);
+    }
+    return global_pool().size();
+  }();
+  return limit;
+}
+
+}  // namespace
+
+std::size_t task_count(std::size_t by_work) {
+  if (ThreadPool::in_worker()) return 1;
+  return std::max<std::size_t>(
+      1, std::min({global_pool().size(), max_compute_tasks(), by_work}));
 }
 
 }  // namespace streambrain::parallel

@@ -1,7 +1,7 @@
 #pragma once
 // Fixed-size worker pool with a shared task queue. Used by the comm
-// substrate (ranks) and by parallel_for when OpenMP is not wanted (e.g.
-// nested inside an OpenMP region).
+// substrate (ranks), the serving dispatcher, and the compute fan-out of
+// the tensor drivers (parallel_for.hpp).
 
 #include <cstddef>
 #include <functional>
@@ -65,7 +65,7 @@ class ThreadPool {
   void wait_idle() EXCLUDES(mutex_);
 
   /// True when the calling thread is a ThreadPool worker (any pool).
-  /// Fan-out helpers (e.g. the dispatched GEMM) use this to run inline
+  /// The compute fan-out (parallel::task_count) uses this to run inline
   /// instead of submitting nested work and blocking a worker on it,
   /// which could deadlock a single-worker pool.
   [[nodiscard]] static bool in_worker() noexcept;

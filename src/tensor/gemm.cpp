@@ -4,13 +4,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <future>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
-#include "parallel/thread_pool.hpp"
+#include "parallel/parallel_for.hpp"
 #include "tensor/kernel_set.hpp"
 
 namespace streambrain::tensor {
@@ -95,41 +93,15 @@ void run_row_range(const KernelSet& kernels, float alpha, const float* a,
   }
 }
 
-// How many tasks to fan a product out over: `by_work` capped by the pool
-// and the STREAMBRAIN_THREADS / OMP_NUM_THREADS pin, and 1 on a pool
-// worker (a nested fan-out would deadlock a single-worker pool).
-std::size_t task_count(std::size_t by_work) {
-  if (parallel::ThreadPool::in_worker()) return 1;
-  return std::max<std::size_t>(
-      1, std::min({parallel::global_pool().size(), detail::max_compute_tasks(),
-                   by_work}));
-}
-
-// body(t) for every t in [0, tasks): t = 0 on the calling thread,
-// overlapping the rest on the shared ThreadPool.
-template <typename Body>
-void fan_out(std::size_t tasks, const Body& body) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(tasks - 1);
-  for (std::size_t t = 1; t < tasks; ++t) {
-    futures.push_back(parallel::global_pool().submit([&body, t] { body(t); }));
-  }
-  body(0);
-  for (auto& future : futures) future.get();
-}
-
 // C += alpha * A * B over packed row-major operands, C already scaled by
 // beta; row blocks fanned out.
 void multiply_dense(const KernelSet& kernels, float alpha, const float* a,
                     const float* b, MatrixF& c, std::size_t m, std::size_t n,
                     std::size_t k) {
-  const std::size_t tasks = task_count(m / kMinRowsPerTask);
-  const std::size_t rows_per_task = (m + tasks - 1) / tasks;
-  fan_out((m + rows_per_task - 1) / rows_per_task, [&](std::size_t t) {
-    const std::size_t r0 = t * rows_per_task;
-    run_row_range(kernels, alpha, a, b, c, r0, std::min(r0 + rows_per_task, m),
-                  n, k);
-  });
+  const auto panel = [&](std::size_t r0, std::size_t r1) {
+    run_row_range(kernels, alpha, a, b, c, r0, r1, n, k);
+  };
+  parallel::for_row_panels(m, kMinRowsPerTask, panel);
 }
 
 // The nonzero entries of op(A), row by row in ascending k (CSR layout).
@@ -253,14 +225,15 @@ void multiply_sparse(float alpha, const NonzeroRows& rows, Transpose trans_a,
   }
   const std::uint64_t* row_ptr = rows.row_ptr.data();
   const std::uint64_t nnz = row_ptr[m];
-  const std::size_t tasks = task_count(nnz * n / kMinSparseWorkPerTask);
+  const std::size_t tasks =
+      parallel::task_count(nnz * n / kMinSparseWorkPerTask);
   // Row ranges of about equal nonzero count.
   const auto boundary = [&](std::size_t t) {
     if (t == tasks) return m;
     return static_cast<std::size_t>(
         std::lower_bound(row_ptr, row_ptr + m, nnz * t / tasks) - row_ptr);
   };
-  fan_out(tasks, [&](std::size_t t) {
+  parallel::fan_out(tasks, [&](std::size_t t) {
     const std::size_t r0 = boundary(t);
     const std::size_t r1 = boundary(t + 1);
     kernels.gemm_sparse_rows(alpha, rows.values.data(), rows.col_idx.data(),
@@ -270,27 +243,6 @@ void multiply_sparse(float alpha, const NonzeroRows& rows, Transpose trans_a,
 }
 
 }  // namespace
-
-namespace detail {
-
-// Resolved once. The old OpenMP path honored OMP_NUM_THREADS; the pool
-// fan-out keeps that contract (STREAMBRAIN_THREADS wins, then
-// OMP_NUM_THREADS, then the pool size), so embedders and CI can still
-// pin or disable compute threading.
-std::size_t max_compute_tasks() {
-  static const std::size_t limit = [] {
-    for (const char* name : {"STREAMBRAIN_THREADS", "OMP_NUM_THREADS"}) {
-      if (const char* env = std::getenv(name)) {
-        const long value = std::atol(env);
-        if (value > 0) return static_cast<std::size_t>(value);
-      }
-    }
-    return parallel::global_pool().size();
-  }();
-  return limit;
-}
-
-}  // namespace detail
 
 void gemm_naive(Transpose trans_a, Transpose trans_b, float alpha,
                 const MatrixF& a, const MatrixF& b, float beta, MatrixF& c) {

@@ -38,7 +38,7 @@ enum class Transpose { kNo, kYes };
 void gemm_naive(Transpose trans_a, Transpose trans_b, float alpha,
                 const MatrixF& a, const MatrixF& b, float beta, MatrixF& c);
 
-/// Cache-blocked + OpenMP implementation.
+/// Cache-blocked implementation, row panels over the ThreadPool.
 void gemm_blocked(Transpose trans_a, Transpose trans_b, float alpha,
                   const MatrixF& a, const MatrixF& b, float beta, MatrixF& c);
 
@@ -66,15 +66,5 @@ void gemm(Transpose trans_a, Transpose trans_b, float alpha, const MatrixF& a,
 
 /// Convenience: C = A * B with fresh output.
 MatrixF matmul(const MatrixF& a, const MatrixF& b);
-
-namespace detail {
-
-/// Upper bound on concurrent compute tasks a blocked kernel driver may
-/// fan out over the ThreadPool (STREAMBRAIN_THREADS wins, then
-/// OMP_NUM_THREADS, then the pool size). Shared by the dense GEMM driver
-/// and the sparse spmm driver so both honor the same pinning contract.
-std::size_t max_compute_tasks();
-
-}  // namespace detail
 
 }  // namespace streambrain::tensor

@@ -9,6 +9,7 @@
 #include "core/layer.hpp"
 #include "core/sgd_head.hpp"
 #include "data/dataset.hpp"
+#include "parallel/engine_registry.hpp"
 #include "util/rng.hpp"
 
 namespace sc = streambrain::core;
@@ -60,7 +61,7 @@ st::MatrixF synthetic_batch(const sc::BcpnnConfig& config, std::size_t rows,
 
 TEST(BcpnnLayer, InitialWeightsAreZeroAndActivationsUniform) {
   auto config = small_config();
-  auto engine = sp::make_engine("naive");
+  auto engine = sp::EngineRegistry::instance().create("naive");
   su::Rng rng(1);
   sc::BcpnnLayer layer(config, *engine, rng);
 
@@ -80,7 +81,7 @@ TEST(BcpnnLayer, InitialWeightsAreZeroAndActivationsUniform) {
 
 TEST(BcpnnLayer, ActivationsFormSimplexPerHcu) {
   auto config = small_config();
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(3);
   sc::BcpnnLayer layer(config, *engine, rng);
   su::Rng data_rng(4);
@@ -105,7 +106,7 @@ TEST(BcpnnLayer, ActivationsFormSimplexPerHcu) {
 
 TEST(BcpnnLayer, MaskedInputsContributeNothing) {
   auto config = small_config();
-  auto engine = sp::make_engine("naive");
+  auto engine = sp::EngineRegistry::instance().create("naive");
   su::Rng rng(5);
   sc::BcpnnLayer layer(config, *engine, rng);
   su::Rng data_rng(6);
@@ -144,7 +145,7 @@ TEST(BcpnnLayer, MaskedInputsContributeNothing) {
 
 TEST(BcpnnLayer, NoisyForwardDiffersFromDeterministic) {
   auto config = small_config();
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(7);
   sc::BcpnnLayer layer(config, *engine, rng);
   su::Rng data_rng(8);
@@ -163,7 +164,7 @@ TEST(BcpnnLayer, NoisyForwardDiffersFromDeterministic) {
 
 TEST(BcpnnLayer, TrainingBreaksMcuSymmetry) {
   auto config = small_config();
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(9);
   sc::BcpnnLayer layer(config, *engine, rng);
   su::Rng data_rng(10);
@@ -188,7 +189,7 @@ TEST(BcpnnLayer, TrainingBreaksMcuSymmetry) {
 
 TEST(BcpnnLayer, ForwardRejectsWrongWidth) {
   auto config = small_config();
-  auto engine = sp::make_engine("naive");
+  auto engine = sp::EngineRegistry::instance().create("naive");
   su::Rng rng(11);
   sc::BcpnnLayer layer(config, *engine, rng);
   st::MatrixF bad(2, config.input_units() + 1);
@@ -198,7 +199,7 @@ TEST(BcpnnLayer, ForwardRejectsWrongWidth) {
 
 TEST(BcpnnLayer, SetStateRoundTrip) {
   auto config = small_config();
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(13);
   sc::BcpnnLayer source(config, *engine, rng);
   su::Rng rng2(14);
@@ -255,7 +256,7 @@ TEST(BcpnnConfig, ApplyOverlaysConfigKeys) {
 // ---------------------------------------------------------- classifier ----
 
 TEST(BcpnnClassifier, LearnsLinearlySeparableHiddenCodes) {
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   sc::BcpnnClassifier classifier(8, 2, 2, *engine, 0.1f);
   su::Rng rng(17);
   st::MatrixF hidden(32, 8);
@@ -285,7 +286,7 @@ TEST(BcpnnClassifier, LearnsLinearlySeparableHiddenCodes) {
 }
 
 TEST(BcpnnClassifier, ProbabilitiesSumToOne) {
-  auto engine = sp::make_engine("naive");
+  auto engine = sp::EngineRegistry::instance().create("naive");
   sc::BcpnnClassifier classifier(6, 1, 3, *engine, 0.1f);
   st::MatrixF hidden(5, 6, 0.3f);
   st::MatrixF probs;
@@ -298,7 +299,7 @@ TEST(BcpnnClassifier, ProbabilitiesSumToOne) {
 }
 
 TEST(BcpnnClassifier, ScoresMatchClassOneProbability) {
-  auto engine = sp::make_engine("naive");
+  auto engine = sp::EngineRegistry::instance().create("naive");
   sc::BcpnnClassifier classifier(4, 1, 2, *engine, 0.1f);
   st::MatrixF hidden(3, 4, 0.25f);
   st::MatrixF probs;
@@ -310,7 +311,7 @@ TEST(BcpnnClassifier, ScoresMatchClassOneProbability) {
 }
 
 TEST(BcpnnClassifier, RejectsBadShapes) {
-  auto engine = sp::make_engine("naive");
+  auto engine = sp::EngineRegistry::instance().create("naive");
   EXPECT_THROW(sc::BcpnnClassifier(4, 1, 1, *engine, 0.1f),
                std::invalid_argument);
   sc::BcpnnClassifier classifier(4, 1, 2, *engine, 0.1f);

@@ -23,9 +23,7 @@
 #include "data/higgs.hpp"
 #include "encode/one_hot.hpp"
 #include "golden_util.hpp"
-#include "parallel/engine_registry.hpp"
 #include "tensor/kernel_set.hpp"
-#include "util/rng.hpp"
 
 namespace sc = streambrain::core;
 namespace st = streambrain::tensor;
@@ -452,6 +450,8 @@ TEST(Distributed, ReportTotalBytesIsSumOfPerRankCounters) {
                                    {.ranks = 3});
   EXPECT_EQ(snap.report.total_bytes, snap.report.bytes_per_rank * 3);
   EXPECT_EQ(snap.report.ranks, 3);
+  EXPECT_GT(snap.report.sync_count, 0u);
+  EXPECT_GT(snap.report.bytes_per_rank, 0u);
 }
 
 TEST(Distributed, SingleRankSendsNothing) {
@@ -503,30 +503,4 @@ TEST(Distributed, ValidatesOptionsAndInputs) {
                                 data.y_train.end() - 1);
   EXPECT_THROW(sc::fit_distributed(model, data.x_train, short_labels, {}),
                std::invalid_argument);
-}
-
-// --- Legacy single-layer entry point ---------------------------------------
-
-TEST(Distributed, LegacyUnsupervisedFitReportsTrueTotals) {
-  const FixtureData& data = fixture();
-  sc::BcpnnConfig config;
-  config.input_hypercolumns = 28;
-  config.input_bins = 10;
-  config.hcus = 1;
-  config.mcus = 12;
-  config.receptive_field = 0.4;
-  config.epochs = 2;
-  config.batch_size = 32;
-  config.seed = 5;
-  auto engine = streambrain::parallel::EngineRegistry::instance().create(
-      config.engine);
-  streambrain::util::Rng rng(config.seed);
-  sc::BcpnnLayer layer(config, *engine, rng);
-  const auto report =
-      sc::distributed_unsupervised_fit(layer, data.x_train, /*ranks=*/3);
-  EXPECT_EQ(report.ranks, 3);
-  EXPECT_GT(report.sync_count, 0u);
-  EXPECT_GT(report.bytes_per_rank, 0u);
-  // Symmetric collectives: the true sum equals ranks * per-rank bytes.
-  EXPECT_EQ(report.total_bytes, report.bytes_per_rank * 3);
 }

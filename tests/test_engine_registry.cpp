@@ -1,4 +1,4 @@
-// EngineRegistry: the four built-ins must be pre-registered with sane
+// EngineRegistry: the two built-ins must be pre-registered with sane
 // capability metadata, unknown names must fail loudly, and a custom
 // engine registered at runtime must be resolvable everywhere an engine
 // name is accepted — including training a Model end-to-end through it.
@@ -75,12 +75,10 @@ struct ScopedEngine {
 TEST(EngineRegistry, BuiltinsAreRegisteredInOrder) {
   auto& registry = sp::EngineRegistry::instance();
   const auto names = registry.names();
-  ASSERT_GE(names.size(), 4u);
+  ASSERT_GE(names.size(), 2u);
   EXPECT_EQ(names[0], "naive");
-  EXPECT_EQ(names[1], "openmp");
-  EXPECT_EQ(names[2], "simd");
-  EXPECT_EQ(names[3], "device_sim");
-  for (const char* name : {"naive", "openmp", "simd", "device_sim"}) {
+  EXPECT_EQ(names[1], "simd");
+  for (const char* name : {"naive", "simd"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
     const auto engine = registry.create(name);
     ASSERT_NE(engine, nullptr);
@@ -92,12 +90,8 @@ TEST(EngineRegistry, BuiltinCapabilityMetadata) {
   auto& registry = sp::EngineRegistry::instance();
   const sp::EngineInfo naive = registry.info("naive");
   EXPECT_EQ(naive.simd_width, 1u);
-  EXPECT_FALSE(naive.offload);
   EXPECT_TRUE(naive.dispatch.empty());  // hand loops, not KernelSet-backed
-  const sp::EngineInfo device = registry.info("device_sim");
-  EXPECT_TRUE(device.offload);
-  EXPECT_TRUE(device.counts_transfers);
-  EXPECT_FALSE(device.description.empty());
+  EXPECT_FALSE(naive.description.empty());
 }
 
 TEST(EngineRegistry, SimdEngineMetadataIsHonestAboutRuntimeDispatch) {
@@ -113,12 +107,6 @@ TEST(EngineRegistry, SimdEngineMetadataIsHonestAboutRuntimeDispatch) {
   EXPECT_EQ(simd.dispatch, kernels.name);
   EXPECT_NE(simd.description.find(kernels.name), std::string::npos)
       << "description should name the active tier: " << simd.description;
-  EXPECT_FALSE(simd.offload);
-  // device_sim delegates its math to the same kernels.
-  const sp::EngineInfo device = sp::EngineRegistry::instance().info(
-      "device_sim");
-  EXPECT_EQ(device.simd_width, kernels.simd_width);
-  EXPECT_EQ(device.dispatch, kernels.name);
   // The dispatch tag is a real tier name and never exceeds the host.
   EXPECT_NO_THROW({
     const auto level = streambrain::tensor::parse_dispatch_level(simd.dispatch);
@@ -143,25 +131,22 @@ TEST(EngineRegistry, UnknownNameFailsNamingTheRegisteredSet) {
 TEST(EngineRegistry, RejectsDuplicateAndInvalidRegistrations) {
   auto& registry = sp::EngineRegistry::instance();
   EXPECT_THROW(registry.register_engine(
-                   {"simd", "dup", 1, false, false, ""},
+                   {"simd", "dup", 1, ""},
                    [] { return std::unique_ptr<sp::Engine>(); }),
                std::invalid_argument);
-  EXPECT_THROW(registry.register_engine({"", "anonymous", 1, false, false, ""},
-                                        [] {
-                                          return std::unique_ptr<sp::Engine>();
-                                        }),
+  EXPECT_THROW(registry.register_engine(
+                   {"", "anonymous", 1, ""},
+                   [] { return std::unique_ptr<sp::Engine>(); }),
                std::invalid_argument);
-  EXPECT_THROW(
-      registry.register_engine({"null_factory", "", 1, false, false, ""}, nullptr),
-      std::invalid_argument);
+  EXPECT_THROW(registry.register_engine({"null_factory", "", 1, ""}, nullptr),
+               std::invalid_argument);
   EXPECT_FALSE(registry.unregister_engine("never_registered"));
 }
 
 TEST(EngineRegistry, CustomEngineTrainsAModelEndToEnd) {
   const ScopedEngine guard(
       {"counting", "naive delegate that counts support() calls",
-       /*simd_width=*/1, /*offload=*/false, /*counts_transfers=*/false,
-       /*dispatch=*/""},
+       /*simd_width=*/1, /*dispatch=*/""},
       [] { return std::make_unique<CountingEngine>(); });
   auto& registry = sp::EngineRegistry::instance();
   ASSERT_TRUE(registry.contains("counting"));
@@ -187,12 +172,4 @@ TEST(EngineRegistry, CustomEngineTrainsAModelEndToEnd) {
   model.fit(x_train, train.labels);
   EXPECT_GT(model.evaluate(x_test, test.labels), 0.52);
   EXPECT_GT(g_custom_support_calls.load(), 0);
-}
-
-TEST(EngineRegistry, MakeEngineShimStillResolves) {
-  // Back-compat: the old free function now routes through the registry.
-  const auto engine = sp::make_engine("openmp");
-  ASSERT_NE(engine, nullptr);
-  EXPECT_EQ(engine->name(), "openmp");
-  EXPECT_THROW((void)sp::make_engine("fpga"), std::invalid_argument);
 }

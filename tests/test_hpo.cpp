@@ -8,8 +8,10 @@
 
 #include "hpo/search.hpp"
 #include "hpo/space.hpp"
+#include "parallel/engine_registry.hpp"
 
 namespace sh = streambrain::hpo;
+namespace sp = streambrain::parallel;
 namespace su = streambrain::util;
 
 namespace {
@@ -19,7 +21,8 @@ sh::ParameterSpace demo_space() {
   space.add_continuous("alpha", 0.001, 1.0, /*log_scale=*/true);
   space.add_integer("mcus", 10, 1000, /*log_scale=*/true);
   space.add_continuous("rf", 0.05, 0.95);
-  space.add_categorical("engine", {"naive", "openmp", "simd"});
+  space.add_categorical("engine",
+                        sp::EngineRegistry::instance().names());
   return space;
 }
 
@@ -51,7 +54,7 @@ TEST(ParameterSpace, SamplesStayInBounds) {
     EXPECT_GE(rf, 0.05);
     EXPECT_LE(rf, 0.95);
     const std::string engine = sample.get_string("engine", "");
-    EXPECT_TRUE(engine == "naive" || engine == "openmp" || engine == "simd");
+    EXPECT_TRUE(sp::EngineRegistry::instance().contains(engine)) << engine;
   }
 }
 

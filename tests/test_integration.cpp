@@ -17,9 +17,7 @@
 namespace sc = streambrain::core;
 namespace sd = streambrain::data;
 namespace sm = streambrain::metrics;
-namespace sp = streambrain::parallel;
 namespace st = streambrain::tensor;
-namespace su = streambrain::util;
 namespace sv = streambrain::viz;
 
 namespace {
@@ -165,95 +163,66 @@ TEST(Network, EngineChoiceDoesNotChangeQualityClass) {
 
 // ----------------------------------------------------------- distributed ----
 
-TEST(Distributed, SingleRankMatchesLocalTrainingShape) {
-  sc::BcpnnConfig config;
-  config.input_hypercolumns = 28;
-  config.input_bins = 10;
-  config.hcus = 1;
-  config.mcus = 20;
-  config.epochs = 3;
-  config.batch_size = 32;
-  config.seed = 11;
+namespace {
 
+/// One hidden HCU over the 28 x 10 one-hot Higgs code, BCPNN head.
+sc::Model distributed_model(std::size_t mcus, std::size_t epochs,
+                            std::size_t batch_size, std::uint64_t seed) {
+  sc::Model model;
+  model.input(28, 10)
+      .hidden(1, mcus, 0.30)
+      .classifier(2, sc::HeadType::kBcpnn)
+      .set_option("epochs", static_cast<double>(epochs))
+      .set_option("head_epochs", 10)
+      .set_option("batch_size", static_cast<double>(batch_size))
+      .compile("simd", seed);
+  return model;
+}
+
+struct EncodedHiggs {
+  st::MatrixF x;
+  std::vector<int> labels;
+};
+
+EncodedHiggs encoded_higgs(std::size_t events) {
   sd::SyntheticHiggsGenerator generator;
-  const auto dataset = generator.generate(600);
+  const auto dataset = generator.generate(events);
   streambrain::encode::OneHotEncoder encoder(10);
-  const auto x = encoder.fit_transform(dataset.features);
+  return {encoder.fit_transform(dataset.features), dataset.labels};
+}
 
-  auto engine = sp::make_engine("simd");
-  su::Rng rng(config.seed);
-  sc::BcpnnLayer layer(config, *engine, rng);
-  const auto report = sc::distributed_unsupervised_fit(layer, x, 1);
+}  // namespace
+
+TEST(Distributed, SingleRankMatchesLocalTrainingShape) {
+  const EncodedHiggs data = encoded_higgs(600);
+  sc::Model model = distributed_model(20, 3, 32, 11);
+  const auto report =
+      sc::fit_distributed(model, data.x, data.labels, {.ranks = 1});
   EXPECT_EQ(report.ranks, 1);
   EXPECT_GT(report.sync_count, 0u);
 }
 
 TEST(Distributed, MultiRankProducesUsableRepresentation) {
-  sc::BcpnnConfig config;
-  config.input_hypercolumns = 28;
-  config.input_bins = 10;
-  config.hcus = 1;
-  config.mcus = 30;
-  config.epochs = 4;
-  config.batch_size = 32;
-  config.seed = 13;
-
-  sd::SyntheticHiggsGenerator generator;
-  const auto dataset = generator.generate(1200);
-  streambrain::encode::OneHotEncoder encoder(10);
-  const auto x = encoder.fit_transform(dataset.features);
-
-  auto engine = sp::make_engine("simd");
-  su::Rng rng(config.seed);
-  sc::BcpnnLayer layer(config, *engine, rng);
-  const auto report = sc::distributed_unsupervised_fit(layer, x, 4);
+  const EncodedHiggs data = encoded_higgs(1200);
+  sc::Model model = distributed_model(30, 4, 32, 13);
+  const auto report =
+      sc::fit_distributed(model, data.x, data.labels, {.ranks = 4});
   EXPECT_EQ(report.ranks, 4);
   EXPECT_GT(report.bytes_per_rank, 0u);
-
-  // Train a supervised head on the distributed-trained representation and
-  // check it classifies above chance.
-  auto head_engine = sp::make_engine("simd");
-  sc::BcpnnClassifier head(config.hidden_units(), config.hcus, 2,
-                           *head_engine, 0.1f);
-  st::MatrixF hidden;
-  layer.forward(x, hidden);
-  const auto targets = sd::one_hot_labels(dataset.labels, 2);
-  for (int epoch = 0; epoch < 10; ++epoch) head.train_batch(hidden, targets);
-  const auto scores = head.predict_scores(hidden);
-  EXPECT_GT(sm::auc(scores, dataset.labels), 0.60);
+  // The rank-synchronized model classifies above chance.
+  EXPECT_GT(sm::auc(model.predict_scores(data.x), data.labels), 0.60);
 }
 
 TEST(Distributed, RankCountsAgreeOnResult) {
-  // Deterministic allreduce means 2-rank and 4-rank runs both produce
-  // valid (not necessarily identical) models; check both beat chance and
-  // communication volume grows with rank count.
-  sc::BcpnnConfig config;
-  config.input_hypercolumns = 28;
-  config.input_bins = 10;
-  config.mcus = 20;
-  config.epochs = 2;
-  config.batch_size = 64;
-  config.seed = 17;
-
-  sd::SyntheticHiggsGenerator generator;
-  const auto dataset = generator.generate(800);
-  streambrain::encode::OneHotEncoder encoder(10);
-  const auto x = encoder.fit_transform(dataset.features);
-
-  std::uint64_t bytes2 = 0;
-  std::uint64_t bytes4 = 0;
-  {
-    auto engine = sp::make_engine("simd");
-    su::Rng rng(config.seed);
-    sc::BcpnnLayer layer(config, *engine, rng);
-    bytes2 = sc::distributed_unsupervised_fit(layer, x, 2).total_bytes;
-  }
-  {
-    auto engine = sp::make_engine("simd");
-    su::Rng rng(config.seed);
-    sc::BcpnnLayer layer(config, *engine, rng);
-    bytes4 = sc::distributed_unsupervised_fit(layer, x, 4).total_bytes;
-  }
+  // Communication volume grows with the rank count.
+  const EncodedHiggs data = encoded_higgs(800);
+  const auto total_bytes = [&data](int ranks) {
+    sc::Model model = distributed_model(20, 2, 64, 17);
+    return sc::fit_distributed(model, data.x, data.labels, {.ranks = ranks})
+        .total_bytes;
+  };
+  const std::uint64_t bytes2 = total_bytes(2);
+  const std::uint64_t bytes4 = total_bytes(4);
   EXPECT_GT(bytes2, 0u);
   EXPECT_GT(bytes4, bytes2);  // more ranks -> more total traffic
 }

@@ -1,16 +1,23 @@
-// Tests for src/parallel: thread pool, parallel_for, and cross-engine
-// agreement of the BCPNN compute primitives (every engine must produce
-// the same numbers as the naive reference, to float tolerance).
+// Tests for src/parallel: thread pool, the compute fan-out, and agreement
+// of the BCPNN compute primitives (the simd engine at every dispatch tier
+// must produce the same numbers as the naive reference, to float
+// tolerance).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <numeric>
+#include <optional>
+#include <thread>
+#include <tuple>
 
-#include "parallel/engine.hpp"
+#include "golden_util.hpp"
+#include "parallel/engine_registry.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
+#include "tensor/kernel_set.hpp"
 #include "util/rng.hpp"
 
 namespace sp = streambrain::parallel;
@@ -57,37 +64,80 @@ TEST(ThreadPool, SizeReflectsWorkerCount) {
   EXPECT_EQ(pool.size(), 5u);
 }
 
-// -------------------------------------------------------- parallel_for ----
+// ------------------------------------------------------------- fan-out ----
 
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  sp::parallel_for(0, 1000, [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+TEST(FanOut, RowPanelsCoverEveryRowExactlyOnce) {
+  for (const std::size_t rows : {1, 7, 31, 32, 33, 97, 100, 1000}) {
+    for (const std::size_t min_rows : {1, 16, 32, 64}) {
+      std::vector<std::atomic<int>> hits(rows);
+      std::atomic<std::size_t> panels{0};
+      sp::for_row_panels(rows, min_rows, [&](std::size_t r0, std::size_t r1) {
+        EXPECT_LT(r0, r1);
+        EXPECT_LE(r1, rows);
+        for (std::size_t r = r0; r < r1; ++r) ++hits[r];
+        ++panels;
+      });
+      for (std::size_t r = 0; r < rows; ++r) {
+        EXPECT_EQ(hits[r].load(), 1) << rows << " rows, min " << min_rows;
+      }
+      // Never more panels than the minimum rows per task allows.
+      EXPECT_LE(panels.load(), std::max<std::size_t>(1, rows / min_rows));
+    }
+  }
 }
 
-TEST(ParallelFor, ChunkedCoversRange) {
-  std::vector<std::atomic<int>> hits(777);
-  sp::parallel_for_chunked(0, 777, 50, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, EmptyRangeIsNoop) {
+TEST(FanOut, EmptyRangeIsNoop) {
   bool called = false;
-  sp::parallel_for_chunked(5, 5, 10,
-                           [&](std::size_t, std::size_t) { called = true; });
+  sp::for_row_panels(0, 16, [&](std::size_t, std::size_t) { called = true; });
+  sp::fan_out(0, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
-TEST(ParallelFor, PoolVariantCoversRange) {
-  sp::ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(321);
-  sp::parallel_for_pool(pool, 0, 321, 32,
-                        [&](std::size_t lo, std::size_t hi) {
-                          for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-                        });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+TEST(FanOut, RunsInlineOnAPoolWorker) {
+  sp::ThreadPool pool(1);
+  const auto [tasks, panels, on_worker] =
+      pool.submit([] {
+            std::atomic<std::size_t> count{0};
+            std::atomic<bool> same_thread{true};
+            const auto worker = std::this_thread::get_id();
+            sp::for_row_panels(4096, 1, [&](std::size_t, std::size_t) {
+              ++count;
+              if (std::this_thread::get_id() != worker) same_thread = false;
+            });
+            return std::tuple{sp::task_count(4096), count.load(),
+                              same_thread.load()};
+          })
+          .get();
+  EXPECT_EQ(tasks, 1u);
+  EXPECT_EQ(panels, 1u);
+  EXPECT_TRUE(on_worker);
+}
+
+TEST(FanOut, ExceptionPropagatesAfterEveryPanelFinished) {
+  constexpr std::size_t kTasks = 4;
+  for (const std::size_t thrower : {0, 1}) {
+    std::atomic<std::size_t> finished{0};
+    EXPECT_THROW(sp::fan_out(kTasks,
+                             [&](std::size_t t) {
+                               if (t == thrower) {
+                                 throw std::runtime_error("panel failed");
+                               }
+                               std::this_thread::sleep_for(
+                                   std::chrono::milliseconds(20));
+                               ++finished;
+                             }),
+                 std::runtime_error);
+    EXPECT_EQ(finished.load(), kTasks - 1) << "thrower " << thrower;
+  }
+}
+
+TEST(FanOut, ThreadCountParsesStrictly) {
+  EXPECT_EQ(sp::parse_thread_count("1").value_or(0), 1u);
+  EXPECT_EQ(sp::parse_thread_count("16").value_or(0), 16u);
+  for (const char* bad : {"", "2x", "abc", "0", "-3", "+2", " 2", "2 ", "1.5",
+                          "99999999999999999999999"}) {
+    EXPECT_FALSE(sp::parse_thread_count(bad).has_value()) << "'" << bad << "'";
+  }
 }
 
 // ------------------------------------------------------------- engines ----
@@ -124,12 +174,25 @@ struct EngineFixture {
 
 }  // namespace
 
-class EngineAgreement : public ::testing::TestWithParam<std::string> {};
+/// The simd engine at one dispatch tier against the naive reference;
+/// skipped when this host or build cannot run the tier.
+class EngineAgreement : public ::testing::TestWithParam<st::DispatchLevel> {
+ protected:
+  void SetUp() override {
+    if (st::kernel_set_for(GetParam()) == nullptr) {
+      GTEST_SKIP() << st::dispatch_level_name(GetParam())
+                   << " tier unavailable on this host";
+    }
+    pin_.emplace(GetParam());
+  }
+
+  std::optional<streambrain::testing::ScopedDispatch> pin_;
+};
 
 TEST_P(EngineAgreement, SupportMatchesNaive) {
   EngineFixture fx;
-  auto reference = sp::make_engine("naive");
-  auto engine = sp::make_engine(GetParam());
+  auto reference = sp::EngineRegistry::instance().create("naive");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   st::MatrixF s_ref;
   st::MatrixF s;
   reference->support(fx.x, fx.w, fx.bias.data(), s_ref);
@@ -143,8 +206,8 @@ TEST_P(EngineAgreement, SupportMatchesNaive) {
 
 TEST_P(EngineAgreement, SoftmaxMatchesNaive) {
   EngineFixture fx;
-  auto reference = sp::make_engine("naive");
-  auto engine = sp::make_engine(GetParam());
+  auto reference = sp::EngineRegistry::instance().create("naive");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   st::MatrixF s_ref = fx.a;
   st::MatrixF s = fx.a;
   reference->softmax_hcu(s_ref, fx.mcus, 1.5f);
@@ -156,8 +219,8 @@ TEST_P(EngineAgreement, SoftmaxMatchesNaive) {
 
 TEST_P(EngineAgreement, TraceUpdateMatchesNaive) {
   EngineFixture fx;
-  auto reference = sp::make_engine("naive");
-  auto engine = sp::make_engine(GetParam());
+  auto reference = sp::EngineRegistry::instance().create("naive");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   std::vector<float> pi_ref(fx.n_in, 0.1f);
   std::vector<float> pj_ref(fx.n_out, 0.25f);
   st::MatrixF pij_ref(fx.n_in, fx.n_out, 0.025f);
@@ -188,8 +251,8 @@ TEST_P(EngineAgreement, WeightRecomputeMatchesNaive) {
   for (auto& v : pj) v = static_cast<float>(rng.uniform(0.0, 0.3));
   for (auto& v : pij) v = static_cast<float>(rng.uniform(0.0, 0.1));
 
-  auto reference = sp::make_engine("naive");
-  auto engine = sp::make_engine(GetParam());
+  auto reference = sp::EngineRegistry::instance().create("naive");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   st::MatrixF w_ref;
   st::MatrixF w;
   std::vector<float> b_ref(fx.n_out);
@@ -207,50 +270,29 @@ TEST_P(EngineAgreement, WeightRecomputeMatchesNaive) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllEngines, EngineAgreement,
-                         ::testing::Values("openmp", "simd", "device_sim"));
+INSTANTIATE_TEST_SUITE_P(
+    AllTiers, EngineAgreement,
+    ::testing::Values(st::DispatchLevel::kScalar, st::DispatchLevel::kSse42,
+                      st::DispatchLevel::kAvx2),
+    [](const ::testing::TestParamInfo<st::DispatchLevel>& info) {
+      return std::string(st::dispatch_level_name(info.param));
+    });
 
-TEST(Engines, FactoryRejectsUnknownName) {
-  EXPECT_THROW(sp::make_engine("cuda"), std::invalid_argument);
+TEST(Engines, RegistryRejectsUnknownName) {
+  EXPECT_THROW((void)sp::EngineRegistry::instance().create("cuda"),
+               std::invalid_argument);
 }
 
 TEST(Engines, AllRegisteredNamesConstruct) {
-  for (const auto& name : sp::engine_names()) {
-    const auto engine = sp::make_engine(name);
+  for (const auto& name : sp::EngineRegistry::instance().names()) {
+    const auto engine = sp::EngineRegistry::instance().create(name);
     EXPECT_EQ(engine->name(), name);
   }
 }
 
-TEST(Engines, HostEnginesReportZeroTransfers) {
-  EngineFixture fx;
-  for (const std::string name : {"naive", "openmp", "simd"}) {
-    auto engine = sp::make_engine(name);
-    st::MatrixF s;
-    engine->support(fx.x, fx.w, fx.bias.data(), s);
-    EXPECT_EQ(engine->transfer_bytes(), 0u) << name;
-  }
-}
-
-TEST(Engines, DeviceSimAccountsTransfers) {
-  EngineFixture fx;
-  auto engine = sp::make_engine("device_sim");
-  st::MatrixF s;
-  engine->support(fx.x, fx.w, fx.bias.data(), s);
-  const std::uint64_t expected =
-      (fx.x.size() + fx.batch * fx.n_out) * sizeof(float);
-  EXPECT_EQ(engine->transfer_bytes(), expected);
-  // Device-side ops move nothing further.
-  engine->softmax_hcu(s, fx.mcus, 1.0f);
-  std::vector<float> pi(fx.n_in, 0.1f);
-  std::vector<float> pj(fx.n_out, 0.1f);
-  st::MatrixF pij(fx.n_in, fx.n_out, 0.01f);
-  engine->update_traces(fx.x, fx.a, 0.1f, pi.data(), pj.data(), pij);
-  EXPECT_EQ(engine->transfer_bytes(), expected);
-}
-
 TEST(Engines, SoftmaxRejectsBadBlocks) {
-  for (const auto& name : sp::engine_names()) {
-    auto engine = sp::make_engine(name);
+  for (const auto& name : sp::EngineRegistry::instance().names()) {
+    auto engine = sp::EngineRegistry::instance().create(name);
     st::MatrixF s(2, 5);
     EXPECT_THROW(engine->softmax_hcu(s, 2, 1.0f), std::invalid_argument)
         << name;

@@ -9,8 +9,10 @@
 #include "core/plasticity.hpp"
 #include "core/traces.hpp"
 #include "encode/one_hot.hpp"
+#include "golden_util.hpp"
 #include "metrics/roc.hpp"
-#include "parallel/engine.hpp"
+#include "parallel/engine_registry.hpp"
+#include "tensor/kernel_set.hpp"
 #include "tensor/kernels.hpp"
 #include "util/rng.hpp"
 
@@ -22,8 +24,9 @@ namespace st = streambrain::tensor;
 namespace su = streambrain::util;
 
 // ---------------------------------------------------------------------
-// Engine agreement across a geometry grid: every engine must match the
-// naive reference on every (batch, bins, hypercolumns, hcus, mcus) cell.
+// Engine agreement across a geometry grid: the simd engine at every
+// dispatch tier must match the naive reference on every (batch, bins,
+// hypercolumns, hcus, mcus) cell.
 // ---------------------------------------------------------------------
 
 struct Geometry {
@@ -35,7 +38,7 @@ struct Geometry {
 };
 
 class EngineGeometrySweep
-    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+    : public ::testing::TestWithParam<std::tuple<st::DispatchLevel, int>> {};
 
 namespace {
 
@@ -53,7 +56,12 @@ Geometry geometry_case(int index) {
 }  // namespace
 
 TEST_P(EngineGeometrySweep, FullStepMatchesNaive) {
-  const auto [engine_name, case_index] = GetParam();
+  const auto [level, case_index] = GetParam();
+  if (st::kernel_set_for(level) == nullptr) {
+    GTEST_SKIP() << st::dispatch_level_name(level)
+                 << " tier unavailable on this host";
+  }
+  const streambrain::testing::ScopedDispatch pin(level);
   const Geometry g = geometry_case(case_index);
   su::Rng rng(1000 + case_index);
 
@@ -66,8 +74,8 @@ TEST_P(EngineGeometrySweep, FullStepMatchesNaive) {
     }
   }
 
-  auto reference = sp::make_engine("naive");
-  auto engine = sp::make_engine(engine_name);
+  auto reference = sp::EngineRegistry::instance().create("naive");
+  auto engine = sp::EngineRegistry::instance().create("simd");
 
   // Shared trace state, updated through both engines independently.
   sc::ProbabilityTraces traces_ref(n_in, g.bins, n_out, g.mcus);
@@ -102,9 +110,16 @@ TEST_P(EngineGeometrySweep, FullStepMatchesNaive) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    GridByEngine, EngineGeometrySweep,
-    ::testing::Combine(::testing::Values("openmp", "simd", "device_sim"),
-                       ::testing::Values(0, 1, 2, 3, 4)));
+    GridByTier, EngineGeometrySweep,
+    ::testing::Combine(::testing::Values(st::DispatchLevel::kScalar,
+                                         st::DispatchLevel::kSse42,
+                                         st::DispatchLevel::kAvx2),
+                       ::testing::Values(0, 1, 2, 3, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<st::DispatchLevel, int>>&
+           info) {
+      return std::string(st::dispatch_level_name(std::get<0>(info.param))) +
+             "_" + std::to_string(std::get<1>(info.param));
+    });
 
 // ---------------------------------------------------------------------
 // Trace mass preservation across learning rates.
@@ -115,7 +130,7 @@ class TraceAlphaSweep : public ::testing::TestWithParam<float> {};
 TEST_P(TraceAlphaSweep, HypercolumnMassStaysNormalized) {
   const float alpha = GetParam();
   sc::ProbabilityTraces traces(30, 10, 12, 4);
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(7);
   st::MatrixF x(8, 30, 0.0f);
   st::MatrixF a(8, 12, 0.0f);
@@ -157,7 +172,7 @@ TEST_P(PlasticitySweep, CardinalityInvariantUnderSwaps) {
   sc::ReceptiveFieldMasks masks(3, 28, cardinality, rng);
   sc::ProbabilityTraces traces(280, 10, 12, 4);
   // Randomize traces so MI scores differ.
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   st::MatrixF x(16, 280, 0.0f);
   st::MatrixF a(16, 12, 0.0f);
   for (std::size_t r = 0; r < 16; ++r) {

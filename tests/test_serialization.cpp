@@ -12,6 +12,7 @@
 #include "core/serialization.hpp"
 #include "data/higgs.hpp"
 #include "encode/one_hot.hpp"
+#include "parallel/engine_registry.hpp"
 
 namespace sc = streambrain::core;
 namespace sd = streambrain::data;
@@ -47,7 +48,7 @@ st::MatrixF encoded_events(std::size_t count, std::uint64_t seed) {
 
 TEST(Serialization, LayerRoundTripIsExact) {
   const auto config = layer_config();
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(1);
   sc::BcpnnLayer trained(config, *engine, rng);
   const auto x = encoded_events(400, 3);
@@ -75,7 +76,7 @@ TEST(Serialization, LayerRoundTripIsExact) {
 
 TEST(Serialization, LayerGeometryMismatchRejected) {
   const auto config = layer_config();
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(1);
   sc::BcpnnLayer trained(config, *engine, rng);
   const std::string path = "/tmp/streambrain_layer2.ckpt";
@@ -96,7 +97,7 @@ TEST(Serialization, CorruptMagicRejected) {
     out << "NOTACHECKPOINT";
   }
   const auto config = layer_config();
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(1);
   sc::BcpnnLayer layer(config, *engine, rng);
   EXPECT_THROW(sc::load_layer(path, layer), std::runtime_error);
@@ -105,7 +106,7 @@ TEST(Serialization, CorruptMagicRejected) {
 
 TEST(Serialization, TruncatedFileRejected) {
   const auto config = layer_config();
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(1);
   sc::BcpnnLayer layer(config, *engine, rng);
   const std::string path = "/tmp/streambrain_trunc.ckpt";
@@ -119,7 +120,7 @@ TEST(Serialization, TruncatedFileRejected) {
 
 TEST(Serialization, MissingFileRejected) {
   const auto config = layer_config();
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(1);
   sc::BcpnnLayer layer(config, *engine, rng);
   EXPECT_THROW(sc::load_layer("/no/such/file.ckpt", layer),
@@ -177,7 +178,7 @@ TEST(Serialization, TrainingResumesFromCheckpoint) {
   // both — trajectories must stay identical when driven by the same data
   // (the checkpoint captures the full learned state).
   const auto config = layer_config();
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(1);
   sc::BcpnnLayer original(config, *engine, rng);
   const auto x = encoded_events(300, 5);
@@ -394,7 +395,7 @@ std::string downconvert_layer_file_to_v1(const std::string& bytes) {
 
 TEST(SerializationVersioning, Version1FilesStillLoad) {
   const auto config = layer_config();
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(7);
   sc::BcpnnLayer trained(config, *engine, rng);
   const auto x = encoded_events(300, 5);
@@ -434,7 +435,7 @@ TEST(SerializationVersioning, Version1FilesStillLoad) {
 
 TEST(SerializationVersioning, UnknownFutureVersionRejected) {
   const auto config = layer_config();
-  auto engine = sp::make_engine("simd");
+  auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(7);
   sc::BcpnnLayer layer(config, *engine, rng);
   const std::string path = ::testing::TempDir() + "layer_future.ckpt";
