@@ -218,32 +218,17 @@ int main(int argc, char** argv) {
                      bias_bytes(dense);
     model_results.push_back(r);
   }
-  {
+  for (const auto& [form, model] :
+       {std::pair<const char*, sc::Model*>{"sparse", &sparse},
+        {"quant", &quant},
+        {"sparse_quant", &sparse_quant}}) {
     ModelResult r;
-    r.form = "sparse";
-    r.rows_per_second = rows_per_second(sparse);
-    r.weight_bytes = sparse.network().hidden().sparse_weights().memory_bytes() +
-                     sparse.network().sgd_head()->sparse_weights().memory_bytes() +
-                     bias_bytes(sparse);
-    model_results.push_back(r);
-  }
-  {
-    ModelResult r;
-    r.form = "quant";
-    r.rows_per_second = rows_per_second(quant);
-    r.weight_bytes = quant.network().hidden().quant_weights().memory_bytes() +
-                     quant.network().sgd_head()->quant_weights().memory_bytes() +
-                     bias_bytes(quant);
-    model_results.push_back(r);
-  }
-  {
-    ModelResult r;
-    r.form = "sparse_quant";
-    r.rows_per_second = rows_per_second(sparse_quant);
+    r.form = form;
+    r.rows_per_second = rows_per_second(*model);
     r.weight_bytes =
-        sparse_quant.network().hidden().quant_sparse_weights().memory_bytes() +
-        sparse_quant.network().sgd_head()->quant_sparse_weights().memory_bytes() +
-        bias_bytes(sparse_quant);
+        model->network().hidden().inference_weights().memory_bytes() +
+        model->network().sgd_head()->inference_weights().memory_bytes() +
+        bias_bytes(*model);
     model_results.push_back(r);
   }
   for (const ModelResult& r : model_results) {

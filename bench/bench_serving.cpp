@@ -164,10 +164,13 @@ void attach_stage_delta(Result& result, const AsyncPredictorStats& before,
   result.stage_fulfill_ms =
       1e3 * (after.stage_fulfill_seconds - before.stage_fulfill_seconds) /
       batches;
-  result.full_closes = after.full_closes - before.full_closes;
-  result.deadline_closes = after.deadline_closes - before.deadline_closes;
-  result.adaptive_closes = after.adaptive_closes - before.adaptive_closes;
-  result.flush_closes = after.flush_closes - before.flush_closes;
+  const auto closes = [&](CloseReason reason) {
+    return after.closes_by(reason) - before.closes_by(reason);
+  };
+  result.full_closes = closes(CloseReason::kFull);
+  result.deadline_closes = closes(CloseReason::kDeadline);
+  result.adaptive_closes = closes(CloseReason::kAdaptive);
+  result.flush_closes = closes(CloseReason::kFlush);
   const std::uint64_t requests = after.requests - before.requests;
   result.mean_queue_wait_ms =
       requests == 0 ? 0.0

@@ -216,8 +216,10 @@ int main(int argc, char** argv) {
         static_cast<double>(x_test.rows()) / sparse_seconds;
     result.speedup = dense_seconds / sparse_seconds;
 
-    const auto& hidden_csr = sparse.network().hidden().sparse_weights();
-    const auto& head_csr = sparse.network().sgd_head()->sparse_weights();
+    const auto& hidden_csr =
+        sparse.network().hidden().inference_weights().csr();
+    const auto& head_csr =
+        sparse.network().sgd_head()->inference_weights().csr();
     result.dense_weight_bytes =
         dense_replica_bytes(hidden_csr.cols(), hidden_csr.rows()) +
         head_csr.cols() * head_csr.rows() * sizeof(float);

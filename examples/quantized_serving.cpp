@@ -55,12 +55,12 @@ int main(int argc, char** argv) {
   qopts.block_size = block;  // only affects the dense form; the sparse
                              // form scales per output row
   sc::Model quant = sparse.quantize(qopts);
-  const auto& qcsr = quant.network().hidden().quant_sparse_weights();
+  const auto& qcsr = quant.network().hidden().inference_weights().quant_csr();
   std::printf(
       "quant-sparse replica      : %zu KiB (fp32 CSR was %zu KiB, dense "
       "weights %zu KiB)\n",
       qcsr.memory_bytes() / 1024,
-      sparse.network().hidden().sparse_weights().memory_bytes() / 1024,
+      sparse.network().hidden().inference_weights().memory_bytes() / 1024,
       qcsr.rows() * qcsr.cols() * sizeof(float) / 1024);
   std::printf("quantized accuracy        : %.4f\n",
               quant.evaluate(x_test, test.labels));

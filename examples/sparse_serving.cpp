@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
 
   // --- 3. Sparsify: compact read-only clone ------------------------------
   sc::Model sparse = model.sparsify();
-  const auto& csr = sparse.network().hidden().sparse_weights();
+  const auto& csr = sparse.network().hidden().inference_weights().csr();
   std::printf("sparse replica          : %zu KiB CSR (dense weights were "
               "%zu KiB + traces)\n",
               csr.memory_bytes() / 1024,
@@ -63,12 +63,12 @@ int main(int argc, char** argv) {
   std::printf("sparse accuracy         : %.4f\n",
               sparse.evaluate(x_test, test.labels));
 
-  // --- 4. Checkpoint the sparse form (format v3) -------------------------
+  // --- 4. Checkpoint the sparse form (format v4) -------------------------
   sparse.save("model_sparse.sbrn");
   auto snapshot = std::make_shared<sc::Model>();
   snapshot->load("model_sparse.sbrn");
   std::printf("reloaded sparse model   : %s\n",
-              snapshot->sparse() ? "sparse (v3 checkpoint)" : "dense?!");
+              snapshot->sparse() ? "sparse (v4 checkpoint)" : "dense?!");
 
   // --- 5. Serve it: every shard replica is a sparse clone ----------------
   AsyncPredictorOptions options;

@@ -66,6 +66,7 @@
 #include "tensor/matrix.hpp"
 #include "tensor/quant.hpp"
 #include "tensor/vecmath.hpp"
+#include "tensor/weight_store.hpp"
 
 // --- Data loading & encoding ------------------------------------------------
 #include "data/cifar_loader.hpp"

@@ -487,12 +487,7 @@ void AsyncPredictor::run_batch(BatchJob& job) {
     stats_.stage_dispatch_seconds += seconds_between(job.closed_at, exec_start);
     stats_.stage_compute_seconds += model_seconds;
     stats_.stage_fulfill_seconds += seconds_between(model_end, done);
-    switch (job.reason) {
-      case CloseReason::kFull: stats_.full_closes += 1; break;
-      case CloseReason::kDeadline: stats_.deadline_closes += 1; break;
-      case CloseReason::kAdaptive: stats_.adaptive_closes += 1; break;
-      case CloseReason::kFlush: stats_.flush_closes += 1; break;
-    }
+    stats_.closes[static_cast<std::size_t>(job.reason)] += 1;
     for (const Chunk& chunk : chunks) {
       if (chunk.begin != 0) continue;
       const double wait =

@@ -41,6 +41,7 @@
 // checkpoint round-trip clone and every model computes rows
 // independently.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -102,6 +103,17 @@ struct AsyncPredictorOptions {
   std::size_t score_cache_rows = 0;
 };
 
+/// Why the dispatcher closed a micro-batch: filled to max_batch_rows /
+/// deadline expired / adaptive idle-close / flush, drain or shutdown.
+/// kCount is the number of reasons, not a reason.
+enum class CloseReason : std::uint8_t {
+  kFull,
+  kDeadline,
+  kAdaptive,
+  kFlush,
+  kCount
+};
+
 /// Monotonic serving counters; snapshot via AsyncPredictor::stats().
 struct AsyncPredictorStats {
   std::uint64_t requests = 0;   ///< submissions accepted
@@ -120,12 +132,10 @@ struct AsyncPredictorStats {
   /// Cache lookups/inserts refused because their batch was pinned to a
   /// retired model generation (in-flight traffic straddling a swap).
   std::uint64_t cache_stale_drops = 0;
-  /// Why batches closed (sums to `batches`): filled to max_batch_rows /
-  /// deadline expired / adaptive idle-close / flush, drain or shutdown.
-  std::uint64_t full_closes = 0;
-  std::uint64_t deadline_closes = 0;
-  std::uint64_t adaptive_closes = 0;
-  std::uint64_t flush_closes = 0;
+  /// Batches closed per CloseReason, indexed by the enum (sums to
+  /// `batches`).
+  std::array<std::uint64_t, static_cast<std::size_t>(CloseReason::kCount)>
+      closes{};
   double model_seconds = 0.0;  ///< summed shard compute (can exceed wall time)
   /// Per-stage pipeline timing, summed over batches. A request's life is
   /// enqueue -> (batch) close -> dispatch (lease + pool hop) -> compute
@@ -178,12 +188,16 @@ struct AsyncPredictorStats {
                ? 0.0
                : static_cast<double>(model_rows) / model_seconds;
   }
-  /// Sum of the per-reason close counters. Invariant (checked by
-  /// tools/sb_lint.py and test_serving): every CloseReason the dispatcher
-  /// can produce has a counter here, and the counters partition
-  /// `batches` — close_reasons_total() == batches at any snapshot.
+  [[nodiscard]] std::uint64_t closes_by(CloseReason reason) const noexcept {
+    return closes[static_cast<std::size_t>(reason)];
+  }
+  /// Sum of the per-reason close counters. Every CloseReason has a slot
+  /// by construction, so the counters partition `batches`:
+  /// close_reasons_total() == batches at any snapshot.
   [[nodiscard]] std::uint64_t close_reasons_total() const noexcept {
-    return full_closes + deadline_closes + adaptive_closes + flush_closes;
+    std::uint64_t total = 0;
+    for (const std::uint64_t count : closes) total += count;
+    return total;
   }
 };
 
@@ -277,8 +291,6 @@ class AsyncPredictor {
     std::chrono::steady_clock::time_point deadline{};
     std::chrono::steady_clock::time_point oldest_enqueue{};
   };
-
-  enum class CloseReason { kFull, kDeadline, kAdaptive, kFlush };
 
   /// A closed batch in flight to a shard. Pooled (with its chunk
   /// vector's capacity) so the per-batch hot path allocates only the

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/pruning.hpp"
 #include "tensor/kernels.hpp"
@@ -12,7 +13,8 @@ BcpnnClassifier::BcpnnClassifier(std::size_t inputs, std::size_t input_hcs,
                                  std::size_t classes,
                                  parallel::Engine& engine, float alpha,
                                  float eps, float k_beta)
-    : classes_(classes),
+    : inputs_(inputs),
+      classes_(classes),
       engine_(&engine),
       alpha_(alpha),
       eps_(eps),
@@ -55,13 +57,8 @@ void BcpnnClassifier::apply_prune_mask() {
 
 void BcpnnClassifier::predict(const tensor::MatrixF& hidden,
                               tensor::MatrixF& probs) {
-  if (quant_wt_) {
-    tensor::quant_support(*quant_wt_, hidden, bias_.data(), probs);
-  } else if (quant_sparse_wt_) {
-    tensor::quant_sparse_support(*quant_sparse_wt_, hidden, bias_.data(),
-                                 probs);
-  } else if (sparse_wt_) {
-    tensor::sparse_support(*sparse_wt_, hidden, bias_.data(), probs);
+  if (store_) {
+    store_->support(hidden, bias_.data(), probs);
   } else {
     engine_->support(hidden, weights_, bias_.data(), probs);
   }
@@ -88,120 +85,48 @@ void BcpnnClassifier::set_prune_mask(std::vector<std::uint8_t> mask) {
 }
 
 double BcpnnClassifier::weight_density() const noexcept {
-  if (quant_sparse_wt_) return quant_sparse_wt_->density();
-  if (quant_wt_) {
-    std::size_t nnz = 0;
-    for (const std::int8_t code : quant_wt_->codes()) nnz += code != 0;
-    return quant_wt_->codes().empty()
-               ? 1.0
-               : static_cast<double>(nnz) /
-                     static_cast<double>(quant_wt_->codes().size());
-  }
-  if (sparse_wt_) return sparse_wt_->density();
-  if (weights_.empty()) return 1.0;
-  std::size_t nnz = 0;
-  for (const float w : weights_) nnz += w != 0.0f;
-  return static_cast<double>(nnz) / static_cast<double>(weights_.size());
+  if (store_) return store_->density();
+  return nonzero_density(weights_);
 }
 
 void BcpnnClassifier::sparsify() {
-  if (quantized()) {
-    throw std::logic_error(
-        "BcpnnClassifier::sparsify: head is already quantized (sparsify "
-        "before quantize, not after)");
+  if (store_) {
+    store_->sparsify();
+    return;
   }
-  if (sparse_wt_) return;  // idempotent
-  sparse_wt_ = std::make_unique<tensor::CsrMatrix>(
-      tensor::CsrMatrix::from_dense_transposed(weights_));
-  weights_ = tensor::MatrixF();
-  scratch_ = tensor::MatrixF();
-  traces_.release();
-  prune_keep_.clear();
-  prune_keep_.shrink_to_fit();
-}
-
-const tensor::CsrMatrix& BcpnnClassifier::sparse_weights() const {
-  if (!sparse_wt_) {
-    throw std::logic_error("BcpnnClassifier::sparse_weights: head is dense");
-  }
-  return *sparse_wt_;
-}
-
-void BcpnnClassifier::adopt_sparse(tensor::CsrMatrix wt,
-                                   std::vector<float> bias) {
-  if (wt.rows() != classes_ || bias.size() != classes_ ||
-      (traces_.inputs() != 0 && wt.cols() != traces_.inputs())) {
-    throw std::invalid_argument("BcpnnClassifier::adopt_sparse: shape");
-  }
-  sparse_wt_ = std::make_unique<tensor::CsrMatrix>(std::move(wt));
-  bias_ = std::move(bias);
-  weights_ = tensor::MatrixF();
-  scratch_ = tensor::MatrixF();
-  traces_.release();
-  prune_keep_.clear();
-  prune_keep_.shrink_to_fit();
+  freeze(tensor::WeightStore::from_dense(weights_), std::move(bias_));
 }
 
 void BcpnnClassifier::quantize(std::size_t block_size) {
-  if (quantized()) return;  // idempotent
-  if (sparse_wt_) {
-    quant_sparse_wt_ = std::make_unique<tensor::QuantCsr>(
-        tensor::QuantCsr::from_csr(*sparse_wt_));
-    sparse_wt_.reset();
+  if (store_) {
+    store_->quantize();
     return;
   }
-  quant_wt_ = std::make_unique<tensor::QuantBlockMatrix>(
-      tensor::QuantBlockMatrix::from_dense_transposed(weights_, block_size));
-  weights_ = tensor::MatrixF();
-  scratch_ = tensor::MatrixF();
-  traces_.release();
-  prune_keep_.clear();
-  prune_keep_.shrink_to_fit();
+  freeze(tensor::WeightStore::quantize_dense(weights_, block_size),
+         std::move(bias_));
 }
 
-const tensor::QuantBlockMatrix& BcpnnClassifier::quant_weights() const {
-  if (!quant_wt_) {
+const tensor::WeightStore& BcpnnClassifier::inference_weights() const {
+  if (!store_) {
     throw std::logic_error(
-        "BcpnnClassifier::quant_weights: head is not dense-quantized");
+        "BcpnnClassifier::inference_weights: head is dense");
   }
-  return *quant_wt_;
+  return *store_;
 }
 
-const tensor::QuantCsr& BcpnnClassifier::quant_sparse_weights() const {
-  if (!quant_sparse_wt_) {
-    throw std::logic_error(
-        "BcpnnClassifier::quant_sparse_weights: head is not sparse-quantized");
+void BcpnnClassifier::adopt(tensor::WeightStore store,
+                            std::vector<float> bias) {
+  if (store.rows() != classes_ || store.cols() != inputs_ ||
+      bias.size() != classes_) {
+    throw std::invalid_argument("BcpnnClassifier::adopt: shape mismatch");
   }
-  return *quant_sparse_wt_;
+  freeze(std::move(store), std::move(bias));
 }
 
-void BcpnnClassifier::adopt_quant(tensor::QuantBlockMatrix wt,
-                                  std::vector<float> bias) {
-  if (wt.rows() != classes_ || bias.size() != classes_ ||
-      (traces_.inputs() != 0 && wt.cols() != traces_.inputs())) {
-    throw std::invalid_argument("BcpnnClassifier::adopt_quant: shape");
-  }
-  quant_wt_ = std::make_unique<tensor::QuantBlockMatrix>(std::move(wt));
-  quant_sparse_wt_.reset();
+void BcpnnClassifier::freeze(tensor::WeightStore store,
+                             std::vector<float> bias) {
+  store_ = std::move(store);
   bias_ = std::move(bias);
-  sparse_wt_.reset();
-  weights_ = tensor::MatrixF();
-  scratch_ = tensor::MatrixF();
-  traces_.release();
-  prune_keep_.clear();
-  prune_keep_.shrink_to_fit();
-}
-
-void BcpnnClassifier::adopt_quant_sparse(tensor::QuantCsr wt,
-                                         std::vector<float> bias) {
-  if (wt.rows() != classes_ || bias.size() != classes_ ||
-      (traces_.inputs() != 0 && wt.cols() != traces_.inputs())) {
-    throw std::invalid_argument("BcpnnClassifier::adopt_quant_sparse: shape");
-  }
-  quant_sparse_wt_ = std::make_unique<tensor::QuantCsr>(std::move(wt));
-  quant_wt_.reset();
-  bias_ = std::move(bias);
-  sparse_wt_.reset();
   weights_ = tensor::MatrixF();
   scratch_ = tensor::MatrixF();
   traces_.release();
@@ -210,13 +135,10 @@ void BcpnnClassifier::adopt_quant_sparse(tensor::QuantCsr wt,
 }
 
 void BcpnnClassifier::require_mutable(const char* what) const {
-  if (sparse_wt_) {
+  if (store_) {
     throw std::logic_error(std::string("BcpnnClassifier::") + what +
-                           ": head is in the read-only sparse form");
-  }
-  if (quantized()) {
-    throw std::logic_error(std::string("BcpnnClassifier::") + what +
-                           ": head is in the read-only quantized form");
+                           ": head is in the read-only " +
+                           (quantized() ? "quantized" : "sparse") + " form");
   }
 }
 

@@ -8,14 +8,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/traces.hpp"
 #include "parallel/engine.hpp"
-#include "tensor/csr.hpp"
 #include "tensor/matrix.hpp"
-#include "tensor/quant.hpp"
+#include "tensor/weight_store.hpp"
 
 namespace streambrain::core {
 
@@ -42,6 +41,9 @@ class BcpnnClassifier {
       const tensor::MatrixF& hidden);
 
   [[nodiscard]] std::size_t classes() const noexcept { return classes_; }
+  /// Input (hidden-layer) width; unlike traces().inputs() it survives
+  /// sparsify()/quantize().
+  [[nodiscard]] std::size_t inputs() const noexcept { return inputs_; }
   /// Trace EMA rate — the distributed trainer replays the same update
   /// from externally reduced batch statistics.
   [[nodiscard]] float alpha() const noexcept { return alpha_; }
@@ -78,42 +80,38 @@ class BcpnnClassifier {
   /// Fraction of weight entries currently non-zero.
   [[nodiscard]] double weight_density() const noexcept;
 
-  // --- Sparse inference form ------------------------------------------------
-  /// Convert to the compact read-only form: weights to CSR (transposed),
-  /// dense weights and traces freed. predict paths keep working
-  /// bit-identically at scalar dispatch; training throws afterwards.
+  // --- Read-only inference forms --------------------------------------------
+  /// Convert to the compact read-only sparse form: weights to CSR
+  /// (transposed), dense weights and traces freed. predict paths keep
+  /// working bit-identically at scalar dispatch; training throws
+  /// afterwards. Same contract as BcpnnLayer::sparsify.
   void sparsify();
 
-  [[nodiscard]] bool sparse() const noexcept {
-    return sparse_wt_ != nullptr || quant_sparse_wt_ != nullptr;
-  }
-
-  /// CSR of W^T (throws std::logic_error when dense).
-  [[nodiscard]] const tensor::CsrMatrix& sparse_weights() const;
-
-  /// Adopt a deserialized sparse form (checkpoint read path).
-  void adopt_sparse(tensor::CsrMatrix wt, std::vector<float> bias);
-
-  // --- Quantized inference form ---------------------------------------------
   /// Int8 read-only form (per-block over dense weights, per-row over an
   /// existing CSR form); same contract as BcpnnLayer::quantize.
   void quantize(std::size_t block_size);
 
+  [[nodiscard]] bool sparse() const noexcept {
+    return store_ && store_->sparse();
+  }
   [[nodiscard]] bool quantized() const noexcept {
-    return quant_wt_ != nullptr || quant_sparse_wt_ != nullptr;
+    return store_ && store_->quantized();
   }
 
-  [[nodiscard]] const tensor::QuantBlockMatrix& quant_weights() const;
-  [[nodiscard]] const tensor::QuantCsr& quant_sparse_weights() const;
+  /// The read-only weights (W^T); throws std::logic_error while dense.
+  [[nodiscard]] const tensor::WeightStore& inference_weights() const;
 
-  /// Adopt a deserialized quantized form (checkpoint read path).
-  void adopt_quant(tensor::QuantBlockMatrix wt, std::vector<float> bias);
-  void adopt_quant_sparse(tensor::QuantCsr wt, std::vector<float> bias);
+  /// Adopt deserialized read-only weights (checkpoint read path); throws
+  /// std::invalid_argument unless the store is [classes x inputs].
+  void adopt(tensor::WeightStore store, std::vector<float> bias);
 
  private:
   void apply_prune_mask();
   void require_mutable(const char* what) const;
+  /// Install the read-only weights and free the trainable state.
+  void freeze(tensor::WeightStore store, std::vector<float> bias);
 
+  std::size_t inputs_;
   std::size_t classes_;
   parallel::Engine* engine_;
   float alpha_;
@@ -125,9 +123,8 @@ class BcpnnClassifier {
   tensor::MatrixF scratch_;
   /// Keep-mask from prune_to_density (empty = no pruning); 1 = keep.
   std::vector<std::uint8_t> prune_keep_;
-  std::unique_ptr<tensor::CsrMatrix> sparse_wt_;
-  std::unique_ptr<tensor::QuantBlockMatrix> quant_wt_;
-  std::unique_ptr<tensor::QuantCsr> quant_sparse_wt_;
+  /// Set once sparsify()/quantize()/adopt() ran.
+  std::optional<tensor::WeightStore> store_;
 };
 
 }  // namespace streambrain::core

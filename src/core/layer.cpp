@@ -3,9 +3,9 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/pruning.hpp"
-#include "tensor/csr.hpp"
 
 namespace streambrain::core {
 
@@ -29,13 +29,8 @@ void BcpnnLayer::forward(const tensor::MatrixF& x,
   if (x.cols() != input_units()) {
     throw std::invalid_argument("BcpnnLayer::forward: input width mismatch");
   }
-  if (quant_wt_) {
-    tensor::quant_support(*quant_wt_, x, bias_.data(), activations);
-  } else if (quant_sparse_wt_) {
-    tensor::quant_sparse_support(*quant_sparse_wt_, x, bias_.data(),
-                                 activations);
-  } else if (sparse_wt_) {
-    tensor::sparse_support(*sparse_wt_, x, bias_.data(), activations);
+  if (store_) {
+    store_->support(x, bias_.data(), activations);
   } else {
     engine_->support(x, weights_, bias_.data(), activations);
   }
@@ -150,120 +145,45 @@ void BcpnnLayer::set_prune_mask(std::vector<std::uint8_t> mask) {
 }
 
 double BcpnnLayer::weight_density() const noexcept {
-  if (quant_sparse_wt_) return quant_sparse_wt_->density();
-  if (quant_wt_) {
-    std::size_t nnz = 0;
-    for (const std::int8_t code : quant_wt_->codes()) nnz += code != 0;
-    return quant_wt_->codes().empty()
-               ? 1.0
-               : static_cast<double>(nnz) /
-                     static_cast<double>(quant_wt_->codes().size());
-  }
-  if (sparse_wt_) return sparse_wt_->density();
-  if (weights_.empty()) return 1.0;
-  std::size_t nnz = 0;
-  for (const float w : weights_) nnz += w != 0.0f;
-  return static_cast<double>(nnz) / static_cast<double>(weights_.size());
+  if (store_) return store_->density();
+  return nonzero_density(weights_);
 }
 
 void BcpnnLayer::sparsify() {
-  if (quantized()) {
-    throw std::logic_error(
-        "BcpnnLayer::sparsify: layer is already quantized (sparsify before "
-        "quantize, not after)");
+  if (store_) {
+    store_->sparsify();
+    return;
   }
-  if (sparse_wt_) return;  // idempotent
-  sparse_wt_ = std::make_unique<tensor::CsrMatrix>(
-      tensor::CsrMatrix::from_dense_transposed(weights_));
-  weights_ = tensor::MatrixF();
-  noise_scratch_ = tensor::MatrixF();
-  traces_.release();
-  prune_keep_.clear();
-  prune_keep_.shrink_to_fit();
-}
-
-const tensor::CsrMatrix& BcpnnLayer::sparse_weights() const {
-  if (!sparse_wt_) {
-    throw std::logic_error("BcpnnLayer::sparse_weights: layer is dense");
-  }
-  return *sparse_wt_;
-}
-
-void BcpnnLayer::adopt_sparse(tensor::CsrMatrix wt, std::vector<float> bias) {
-  if (wt.rows() != hidden_units() || wt.cols() != input_units() ||
-      bias.size() != hidden_units()) {
-    throw std::invalid_argument("BcpnnLayer::adopt_sparse: shape mismatch");
-  }
-  sparse_wt_ = std::make_unique<tensor::CsrMatrix>(std::move(wt));
-  bias_ = std::move(bias);
-  weights_ = tensor::MatrixF();
-  noise_scratch_ = tensor::MatrixF();
-  traces_.release();
-  prune_keep_.clear();
-  prune_keep_.shrink_to_fit();
+  freeze(tensor::WeightStore::from_dense(weights_), std::move(bias_));
 }
 
 void BcpnnLayer::quantize(std::size_t block_size) {
-  if (quantized()) return;  // idempotent
-  if (sparse_wt_) {
-    quant_sparse_wt_ =
-        std::make_unique<tensor::QuantCsr>(tensor::QuantCsr::from_csr(*sparse_wt_));
-    sparse_wt_.reset();
+  if (store_) {
+    store_->quantize();
     return;
   }
-  quant_wt_ = std::make_unique<tensor::QuantBlockMatrix>(
-      tensor::QuantBlockMatrix::from_dense_transposed(weights_, block_size));
-  weights_ = tensor::MatrixF();
-  noise_scratch_ = tensor::MatrixF();
-  traces_.release();
-  prune_keep_.clear();
-  prune_keep_.shrink_to_fit();
+  freeze(tensor::WeightStore::quantize_dense(weights_, block_size),
+         std::move(bias_));
 }
 
-const tensor::QuantBlockMatrix& BcpnnLayer::quant_weights() const {
-  if (!quant_wt_) {
-    throw std::logic_error("BcpnnLayer::quant_weights: layer is not in the "
-                           "dense-quantized form");
+const tensor::WeightStore& BcpnnLayer::inference_weights() const {
+  if (!store_) {
+    throw std::logic_error("BcpnnLayer::inference_weights: layer is dense");
   }
-  return *quant_wt_;
+  return *store_;
 }
 
-const tensor::QuantCsr& BcpnnLayer::quant_sparse_weights() const {
-  if (!quant_sparse_wt_) {
-    throw std::logic_error("BcpnnLayer::quant_sparse_weights: layer is not "
-                           "in the sparse-quantized form");
-  }
-  return *quant_sparse_wt_;
-}
-
-void BcpnnLayer::adopt_quant(tensor::QuantBlockMatrix wt,
-                             std::vector<float> bias) {
-  if (wt.rows() != hidden_units() || wt.cols() != input_units() ||
+void BcpnnLayer::adopt(tensor::WeightStore store, std::vector<float> bias) {
+  if (store.rows() != hidden_units() || store.cols() != input_units() ||
       bias.size() != hidden_units()) {
-    throw std::invalid_argument("BcpnnLayer::adopt_quant: shape mismatch");
+    throw std::invalid_argument("BcpnnLayer::adopt: shape mismatch");
   }
-  quant_wt_ = std::make_unique<tensor::QuantBlockMatrix>(std::move(wt));
-  quant_sparse_wt_.reset();
-  bias_ = std::move(bias);
-  sparse_wt_.reset();
-  weights_ = tensor::MatrixF();
-  noise_scratch_ = tensor::MatrixF();
-  traces_.release();
-  prune_keep_.clear();
-  prune_keep_.shrink_to_fit();
+  freeze(std::move(store), std::move(bias));
 }
 
-void BcpnnLayer::adopt_quant_sparse(tensor::QuantCsr wt,
-                                    std::vector<float> bias) {
-  if (wt.rows() != hidden_units() || wt.cols() != input_units() ||
-      bias.size() != hidden_units()) {
-    throw std::invalid_argument(
-        "BcpnnLayer::adopt_quant_sparse: shape mismatch");
-  }
-  quant_sparse_wt_ = std::make_unique<tensor::QuantCsr>(std::move(wt));
-  quant_wt_.reset();
+void BcpnnLayer::freeze(tensor::WeightStore store, std::vector<float> bias) {
+  store_ = std::move(store);
   bias_ = std::move(bias);
-  sparse_wt_.reset();
   weights_ = tensor::MatrixF();
   noise_scratch_ = tensor::MatrixF();
   traces_.release();
@@ -272,13 +192,10 @@ void BcpnnLayer::adopt_quant_sparse(tensor::QuantCsr wt,
 }
 
 void BcpnnLayer::require_mutable(const char* what) const {
-  if (sparse_wt_) {
+  if (store_) {
     throw std::logic_error(std::string("BcpnnLayer::") + what +
-                           ": layer is in the read-only sparse form");
-  }
-  if (quantized()) {
-    throw std::logic_error(std::string("BcpnnLayer::") + what +
-                           ": layer is in the read-only quantized form");
+                           ": layer is in the read-only " +
+                           (quantized() ? "quantized" : "sparse") + " form");
   }
 }
 

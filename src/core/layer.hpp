@@ -11,16 +11,15 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/hyperparams.hpp"
 #include "core/plasticity.hpp"
 #include "core/traces.hpp"
 #include "parallel/engine.hpp"
-#include "tensor/csr.hpp"
 #include "tensor/matrix.hpp"
-#include "tensor/quant.hpp"
+#include "tensor/weight_store.hpp"
 #include "util/rng.hpp"
 
 namespace streambrain::core {
@@ -88,51 +87,38 @@ class BcpnnLayer {
   /// Fraction of weight entries currently non-zero.
   [[nodiscard]] double weight_density() const noexcept;
 
-  // --- Sparse inference form -----------------------------------------------
-  /// Convert to the compact read-only inference form: compress the
-  /// (masked, pruned) weights to CSR (transposed: one sparse row per
-  /// hidden unit), then free the dense weights AND the probability
-  /// traces. forward()/forward_spiking() keep working bit-identically
-  /// (at scalar dispatch) through the sparse kernels; every training
-  /// entry point throws std::logic_error afterwards. Irreversible.
+  // --- Read-only inference forms ------------------------------------------
+  /// Convert to the compact read-only sparse form: compress the (masked,
+  /// pruned) weights to CSR (transposed: one sparse row per hidden unit),
+  /// then free the dense weights AND the probability traces.
+  /// forward()/forward_spiking() keep working bit-identically (at scalar
+  /// dispatch) through the sparse kernels; every training entry point
+  /// throws std::logic_error afterwards. Irreversible; throws
+  /// std::logic_error once quantized (sparsify before quantize).
   void sparsify();
 
-  /// True for both the fp32-CSR and the quantized-CSR forms (either way
-  /// the weights live on the CSR index structure).
-  [[nodiscard]] bool sparse() const noexcept {
-    return sparse_wt_ != nullptr || quant_sparse_wt_ != nullptr;
-  }
-
-  /// CSR of W^T (throws std::logic_error when not sparsified).
-  [[nodiscard]] const tensor::CsrMatrix& sparse_weights() const;
-
-  /// Adopt a deserialized sparse form directly (checkpoint read path).
-  /// Shape-checked against the layer geometry; replaces any dense state.
-  void adopt_sparse(tensor::CsrMatrix wt, std::vector<float> bias);
-
-  // --- Quantized inference form --------------------------------------------
-  /// Convert to the int8 read-only inference form: per-block symmetric
-  /// quantization of the dense weights (QuantBlockMatrix of W^T), or of
-  /// the CSR values (QuantCsr, per-row scales) when the layer already
-  /// sparsified — quantization composes AFTER sparsify(). Frees the
-  /// replaced weight storage and the traces; every training entry point
-  /// throws std::logic_error afterwards. Irreversible and idempotent.
+  /// Convert to the int8 read-only form: per-block symmetric quantization
+  /// of the dense weights, or of the CSR values (per-row scales) when the
+  /// layer already sparsified. Frees the trainable state like sparsify().
+  /// Irreversible and idempotent.
   void quantize(std::size_t block_size);
 
+  /// True for the fp32-CSR and the quantized-CSR forms.
+  [[nodiscard]] bool sparse() const noexcept {
+    return store_ && store_->sparse();
+  }
+  /// True for the two int8 forms.
   [[nodiscard]] bool quantized() const noexcept {
-    return quant_wt_ != nullptr || quant_sparse_wt_ != nullptr;
+    return store_ && store_->quantized();
   }
 
-  /// Block-quantized W^T (throws std::logic_error unless dense-quantized).
-  [[nodiscard]] const tensor::QuantBlockMatrix& quant_weights() const;
+  /// The read-only weights (W^T); throws std::logic_error while dense.
+  [[nodiscard]] const tensor::WeightStore& inference_weights() const;
 
-  /// Quantized CSR of W^T (throws std::logic_error unless sparse-quantized).
-  [[nodiscard]] const tensor::QuantCsr& quant_sparse_weights() const;
-
-  /// Adopt a deserialized quantized form (checkpoint read path); shape
-  /// checked against the layer geometry, replaces any other weight form.
-  void adopt_quant(tensor::QuantBlockMatrix wt, std::vector<float> bias);
-  void adopt_quant_sparse(tensor::QuantCsr wt, std::vector<float> bias);
+  /// Adopt deserialized read-only weights (checkpoint read path). Shape
+  /// checked against the layer geometry (std::invalid_argument); replaces
+  /// any other weight form and frees the trainable state.
+  void adopt(tensor::WeightStore store, std::vector<float> bias);
 
   /// Spiking forward pass — BCPNN's spiking model of computation
   /// (Section II: "supports both spiking- and rate-based models").
@@ -176,6 +162,8 @@ class BcpnnLayer {
  private:
   void apply_masks();
   void require_mutable(const char* what) const;
+  /// Install the read-only weights and free the trainable state.
+  void freeze(tensor::WeightStore store, std::vector<float> bias);
 
   BcpnnConfig config_;
   parallel::Engine* engine_;
@@ -188,12 +176,9 @@ class BcpnnLayer {
   /// Element keep-mask from prune_to_density (empty = no pruning);
   /// weights_.size() bytes, 1 = keep. Re-applied by apply_masks().
   std::vector<std::uint8_t> prune_keep_;
-  /// Non-null once sparsify()/adopt_sparse() ran: CSR of W^T, the only
-  /// weight storage of the read-only inference form.
-  std::unique_ptr<tensor::CsrMatrix> sparse_wt_;
-  /// At most one non-null: the int8 forms of quantize()/adopt_quant*().
-  std::unique_ptr<tensor::QuantBlockMatrix> quant_wt_;
-  std::unique_ptr<tensor::QuantCsr> quant_sparse_wt_;
+  /// Set once sparsify()/quantize()/adopt() ran: the only weight
+  /// storage of the read-only inference form.
+  std::optional<tensor::WeightStore> store_;
 };
 
 }  // namespace streambrain::core

@@ -47,6 +47,13 @@ std::vector<std::uint8_t> magnitude_keep_mask(const float* w, std::size_t n,
   return keep;
 }
 
+double nonzero_density(const tensor::MatrixF& weights) noexcept {
+  if (weights.empty()) return 1.0;
+  std::size_t nnz = 0;
+  for (const float w : weights) nnz += w != 0.0f;
+  return static_cast<double>(nnz) / static_cast<double>(weights.size());
+}
+
 void prune_model(Model& model, double density) {
   if (!model.compiled()) {
     throw std::logic_error("prune_model: model is not compiled");

@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/matrix.hpp"
+
 namespace streambrain::core {
 
 class Model;
@@ -35,6 +37,10 @@ class Model;
 [[nodiscard]] std::vector<std::uint8_t> magnitude_keep_mask(const float* w,
                                                             std::size_t n,
                                                             double density);
+
+/// Fraction of the entries of `weights` that are non-zero; 1.0 when
+/// empty. The weight_density() of a dense component.
+[[nodiscard]] double nonzero_density(const tensor::MatrixF& weights) noexcept;
 
 /// Prune every hidden layer and the head of a compiled model to the
 /// given keep density (magnitude-based, per component). The model stays

@@ -10,6 +10,7 @@
 
 #include "tensor/csr.hpp"
 #include "tensor/quant.hpp"
+#include "tensor/weight_store.hpp"
 
 namespace streambrain::core {
 
@@ -44,21 +45,9 @@ constexpr char kMagic[4] = {'S', 'B', 'R', 'N'};
 constexpr std::uint32_t kVersion = 4;
 constexpr std::uint32_t kOldestReadableVersion = 1;
 
-enum class Section : std::uint32_t {
-  kLayer = 1,
-  kClassifier = 2,
-  kSgdHead = 3,
-  kModel = 4,
-  kSparseLayer = 5,
-  kSparseClassifier = 6,
-  kSparseSgdHead = 7,
-  kQuantLayer = 8,
-  kQuantClassifier = 9,
-  kQuantSgdHead = 10,
-  kQuantSparseLayer = 11,
-  kQuantSparseClassifier = 12,
-  kQuantSparseSgdHead = 13,
-};
+using detail::Component;
+using detail::WeightForm;
+using Form = tensor::WeightStore::Form;
 
 // --- Primitive IO ---------------------------------------------------------
 
@@ -155,14 +144,6 @@ std::uint32_t read_header(std::istream& in) {
   return version;
 }
 
-void expect_section(std::istream& in, Section expected) {
-  const std::uint32_t tag = read_u32(in);
-  if (tag != static_cast<std::uint32_t>(expected)) {
-    throw std::runtime_error("checkpoint: unexpected section tag " +
-                             std::to_string(tag));
-  }
-}
-
 /// A u32 field with a plausibility ceiling. Corrupt bytes in a count or
 /// geometry field must fail here with a clean error, not turn into a
 /// multi-GB allocation or a four-billion-iteration loop downstream (the
@@ -176,26 +157,6 @@ std::uint32_t read_u32_bounded(std::istream& in, std::uint32_t limit,
                              " " + std::to_string(value));
   }
   return value;
-}
-
-// --- Sparse (CSR) payloads -------------------------------------------------
-// Wire format: u64 rows | u64 cols | u64 nnz | row_ptr[rows+1] u64 |
-// col_idx[nnz] u32 | values[nnz] f32. The reader validates shape against
-// the enclosing section's geometry BEFORE allocating, and the full CSR
-// invariants (monotone row_ptr, ascending in-range columns) afterwards.
-
-void write_csr(std::ostream& out, const tensor::CsrMatrix& csr) {
-  write_u64(out, csr.rows());
-  write_u64(out, csr.cols());
-  write_u64(out, csr.nnz());
-  out.write(reinterpret_cast<const char*>(csr.row_ptr().data()),
-            static_cast<std::streamsize>(csr.row_ptr().size() *
-                                         sizeof(std::uint64_t)));
-  out.write(reinterpret_cast<const char*>(csr.col_idx().data()),
-            static_cast<std::streamsize>(csr.col_idx().size() *
-                                         sizeof(std::uint32_t)));
-  out.write(reinterpret_cast<const char*>(csr.values().data()),
-            static_cast<std::streamsize>(csr.values().size() * sizeof(float)));
 }
 
 // --- Prune keep-masks ------------------------------------------------------
@@ -239,141 +200,129 @@ std::vector<std::uint8_t> read_prune_mask(std::istream& in,
   return mask;
 }
 
-tensor::CsrMatrix read_csr(std::istream& in, std::size_t expected_rows,
-                           std::size_t expected_cols) {
-  const std::uint64_t rows = read_u64(in);
-  const std::uint64_t cols = read_u64(in);
-  const std::uint64_t nnz = read_u64(in);
-  if (rows != expected_rows || cols != expected_cols) {
-    throw std::runtime_error("checkpoint: sparse matrix shape mismatch");
-  }
-  if (nnz > rows * cols) {
-    throw std::runtime_error("checkpoint: implausible sparse entry count " +
-                             std::to_string(nnz));
-  }
-  std::vector<std::uint64_t> row_ptr(rows + 1);
-  in.read(reinterpret_cast<char*>(row_ptr.data()),
-          static_cast<std::streamsize>(row_ptr.size() *
-                                       sizeof(std::uint64_t)));
-  std::vector<std::uint32_t> col_idx(nnz);
-  in.read(reinterpret_cast<char*>(col_idx.data()),
-          static_cast<std::streamsize>(col_idx.size() *
-                                       sizeof(std::uint32_t)));
-  std::vector<float> values(nnz);
+// --- Read-only weight payloads ---------------------------------------------
+// One payload per WeightStore form, each opening with u64 rows | u64 cols:
+//   CsrMatrix:        | u64 nnz | row_ptr[rows+1] u64 | col_idx[nnz] u32 |
+//                       values[nnz] f32
+//   QuantBlockMatrix: | u64 block_size | codes[rows*cols] i8 |
+//                       scales[rows*blocks_per_row] f32
+//   QuantCsr:         | u64 nnz | row_ptr[rows+1] u64 | col_idx[nnz] u32 |
+//                       codes[nnz] i8 | row_scales[rows] f32
+// Array sizes derive from the geometry fields, which the reader checks
+// against the enclosing section's expected shape (and the nnz / block
+// size plausibility ceilings) BEFORE allocating; the adopt() calls then
+// re-validate the full container invariants (CSR index ordering, code
+// range, finite scales).
+
+template <typename T>
+void write_array(std::ostream& out, const std::vector<T>& values) {
+  out.write(reinterpret_cast<const char*>(values.data()),
+            static_cast<std::streamsize>(values.size() * sizeof(T)));
+}
+
+/// Reads `count` elements; the caller checks the stream once after the
+/// last array of a payload.
+template <typename T>
+std::vector<T> read_array(std::istream& in, std::size_t count) {
+  std::vector<T> values(count);
   in.read(reinterpret_cast<char*>(values.data()),
-          static_cast<std::streamsize>(values.size() * sizeof(float)));
-  if (!in) throw std::runtime_error("checkpoint: truncated sparse matrix");
-  try {
-    return tensor::CsrMatrix::adopt(rows, cols, std::move(row_ptr),
-                                    std::move(col_idx), std::move(values));
-  } catch (const std::invalid_argument& error) {
-    throw std::runtime_error(std::string("checkpoint: ") + error.what());
+          static_cast<std::streamsize>(count * sizeof(T)));
+  return values;
+}
+
+void write_store(std::ostream& out, const tensor::WeightStore& store) {
+  write_u64(out, store.rows());
+  write_u64(out, store.cols());
+  switch (store.form()) {
+    case Form::kCsr: {
+      const tensor::CsrMatrix& wt = store.csr();
+      write_u64(out, wt.nnz());
+      write_array(out, wt.row_ptr());
+      write_array(out, wt.col_idx());
+      write_array(out, wt.values());
+      return;
+    }
+    case Form::kQuant: {
+      const tensor::QuantBlockMatrix& wt = store.quant();
+      write_u64(out, wt.block_size());
+      write_array(out, wt.codes());
+      write_array(out, wt.scales());
+      return;
+    }
+    case Form::kQuantCsr: {
+      const tensor::QuantCsr& wt = store.quant_csr();
+      write_u64(out, wt.nnz());
+      write_array(out, wt.row_ptr());
+      write_array(out, wt.col_idx());
+      write_array(out, wt.codes());
+      write_array(out, wt.row_scales());
+      return;
+    }
   }
 }
 
-// --- Quantized payloads -----------------------------------------------------
-// Dense wire format: u64 rows | u64 cols | u64 block_size |
-// codes[rows*cols] i8 | scales[rows*blocks_per_row] f32. Sparse wire
-// format: u64 rows | u64 cols | u64 nnz | row_ptr[rows+1] u64 |
-// col_idx[nnz] u32 | codes[nnz] i8 | row_scales[rows] f32. Array sizes
-// are derived from the geometry fields, which the readers validate
-// against the enclosing section's expected shape (and the block-size /
-// nnz plausibility ceilings) BEFORE allocating; the adopt() calls then
-// re-validate the full container invariants (code range, finite scales,
-// CSR index ordering).
-
-void write_quant(std::ostream& out, const tensor::QuantBlockMatrix& wt) {
-  write_u64(out, wt.rows());
-  write_u64(out, wt.cols());
-  write_u64(out, wt.block_size());
-  out.write(reinterpret_cast<const char*>(wt.codes().data()),
-            static_cast<std::streamsize>(wt.codes().size()));
-  out.write(reinterpret_cast<const char*>(wt.scales().data()),
-            static_cast<std::streamsize>(wt.scales().size() * sizeof(float)));
-}
-
-tensor::QuantBlockMatrix read_quant(std::istream& in,
-                                    std::size_t expected_rows,
-                                    std::size_t expected_cols) {
-  const std::uint64_t rows = read_u64(in);
-  const std::uint64_t cols = read_u64(in);
-  const std::uint64_t block_size = read_u64(in);
-  if (rows != expected_rows || cols != expected_cols) {
-    throw std::runtime_error("checkpoint: quantized matrix shape mismatch");
-  }
-  if (block_size == 0 || block_size > tensor::kMaxQuantBlock) {
-    throw std::runtime_error("checkpoint: implausible quant block size " +
-                             std::to_string(block_size));
-  }
-  const std::uint64_t blocks =
-      cols == 0 ? 0 : (cols + block_size - 1) / block_size;
-  std::vector<std::int8_t> codes(rows * cols);
-  in.read(reinterpret_cast<char*>(codes.data()),
-          static_cast<std::streamsize>(codes.size()));
-  std::vector<float> scales(rows * blocks);
-  in.read(reinterpret_cast<char*>(scales.data()),
-          static_cast<std::streamsize>(scales.size() * sizeof(float)));
-  if (!in) throw std::runtime_error("checkpoint: truncated quantized matrix");
-  try {
-    return tensor::QuantBlockMatrix::adopt(rows, cols, block_size,
-                                           std::move(codes),
-                                           std::move(scales));
-  } catch (const std::invalid_argument& error) {
-    throw std::runtime_error(std::string("checkpoint: ") + error.what());
-  }
-}
-
-void write_quant_csr(std::ostream& out, const tensor::QuantCsr& wt) {
-  write_u64(out, wt.rows());
-  write_u64(out, wt.cols());
-  write_u64(out, wt.nnz());
-  out.write(reinterpret_cast<const char*>(wt.row_ptr().data()),
-            static_cast<std::streamsize>(wt.row_ptr().size() *
-                                         sizeof(std::uint64_t)));
-  out.write(reinterpret_cast<const char*>(wt.col_idx().data()),
-            static_cast<std::streamsize>(wt.col_idx().size() *
-                                         sizeof(std::uint32_t)));
-  out.write(reinterpret_cast<const char*>(wt.codes().data()),
-            static_cast<std::streamsize>(wt.codes().size()));
-  out.write(reinterpret_cast<const char*>(wt.row_scales().data()),
-            static_cast<std::streamsize>(wt.row_scales().size() *
-                                         sizeof(float)));
-}
-
-tensor::QuantCsr read_quant_csr(std::istream& in, std::size_t expected_rows,
-                                std::size_t expected_cols) {
-  const std::uint64_t rows = read_u64(in);
-  const std::uint64_t cols = read_u64(in);
-  const std::uint64_t nnz = read_u64(in);
-  if (rows != expected_rows || cols != expected_cols) {
-    throw std::runtime_error(
-        "checkpoint: quantized-sparse matrix shape mismatch");
-  }
-  if (nnz > rows * cols) {
+/// The arrays of a `form` payload whose rows | cols | nnz-or-block-size
+/// header the caller has read and shape-checked.
+tensor::WeightStore read_store_arrays(std::istream& in, Form form,
+                                      std::uint64_t rows, std::uint64_t cols,
+                                      std::uint64_t third) {
+  if (form != Form::kQuant && third > rows * cols) {
     throw std::runtime_error("checkpoint: implausible sparse entry count " +
-                             std::to_string(nnz));
+                             std::to_string(third));
   }
-  std::vector<std::uint64_t> row_ptr(rows + 1);
-  in.read(reinterpret_cast<char*>(row_ptr.data()),
-          static_cast<std::streamsize>(row_ptr.size() *
-                                       sizeof(std::uint64_t)));
-  std::vector<std::uint32_t> col_idx(nnz);
-  in.read(reinterpret_cast<char*>(col_idx.data()),
-          static_cast<std::streamsize>(col_idx.size() *
-                                       sizeof(std::uint32_t)));
-  std::vector<std::int8_t> codes(nnz);
-  in.read(reinterpret_cast<char*>(codes.data()),
-          static_cast<std::streamsize>(codes.size()));
-  std::vector<float> row_scales(rows);
-  in.read(reinterpret_cast<char*>(row_scales.data()),
-          static_cast<std::streamsize>(row_scales.size() * sizeof(float)));
-  if (!in) {
-    throw std::runtime_error("checkpoint: truncated quantized-sparse matrix");
+  const auto require_complete = [&in] {
+    if (!in) throw std::runtime_error("checkpoint: truncated weight payload");
+  };
+  switch (form) {
+    case Form::kCsr: {
+      auto row_ptr = read_array<std::uint64_t>(in, rows + 1);
+      auto col_idx = read_array<std::uint32_t>(in, third);
+      auto values = read_array<float>(in, third);
+      require_complete();
+      return tensor::WeightStore(tensor::CsrMatrix::adopt(
+          rows, cols, std::move(row_ptr), std::move(col_idx),
+          std::move(values)));
+    }
+    case Form::kQuant: {
+      const std::uint64_t block_size = third;
+      if (block_size == 0 || block_size > tensor::kMaxQuantBlock) {
+        throw std::runtime_error("checkpoint: implausible quant block size " +
+                                 std::to_string(block_size));
+      }
+      const std::uint64_t blocks = (cols + block_size - 1) / block_size;
+      auto codes = read_array<std::int8_t>(in, rows * cols);
+      auto scales = read_array<float>(in, rows * blocks);
+      require_complete();
+      return tensor::WeightStore(tensor::QuantBlockMatrix::adopt(
+          rows, cols, block_size, std::move(codes), std::move(scales)));
+    }
+    case Form::kQuantCsr: {
+      auto row_ptr = read_array<std::uint64_t>(in, rows + 1);
+      auto col_idx = read_array<std::uint32_t>(in, third);
+      auto codes = read_array<std::int8_t>(in, third);
+      auto row_scales = read_array<float>(in, rows);
+      require_complete();
+      return tensor::WeightStore(tensor::QuantCsr::adopt(
+          rows, cols, std::move(row_ptr), std::move(col_idx),
+          std::move(codes), std::move(row_scales)));
+    }
+  }
+  throw std::logic_error("checkpoint: unknown weight form");
+}
+
+/// The payload of `form`, shape-checked against [expected_rows x
+/// expected_cols] before any allocation.
+tensor::WeightStore read_store(std::istream& in, Form form,
+                               std::size_t expected_rows,
+                               std::size_t expected_cols) {
+  const std::uint64_t rows = read_u64(in);
+  const std::uint64_t cols = read_u64(in);
+  const std::uint64_t third = read_u64(in);  // nnz, or the block size
+  if (rows != expected_rows || cols != expected_cols) {
+    throw std::runtime_error("checkpoint: weight matrix shape mismatch");
   }
   try {
-    return tensor::QuantCsr::adopt(rows, cols, std::move(row_ptr),
-                                   std::move(col_idx), std::move(codes),
-                                   std::move(row_scales));
+    return read_store_arrays(in, form, rows, cols, third);
   } catch (const std::invalid_argument& error) {
     throw std::runtime_error(std::string("checkpoint: ") + error.what());
   }
@@ -394,43 +343,46 @@ void read_traces(std::istream& in, ProbabilityTraces& traces,
   read_floats(in, traces.mutable_pij().data(), traces.pij().size(), version);
 }
 
-/// Geometry prefix shared by every layer section variant.
-void write_layer_geometry(std::ostream& out, const BcpnnConfig& config) {
-  write_u32(out, checked_u32(config.input_hypercolumns, "hypercolumn"));
-  write_u32(out, checked_u32(config.input_bins, "bin"));
-  write_u32(out, checked_u32(config.hcus, "hcu"));
-  write_u32(out, checked_u32(config.mcus, "mcu"));
+/// Reads a section tag and returns the weight form it announces for
+/// `component`; throws on a tag the table does not give that component.
+WeightForm read_section_form(std::istream& in, Component component) {
+  const std::uint32_t tag = read_u32(in);
+  for (const detail::SectionTag& entry : detail::kComponentSections) {
+    if (entry.tag == tag && entry.component == component) return entry.form;
+  }
+  throw std::runtime_error("checkpoint: unexpected section tag " +
+                           std::to_string(tag));
+}
+
+/// The body every read-only section shares after its prefix.
+template <typename ComponentT>
+void write_frozen_body(std::ostream& out, const ComponentT& component) {
+  write_floats(out, component.bias().data(), component.bias().size());
+  write_store(out, component.inference_weights());
+}
+
+/// Reads that body for a [rows x cols] W^T and hands it to the component.
+template <typename ComponentT>
+void read_frozen_body(std::istream& in, ComponentT& component, Form form,
+                      std::size_t rows, std::size_t cols,
+                      std::uint32_t version) {
+  std::vector<float> bias(rows);
+  read_floats(in, bias.data(), bias.size(), version);
+  component.adopt(read_store(in, form, rows, cols), std::move(bias));
 }
 
 void write_layer_section(std::ostream& out, const BcpnnLayer& layer) {
   const auto& config = layer.config();
-  if (layer.quantized()) {
-    // Quantized inference form: geometry, bias, int8 codes of W^T —
-    // dense block-scaled or CSR per-row-scaled depending on whether the
-    // model was sparsified before quantize().
-    const bool sparse = layer.sparse();
-    write_u32(out, static_cast<std::uint32_t>(sparse ? Section::kQuantSparseLayer
-                                                     : Section::kQuantLayer));
-    write_layer_geometry(out, config);
-    write_floats(out, layer.bias().data(), layer.bias().size());
-    if (sparse) {
-      write_quant_csr(out, layer.quant_sparse_weights());
-    } else {
-      write_quant(out, layer.quant_weights());
-    }
+  const WeightForm form = detail::weight_form(layer);
+  write_u32(out, detail::section_tag(Component::kLayer, form));
+  write_u32(out, checked_u32(config.input_hypercolumns, "hypercolumn"));
+  write_u32(out, checked_u32(config.input_bins, "bin"));
+  write_u32(out, checked_u32(config.hcus, "hcu"));
+  write_u32(out, checked_u32(config.mcus, "mcu"));
+  if (form) {
+    write_frozen_body(out, layer);
     return;
   }
-  if (layer.sparse()) {
-    // Sparse inference form: geometry, bias, CSR of W^T. No traces, no
-    // masks — the CSR *is* the learned state of a read-only layer.
-    write_u32(out, static_cast<std::uint32_t>(Section::kSparseLayer));
-    write_layer_geometry(out, config);
-    write_floats(out, layer.bias().data(), layer.bias().size());
-    write_csr(out, layer.sparse_weights());
-    return;
-  }
-  write_u32(out, static_cast<std::uint32_t>(Section::kLayer));
-  write_layer_geometry(out, config);
   write_traces(out, layer.traces());
   for (std::size_t h = 0; h < config.hcus; ++h) {
     const auto& mask = layer.masks().mask(h);
@@ -441,62 +393,20 @@ void write_layer_section(std::ostream& out, const BcpnnLayer& layer) {
   write_prune_mask(out, layer.prune_mask());
 }
 
-void check_layer_geometry(std::istream& in, const BcpnnConfig& config) {
+void read_layer_section(std::istream& in, BcpnnLayer& layer,
+                        std::uint32_t version) {
+  const WeightForm form = read_section_form(in, Component::kLayer);
+  const auto& config = layer.config();
   if (read_u32(in) != config.input_hypercolumns ||
       read_u32(in) != config.input_bins || read_u32(in) != config.hcus ||
       read_u32(in) != config.mcus) {
     throw std::runtime_error("checkpoint: layer geometry mismatch");
   }
-}
-
-void read_sparse_layer_body(std::istream& in, BcpnnLayer& layer,
-                            std::uint32_t version) {
-  const auto& config = layer.config();
-  check_layer_geometry(in, config);
-  std::vector<float> bias(config.hidden_units());
-  read_floats(in, bias.data(), bias.size(), version);
-  tensor::CsrMatrix wt =
-      read_csr(in, config.hidden_units(), config.input_units());
-  layer.adopt_sparse(std::move(wt), std::move(bias));
-}
-
-void read_quant_layer_body(std::istream& in, BcpnnLayer& layer,
-                           std::uint32_t version, bool sparse) {
-  const auto& config = layer.config();
-  check_layer_geometry(in, config);
-  std::vector<float> bias(config.hidden_units());
-  read_floats(in, bias.data(), bias.size(), version);
-  if (sparse) {
-    layer.adopt_quant_sparse(
-        read_quant_csr(in, config.hidden_units(), config.input_units()),
-        std::move(bias));
-  } else {
-    layer.adopt_quant(
-        read_quant(in, config.hidden_units(), config.input_units()),
-        std::move(bias));
-  }
-}
-
-void read_layer_section(std::istream& in, BcpnnLayer& layer,
-                        std::uint32_t version) {
-  const std::uint32_t tag = read_u32(in);
-  if (tag == static_cast<std::uint32_t>(Section::kSparseLayer)) {
-    read_sparse_layer_body(in, layer, version);
+  if (form) {
+    read_frozen_body(in, layer, *form, config.hidden_units(),
+                     config.input_units(), version);
     return;
   }
-  if (tag == static_cast<std::uint32_t>(Section::kQuantLayer) ||
-      tag == static_cast<std::uint32_t>(Section::kQuantSparseLayer)) {
-    read_quant_layer_body(
-        in, layer, version,
-        tag == static_cast<std::uint32_t>(Section::kQuantSparseLayer));
-    return;
-  }
-  if (tag != static_cast<std::uint32_t>(Section::kLayer)) {
-    throw std::runtime_error("checkpoint: unexpected section tag " +
-                             std::to_string(tag));
-  }
-  const auto& config = layer.config();
-  check_layer_geometry(in, config);
   ProbabilityTraces traces(config.input_units(), config.input_bins,
                            config.hidden_units(), config.mcus);
   read_traces(in, traces, version);
@@ -527,104 +437,54 @@ void read_layer_section(std::istream& in, BcpnnLayer& layer,
   layer.set_prune_mask(std::move(prune));
 }
 
-void write_classifier_section(std::ostream& out, const BcpnnClassifier& head) {
-  if (head.quantized()) {
-    const bool sparse = head.sparse();
-    write_u32(out,
-              static_cast<std::uint32_t>(sparse ? Section::kQuantSparseClassifier
-                                                : Section::kQuantClassifier));
-    write_u32(out, checked_u32(head.classes(), "class"));
-    write_floats(out, head.bias().data(), head.bias().size());
-    if (sparse) {
-      write_quant_csr(out, head.quant_sparse_weights());
-    } else {
-      write_quant(out, head.quant_weights());
-    }
-    return;
-  }
-  if (head.sparse()) {
-    write_u32(out, static_cast<std::uint32_t>(Section::kSparseClassifier));
-    write_u32(out, checked_u32(head.classes(), "class"));
-    write_floats(out, head.bias().data(), head.bias().size());
-    write_csr(out, head.sparse_weights());
-    return;
-  }
-  write_u32(out, static_cast<std::uint32_t>(Section::kClassifier));
+/// Tag and class-count prefix of a head section.
+template <typename HeadT>
+WeightForm write_head_prefix(std::ostream& out, const HeadT& head,
+                             Component component) {
+  const WeightForm form = detail::weight_form(head);
+  write_u32(out, detail::section_tag(component, form));
   write_u32(out, checked_u32(head.classes(), "class"));
+  return form;
+}
+
+template <typename HeadT>
+WeightForm read_head_prefix(std::istream& in, const HeadT& head,
+                            Component component) {
+  const WeightForm form = read_section_form(in, component);
+  if (read_u32(in) != head.classes()) {
+    throw std::runtime_error("checkpoint: class count mismatch");
+  }
+  return form;
+}
+
+void write_classifier_section(std::ostream& out, const BcpnnClassifier& head) {
+  if (write_head_prefix(out, head, Component::kClassifier)) {
+    write_frozen_body(out, head);
+    return;
+  }
   write_traces(out, head.traces());
   write_prune_mask(out, head.prune_mask());
 }
 
 void read_classifier_section(std::istream& in, BcpnnClassifier& head,
                              std::uint32_t version) {
-  const std::uint32_t tag = read_u32(in);
-  if (tag == static_cast<std::uint32_t>(Section::kQuantClassifier) ||
-      tag == static_cast<std::uint32_t>(Section::kQuantSparseClassifier)) {
-    if (read_u32(in) != head.classes()) {
-      throw std::runtime_error("checkpoint: class count mismatch");
-    }
-    std::vector<float> bias(head.classes());
-    read_floats(in, bias.data(), bias.size(), version);
-    const std::size_t inputs = head.traces().inputs();
-    if (tag == static_cast<std::uint32_t>(Section::kQuantSparseClassifier)) {
-      head.adopt_quant_sparse(read_quant_csr(in, head.classes(), inputs),
-                              std::move(bias));
-    } else {
-      head.adopt_quant(read_quant(in, head.classes(), inputs),
-                       std::move(bias));
-    }
+  const WeightForm form = read_head_prefix(in, head, Component::kClassifier);
+  if (form) {
+    read_frozen_body(in, head, *form, head.classes(), head.inputs(), version);
     return;
-  }
-  if (tag == static_cast<std::uint32_t>(Section::kSparseClassifier)) {
-    if (read_u32(in) != head.classes()) {
-      throw std::runtime_error("checkpoint: class count mismatch");
-    }
-    std::vector<float> bias(head.classes());
-    read_floats(in, bias.data(), bias.size(), version);
-    const std::size_t inputs = head.traces().inputs();
-    tensor::CsrMatrix wt = read_csr(in, head.classes(), inputs);
-    head.adopt_sparse(std::move(wt), std::move(bias));
-    return;
-  }
-  if (tag != static_cast<std::uint32_t>(Section::kClassifier)) {
-    throw std::runtime_error("checkpoint: unexpected section tag " +
-                             std::to_string(tag));
-  }
-  if (read_u32(in) != head.classes()) {
-    throw std::runtime_error("checkpoint: class count mismatch");
   }
   read_traces(in, head.mutable_traces(), version);
   head.recompute_weights();
   if (version >= 3) {
-    head.set_prune_mask(
-        read_prune_mask(in, head.traces().inputs() * head.classes()));
+    head.set_prune_mask(read_prune_mask(in, head.inputs() * head.classes()));
   }
 }
 
 void write_sgd_section(std::ostream& out, const SgdHead& head) {
-  if (head.quantized()) {
-    const bool sparse = head.sparse();
-    write_u32(out,
-              static_cast<std::uint32_t>(sparse ? Section::kQuantSparseSgdHead
-                                                : Section::kQuantSgdHead));
-    write_u32(out, checked_u32(head.classes(), "class"));
-    write_floats(out, head.bias().data(), head.bias().size());
-    if (sparse) {
-      write_quant_csr(out, head.quant_sparse_weights());
-    } else {
-      write_quant(out, head.quant_weights());
-    }
+  if (write_head_prefix(out, head, Component::kSgdHead)) {
+    write_frozen_body(out, head);
     return;
   }
-  if (head.sparse()) {
-    write_u32(out, static_cast<std::uint32_t>(Section::kSparseSgdHead));
-    write_u32(out, checked_u32(head.classes(), "class"));
-    write_floats(out, head.bias().data(), head.bias().size());
-    write_csr(out, head.sparse_weights());
-    return;
-  }
-  write_u32(out, static_cast<std::uint32_t>(Section::kSgdHead));
-  write_u32(out, checked_u32(head.classes(), "class"));
   write_floats(out, head.weights().data(), head.weights().size());
   write_floats(out, head.bias().data(), head.bias().size());
   write_prune_mask(out, head.prune_mask());
@@ -632,44 +492,13 @@ void write_sgd_section(std::ostream& out, const SgdHead& head) {
 
 void read_sgd_section(std::istream& in, SgdHead& head,
                       std::uint32_t version) {
-  const std::uint32_t tag = read_u32(in);
-  if (tag == static_cast<std::uint32_t>(Section::kQuantSgdHead) ||
-      tag == static_cast<std::uint32_t>(Section::kQuantSparseSgdHead)) {
-    if (read_u32(in) != head.classes()) {
-      throw std::runtime_error("checkpoint: class count mismatch");
-    }
-    std::vector<float> bias(head.bias().size());
-    read_floats(in, bias.data(), bias.size(), version);
-    const std::size_t inputs = head.weights().rows();
-    if (tag == static_cast<std::uint32_t>(Section::kQuantSparseSgdHead)) {
-      head.adopt_quant_sparse(read_quant_csr(in, head.classes(), inputs),
-                              std::move(bias));
-    } else {
-      head.adopt_quant(read_quant(in, head.classes(), inputs),
-                       std::move(bias));
-    }
+  const WeightForm form = read_head_prefix(in, head, Component::kSgdHead);
+  if (form) {
+    read_frozen_body(in, head, *form, head.classes(), head.inputs(), version);
     return;
   }
-  if (tag == static_cast<std::uint32_t>(Section::kSparseSgdHead)) {
-    if (read_u32(in) != head.classes()) {
-      throw std::runtime_error("checkpoint: class count mismatch");
-    }
-    std::vector<float> bias(head.bias().size());
-    read_floats(in, bias.data(), bias.size(), version);
-    tensor::CsrMatrix wt =
-        read_csr(in, head.classes(), head.weights().rows());
-    head.adopt_sparse(std::move(wt), std::move(bias));
-    return;
-  }
-  if (tag != static_cast<std::uint32_t>(Section::kSgdHead)) {
-    throw std::runtime_error("checkpoint: unexpected section tag " +
-                             std::to_string(tag));
-  }
-  if (read_u32(in) != head.classes()) {
-    throw std::runtime_error("checkpoint: class count mismatch");
-  }
-  tensor::MatrixF weights(head.weights().rows(), head.weights().cols());
-  std::vector<float> bias(head.bias().size());
+  tensor::MatrixF weights(head.inputs(), head.classes());
+  std::vector<float> bias(head.classes());
   read_floats(in, weights.data(), weights.size(), version);
   read_floats(in, bias.data(), bias.size(), version);
   head.set_state(weights, bias);
@@ -738,7 +567,7 @@ void save_model(std::ostream& out, const Model& model) {
 
   // Topology section: everything needed to rebuild and re-compile the
   // facade before the learned state is streamed in.
-  write_u32(out, static_cast<std::uint32_t>(Section::kModel));
+  write_u32(out, detail::kModelSectionTag);
   write_u32(out, checked_u32(model.input_hypercolumns(), "hypercolumn"));
   write_u32(out, checked_u32(model.input_bins(), "bin"));
   write_u32(out, checked_u32(model.hidden_specs().size(), "hidden layer"));
@@ -786,7 +615,11 @@ void load_model(std::istream& in, Model& model) {
         "blank Model");
   }
   const std::uint32_t version = read_header(in);
-  expect_section(in, Section::kModel);
+  if (const std::uint32_t tag = read_u32(in);
+      tag != detail::kModelSectionTag) {
+    throw std::runtime_error("checkpoint: unexpected section tag " +
+                             std::to_string(tag));
+  }
 
   // Stage into a scratch Model so a failure at any point (truncated
   // weights, geometry mismatch) leaves the caller's object untouched

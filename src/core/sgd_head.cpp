@@ -5,6 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/pruning.hpp"
 #include "tensor/gemm.hpp"
@@ -13,7 +14,8 @@
 namespace streambrain::core {
 
 SgdHead::SgdHead(std::size_t inputs, std::size_t classes, SgdHeadConfig config)
-    : classes_(classes),
+    : inputs_(inputs),
+      classes_(classes),
       config_(config),
       current_lr_(config.learning_rate),
       weights_(inputs, classes, 0.0f),
@@ -32,13 +34,8 @@ SgdHead::SgdHead(std::size_t inputs, std::size_t classes, SgdHeadConfig config)
 
 void SgdHead::forward(const tensor::MatrixF& features,
                       tensor::MatrixF& probs) const {
-  if (quant_wt_) {
-    tensor::quant_support(*quant_wt_, features, bias_.data(), probs);
-  } else if (quant_sparse_wt_) {
-    tensor::quant_sparse_support(*quant_sparse_wt_, features, bias_.data(),
-                                 probs);
-  } else if (sparse_wt_) {
-    tensor::sparse_support(*sparse_wt_, features, bias_.data(), probs);
+  if (store_) {
+    store_->support(features, bias_.data(), probs);
   } else {
     probs.resize(features.rows(), classes_);
     tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f,
@@ -172,62 +169,6 @@ void SgdHead::set_prune_mask(std::vector<std::uint8_t> mask) {
   apply_prune_mask();
 }
 
-double SgdHead::weight_density() const noexcept {
-  if (quant_sparse_wt_) return quant_sparse_wt_->density();
-  if (quant_wt_) {
-    std::size_t nnz = 0;
-    for (const std::int8_t code : quant_wt_->codes()) nnz += code != 0;
-    return quant_wt_->codes().empty()
-               ? 1.0
-               : static_cast<double>(nnz) /
-                     static_cast<double>(quant_wt_->codes().size());
-  }
-  if (sparse_wt_) return sparse_wt_->density();
-  if (weights_.empty()) return 1.0;
-  std::size_t nnz = 0;
-  for (const float w : weights_) nnz += w != 0.0f;
-  return static_cast<double>(nnz) / static_cast<double>(weights_.size());
-}
-
-void SgdHead::sparsify() {
-  if (quantized()) {
-    throw std::logic_error(
-        "SgdHead::sparsify: head is already quantized (sparsify before "
-        "quantize, not after)");
-  }
-  if (sparse_wt_) return;  // idempotent
-  sparse_wt_ = std::make_unique<tensor::CsrMatrix>(
-      tensor::CsrMatrix::from_dense_transposed(weights_));
-  weights_ = tensor::MatrixF();
-  velocity_ = tensor::MatrixF();
-  bias_velocity_.clear();
-  bias_velocity_.shrink_to_fit();
-  prune_keep_.clear();
-  prune_keep_.shrink_to_fit();
-}
-
-const tensor::CsrMatrix& SgdHead::sparse_weights() const {
-  if (!sparse_wt_) {
-    throw std::logic_error("SgdHead::sparse_weights: head is dense");
-  }
-  return *sparse_wt_;
-}
-
-void SgdHead::adopt_sparse(tensor::CsrMatrix wt, std::vector<float> bias) {
-  if (wt.rows() != classes_ || bias.size() != classes_ ||
-      (weights_.size() != 0 && wt.cols() != weights_.rows())) {
-    throw std::invalid_argument("SgdHead::adopt_sparse: shape mismatch");
-  }
-  sparse_wt_ = std::make_unique<tensor::CsrMatrix>(std::move(wt));
-  bias_ = std::move(bias);
-  weights_ = tensor::MatrixF();
-  velocity_ = tensor::MatrixF();
-  bias_velocity_.clear();
-  bias_velocity_.shrink_to_fit();
-  prune_keep_.clear();
-  prune_keep_.shrink_to_fit();
-}
-
 void SgdHead::apply_prune_mask() {
   if (prune_keep_.empty()) return;
   float* w = weights_.data();
@@ -240,68 +181,46 @@ void SgdHead::apply_prune_mask() {
   }
 }
 
-void SgdHead::quantize(std::size_t block_size) {
-  if (quantized()) return;  // idempotent
-  if (sparse_wt_) {
-    quant_sparse_wt_ = std::make_unique<tensor::QuantCsr>(
-        tensor::QuantCsr::from_csr(*sparse_wt_));
-    sparse_wt_.reset();
+double SgdHead::weight_density() const noexcept {
+  if (store_) return store_->density();
+  return nonzero_density(weights_);
+}
+
+void SgdHead::sparsify() {
+  if (store_) {
+    store_->sparsify();
     return;
   }
-  quant_wt_ = std::make_unique<tensor::QuantBlockMatrix>(
-      tensor::QuantBlockMatrix::from_dense_transposed(weights_, block_size));
-  weights_ = tensor::MatrixF();
-  velocity_ = tensor::MatrixF();
-  bias_velocity_.clear();
-  bias_velocity_.shrink_to_fit();
-  prune_keep_.clear();
-  prune_keep_.shrink_to_fit();
+  freeze(tensor::WeightStore::from_dense(weights_), std::move(bias_));
 }
 
-const tensor::QuantBlockMatrix& SgdHead::quant_weights() const {
-  if (!quant_wt_) {
-    throw std::logic_error(
-        "SgdHead::quant_weights: head is not dense-quantized");
+void SgdHead::quantize(std::size_t block_size) {
+  if (store_) {
+    store_->quantize();
+    return;
   }
-  return *quant_wt_;
+  freeze(tensor::WeightStore::quantize_dense(weights_, block_size),
+         std::move(bias_));
 }
 
-const tensor::QuantCsr& SgdHead::quant_sparse_weights() const {
-  if (!quant_sparse_wt_) {
-    throw std::logic_error(
-        "SgdHead::quant_sparse_weights: head is not sparse-quantized");
+const tensor::WeightStore& SgdHead::inference_weights() const {
+  if (!store_) {
+    throw std::logic_error("SgdHead::inference_weights: head is dense");
   }
-  return *quant_sparse_wt_;
+  return *store_;
 }
 
-void SgdHead::adopt_quant(tensor::QuantBlockMatrix wt,
-                          std::vector<float> bias) {
-  if (wt.rows() != classes_ || bias.size() != classes_ ||
-      (weights_.size() != 0 && wt.cols() != weights_.rows())) {
-    throw std::invalid_argument("SgdHead::adopt_quant: shape mismatch");
+void SgdHead::adopt(tensor::WeightStore store, std::vector<float> bias) {
+  if (store.rows() != classes_ || store.cols() != inputs_ ||
+      bias.size() != classes_) {
+    throw std::invalid_argument("SgdHead::adopt: shape mismatch");
   }
-  quant_wt_ = std::make_unique<tensor::QuantBlockMatrix>(std::move(wt));
-  quant_sparse_wt_.reset();
+  freeze(std::move(store), std::move(bias));
+}
+
+void SgdHead::freeze(tensor::WeightStore store, std::vector<float> bias) {
+  store_ = std::move(store);
   bias_ = std::move(bias);
-  sparse_wt_.reset();
-  weights_ = tensor::MatrixF();
-  velocity_ = tensor::MatrixF();
-  bias_velocity_.clear();
-  bias_velocity_.shrink_to_fit();
-  prune_keep_.clear();
-  prune_keep_.shrink_to_fit();
-}
-
-void SgdHead::adopt_quant_sparse(tensor::QuantCsr wt,
-                                 std::vector<float> bias) {
-  if (wt.rows() != classes_ || bias.size() != classes_ ||
-      (weights_.size() != 0 && wt.cols() != weights_.rows())) {
-    throw std::invalid_argument("SgdHead::adopt_quant_sparse: shape mismatch");
-  }
-  quant_sparse_wt_ = std::make_unique<tensor::QuantCsr>(std::move(wt));
-  quant_wt_.reset();
-  bias_ = std::move(bias);
-  sparse_wt_.reset();
   weights_ = tensor::MatrixF();
   velocity_ = tensor::MatrixF();
   bias_velocity_.clear();
@@ -311,13 +230,10 @@ void SgdHead::adopt_quant_sparse(tensor::QuantCsr wt,
 }
 
 void SgdHead::require_mutable(const char* what) const {
-  if (sparse_wt_) {
+  if (store_) {
     throw std::logic_error(std::string("SgdHead::") + what +
-                           ": head is in the read-only sparse form");
-  }
-  if (quantized()) {
-    throw std::logic_error(std::string("SgdHead::") + what +
-                           ": head is in the read-only quantized form");
+                           ": head is in the read-only " +
+                           (quantized() ? "quantized" : "sparse") + " form");
   }
 }
 

@@ -6,12 +6,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
-#include "tensor/csr.hpp"
 #include "tensor/matrix.hpp"
-#include "tensor/quant.hpp"
+#include "tensor/weight_store.hpp"
 #include "util/rng.hpp"
 
 namespace streambrain::core {
@@ -43,6 +42,9 @@ class SgdHead {
       const tensor::MatrixF& features) const;
 
   [[nodiscard]] std::size_t classes() const noexcept { return classes_; }
+  /// Input feature width; unlike weights().rows() it survives
+  /// sparsify()/quantize().
+  [[nodiscard]] std::size_t inputs() const noexcept { return inputs_; }
   [[nodiscard]] const SgdHeadConfig& config() const noexcept { return config_; }
 
   // --- Distributed-training hooks ---------------------------------------
@@ -85,38 +87,31 @@ class SgdHead {
   /// Fraction of weight entries currently non-zero.
   [[nodiscard]] double weight_density() const noexcept;
 
-  // --- Sparse inference form ------------------------------------------------
-  /// Convert to the compact read-only inference form: weights compressed
-  /// to CSR (transposed: one sparse row per class), dense weights and
+  // --- Read-only inference forms --------------------------------------------
+  /// Convert to the compact read-only sparse form: weights compressed to
+  /// CSR (transposed: one sparse row per class), dense weights and
   /// momentum freed. predict paths keep working bit-identically at
-  /// scalar dispatch; training entry points throw std::logic_error.
+  /// scalar dispatch; training entry points throw std::logic_error. Same
+  /// contract as BcpnnLayer::sparsify.
   void sparsify();
 
-  [[nodiscard]] bool sparse() const noexcept {
-    return sparse_wt_ != nullptr || quant_sparse_wt_ != nullptr;
-  }
-
-  /// CSR of W^T (throws std::logic_error when dense).
-  [[nodiscard]] const tensor::CsrMatrix& sparse_weights() const;
-
-  /// Adopt a deserialized sparse form (checkpoint read path).
-  void adopt_sparse(tensor::CsrMatrix wt, std::vector<float> bias);
-
-  // --- Quantized inference form ---------------------------------------------
   /// Int8 read-only form (per-block over dense weights, per-row over an
   /// existing CSR form); same contract as BcpnnLayer::quantize.
   void quantize(std::size_t block_size);
 
+  [[nodiscard]] bool sparse() const noexcept {
+    return store_ && store_->sparse();
+  }
   [[nodiscard]] bool quantized() const noexcept {
-    return quant_wt_ != nullptr || quant_sparse_wt_ != nullptr;
+    return store_ && store_->quantized();
   }
 
-  [[nodiscard]] const tensor::QuantBlockMatrix& quant_weights() const;
-  [[nodiscard]] const tensor::QuantCsr& quant_sparse_weights() const;
+  /// The read-only weights (W^T); throws std::logic_error while dense.
+  [[nodiscard]] const tensor::WeightStore& inference_weights() const;
 
-  /// Adopt a deserialized quantized form (checkpoint read path).
-  void adopt_quant(tensor::QuantBlockMatrix wt, std::vector<float> bias);
-  void adopt_quant_sparse(tensor::QuantCsr wt, std::vector<float> bias);
+  /// Adopt deserialized read-only weights (checkpoint read path); throws
+  /// std::invalid_argument unless the store is [classes x inputs].
+  void adopt(tensor::WeightStore store, std::vector<float> bias);
 
   // --- Checkpointing access ---------------------------------------------
   [[nodiscard]] const tensor::MatrixF& weights() const noexcept {
@@ -133,7 +128,10 @@ class SgdHead {
   void forward(const tensor::MatrixF& features, tensor::MatrixF& probs) const;
   void apply_prune_mask();
   void require_mutable(const char* what) const;
+  /// Install the read-only weights and free the trainable state.
+  void freeze(tensor::WeightStore store, std::vector<float> bias);
 
+  std::size_t inputs_;
   std::size_t classes_;
   SgdHeadConfig config_;
   float current_lr_;
@@ -144,9 +142,8 @@ class SgdHead {
   util::Rng rng_;
   /// Keep-mask from prune_to_density (empty = dense training); 1 = keep.
   std::vector<std::uint8_t> prune_keep_;
-  std::unique_ptr<tensor::CsrMatrix> sparse_wt_;
-  std::unique_ptr<tensor::QuantBlockMatrix> quant_wt_;
-  std::unique_ptr<tensor::QuantCsr> quant_sparse_wt_;
+  /// Set once sparsify()/quantize()/adopt() ran.
+  std::optional<tensor::WeightStore> store_;
 };
 
 }  // namespace streambrain::core

@@ -277,29 +277,29 @@ namespace detail {
 const KernelSet* kernel_set_avx2() noexcept {
   using namespace streambrain::tensor::avx2_impl;
   static const KernelSet set = {
-      DispatchLevel::kAvx2,
-      dispatch_level_name(DispatchLevel::kAvx2),
-      dispatch_level_width(DispatchLevel::kAvx2),
-      &k_axpy,
-      &k_scale,
-      &k_dot,
-      &k_sum,
-      &k_reduce_max,
-      &k_ema_update,
-      &k_relu,
-      &k_threshold_mask,
-      &k_vexp,
-      &k_vlog_floored,
-      &k_softmax_block,
-      &k_gemv,
-      &k_gemm_block,
-      &k_gemm_sparse_rows,
-      &k_momentum_update,
-      &k_spmv,
-      &k_spmm,
-      &k_qgemv,
-      &k_qgemm,
-      &k_qspmv,
+      .level = DispatchLevel::kAvx2,
+      .name = dispatch_level_name(DispatchLevel::kAvx2),
+      .simd_width = dispatch_level_width(DispatchLevel::kAvx2),
+      .axpy = &k_axpy,
+      .scale = &k_scale,
+      .dot = &k_dot,
+      .sum = &k_sum,
+      .reduce_max = &k_reduce_max,
+      .ema_update = &k_ema_update,
+      .relu = &k_relu,
+      .threshold_mask = &k_threshold_mask,
+      .vexp = &k_vexp,
+      .vlog_floored = &k_vlog_floored,
+      .softmax_block = &k_softmax_block,
+      .gemv = &k_gemv,
+      .gemm_block = &k_gemm_block,
+      .gemm_sparse_rows = &k_gemm_sparse_rows,
+      .momentum_update = &k_momentum_update,
+      .spmv = &k_spmv,
+      .spmm = &k_spmm,
+      .qgemv = &k_qgemv,
+      .qgemm = &k_qgemm,
+      .qspmv = &k_qspmv,
   };
   return &set;
 }

@@ -1,12 +1,25 @@
-// Checkpoint fuzzing: structured mutations of REAL checkpoint bytes in
-// every readable format version — v1 / v2 layer files (down-converted
-// from real current-version bytes the same way test_serialization keeps
-// the compat path honest), dense / sparse model files, and v4 QUANTIZED
-// model files (quant-dense and prune -> sparsify -> quantize) — must
-// always end in a clean std::exception (or a successful load), never a
-// crash, hang, or runaway allocation. The asan/ubsan CI job runs this
-// suite, so an out-of-bounds read or overflow in the parser fails
-// loudly.
+// Checkpoint fixtures and fuzzing over REAL checkpoint bytes.
+//
+// tests/golden/checkpoints/ holds small v4 files (6x4 inputs, 8 MCUs)
+// written by the checkpoint writer before the weight-store refactor:
+// {bcpnn, sgd} head x {dense, sparse, quant, quant-sparse} models, a
+// 2-layer deep model and a pruned layer file. The models are the
+// trained_model() recipe this suite used to build in memory (epochs 2,
+// "simd" seed 11, fit on encoded_events(60, 5) with alternating labels,
+// prune_model(0.3)), then sparsify() / quantize() / sparsify().quantize()
+// with default options; the layer is current_layer_bytes()'s layer after
+// prune_to_density(0.2). They are never rewritten.
+// Every fixture must load and re-save byte for byte, and together they
+// must carry every section of the format's tag table
+// (core::detail::kComponentSections), so a table entry without a
+// fixture fails here.
+//
+// Fuzzing: structured mutations of every fixture, plus v1 / v2 layer
+// files down-converted from fresh current bytes (the same way
+// test_serialization keeps the compat path honest), must always end in
+// a clean std::exception (or a successful load), never a crash, hang, or
+// runaway allocation. The asan/ubsan CI job runs this suite, so an
+// out-of-bounds read or overflow in the parser fails loudly.
 //
 // Mutation classes:
 //   - truncation at many prefix lengths (torn writes, short downloads)
@@ -19,12 +32,13 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/model.hpp"
-#include "core/pruning.hpp"
 #include "core/serialization.hpp"
 #include "parallel/engine_registry.hpp"
 #include "util/rng.hpp"
@@ -36,7 +50,7 @@ namespace su = streambrain::util;
 
 namespace {
 
-// Small but real: every section type present, a few KB of bytes so the
+// The fixtures' geometry: a few KB of bytes per file, so the
 // aligned-stomp sweep touches every field class quickly even under asan.
 constexpr std::size_t kInputHc = 6;
 constexpr std::size_t kBins = 4;
@@ -67,24 +81,27 @@ st::MatrixF encoded_events(std::size_t rows, std::uint64_t seed) {
   return x;
 }
 
-// Layer bytes at the current writer version. The layer payload has been
-// byte-identical since v3 (v4 only added model-level quantized section
-// tags), so the v2/v1 down-converters below stay valid.
-std::string current_layer_bytes(bool pruned) {
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// Unpruned layer bytes at the current writer version. The layer payload
+// has been byte-identical since v3 (v4 only added model-level quantized
+// section tags), so the v2/v1 down-converters below stay valid.
+std::string current_layer_bytes() {
   const auto config = layer_config();
   auto engine = sp::EngineRegistry::instance().create("simd");
   su::Rng rng(7);
   sc::BcpnnLayer layer(config, *engine, rng);
   const auto x = encoded_events(60, 5);
   for (int step = 0; step < 4; ++step) layer.train_batch(x, 1.0f);
-  if (pruned) layer.prune_to_density(0.2);
-  std::ostringstream out(std::ios::binary);
   // save_layer has no stream overload; route through a temp file.
   const std::string path = ::testing::TempDir() + "fuzz_corpus_layer.ckpt";
   sc::save_layer(path, layer);
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+  return read_file(path);
 }
 
 /// v3 -> v2 layer bytes: drop the trailing prune-mask field (one 0 flag
@@ -124,23 +141,6 @@ std::string downconvert_layer_to_v1(const std::string& bytes) {
   return v1;
 }
 
-sc::Model trained_model(sc::HeadType head) {
-  sc::Model model;
-  model.input(kInputHc, kBins)
-      .hidden(1, kMcus, 0.5)
-      .classifier(2, head)
-      .set_option("epochs", 2)
-      .compile("simd", /*seed=*/11);
-  const auto x = encoded_events(60, 5);
-  std::vector<int> labels(x.rows());
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    labels[i] = static_cast<int>(i % 2);
-  }
-  model.fit(x, labels);
-  sc::prune_model(model, 0.3);
-  return model;
-}
-
 std::string model_bytes(const sc::Model& model) {
   std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
   sc::save_model(buffer, model);
@@ -163,6 +163,86 @@ std::size_t find_u64_pair(const std::string& bytes, std::uint64_t a,
 
 enum class Kind { kLayer, kModel };
 
+struct Fixture {
+  const char* file;
+  Kind kind;
+};
+
+// The committed v4 fixtures; see the file comment.
+constexpr Fixture kFixtures[] = {
+    {"model_bcpnn_dense.ckpt", Kind::kModel},
+    {"model_bcpnn_sparse.ckpt", Kind::kModel},
+    {"model_bcpnn_quant.ckpt", Kind::kModel},
+    {"model_bcpnn_quant_sparse.ckpt", Kind::kModel},
+    {"model_sgd_dense.ckpt", Kind::kModel},
+    {"model_sgd_sparse.ckpt", Kind::kModel},
+    {"model_sgd_quant.ckpt", Kind::kModel},
+    {"model_sgd_quant_sparse.ckpt", Kind::kModel},
+    {"model_deep2_bcpnn_dense.ckpt", Kind::kModel},
+    {"layer_pruned.ckpt", Kind::kLayer},
+};
+
+std::string fixture_bytes(const char* file) {
+  return read_file(std::string(STREAMBRAIN_GOLDEN_DIR) + "/checkpoints/" +
+                   file);
+}
+
+sc::BcpnnLayer blank_layer(sp::Engine& engine) {
+  su::Rng rng(3);
+  return sc::BcpnnLayer(layer_config(), engine, rng);
+}
+
+/// Loads a layer file through a temp path (load_layer has no stream
+/// overload).
+void load_layer_bytes(const std::string& bytes, sc::BcpnnLayer& layer) {
+  const std::string path = ::testing::TempDir() + "fuzz_mutated_layer.ckpt";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  sc::load_layer(path, layer);
+}
+
+/// Loads a fixture, returns its re-saved bytes, and adds the tags of the
+/// sections those bytes carry to `tags`.
+std::string load_and_resave(const Fixture& fixture,
+                            std::set<std::uint32_t>& tags) {
+  using sc::detail::Component;
+  using sc::detail::section_tag;
+  using sc::detail::weight_form;
+  const std::string bytes = fixture_bytes(fixture.file);
+  if (fixture.kind == Kind::kLayer) {
+    auto engine = sp::EngineRegistry::instance().create("simd");
+    sc::BcpnnLayer layer = blank_layer(*engine);
+    load_layer_bytes(bytes, layer);
+    tags.insert(section_tag(Component::kLayer, weight_form(layer)));
+    const std::string path = ::testing::TempDir() + "fixture_resaved.ckpt";
+    sc::save_layer(path, layer);
+    return read_file(path);
+  }
+  std::stringstream in(bytes, std::ios::in | std::ios::binary);
+  sc::Model model;
+  sc::load_model(in, model);
+  tags.insert(sc::detail::kModelSectionTag);
+  if (model.hidden_specs().size() == 1) {
+    const sc::Network& network = model.network();
+    tags.insert(section_tag(Component::kLayer, weight_form(network.hidden())));
+    if (const sc::BcpnnClassifier* head = network.bcpnn_head()) {
+      tags.insert(section_tag(Component::kClassifier, weight_form(*head)));
+    } else {
+      tags.insert(
+          section_tag(Component::kSgdHead, weight_form(*network.sgd_head())));
+    }
+  } else {
+    const sc::DeepBcpnn& deep = model.deep();
+    for (std::size_t l = 0; l < deep.depth(); ++l) {
+      tags.insert(section_tag(Component::kLayer, weight_form(deep.layer(l))));
+    }
+    tags.insert(section_tag(Component::kClassifier, weight_form(deep.head())));
+  }
+  return model_bytes(model);
+}
+
 /// The property under test: any mutation either loads cleanly or throws
 /// a std::exception — never crashes (the sanitizer jobs catch the UB
 /// class of failure) and never wedges on a runaway loop or allocation.
@@ -174,17 +254,9 @@ void try_load(Kind kind, const std::string& bytes) {
       sc::Model target;
       sc::load_model(in, target);
     } else {
-      const auto config = layer_config();
       auto engine = sp::EngineRegistry::instance().create("simd");
-      su::Rng rng(3);
-      sc::BcpnnLayer target(config, *engine, rng);
-      const std::string path =
-          ::testing::TempDir() + "fuzz_mutated_layer.ckpt";
-      {
-        std::ofstream out(path, std::ios::binary);
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      }
-      sc::load_layer(path, target);
+      sc::BcpnnLayer target = blank_layer(*engine);
+      load_layer_bytes(bytes, target);
     }
   } catch (const std::exception&) {
     // Clean rejection — the expected outcome for most mutations.
@@ -225,86 +297,45 @@ void fuzz_corpus(Kind kind, const std::string& bytes,
 
 }  // namespace
 
-TEST(CheckpointFuzz, PristineCorporaLoadCleanly) {
-  // Sanity: the unmutated corpus bytes are real, loadable checkpoints.
-  {
-    std::stringstream in(model_bytes(trained_model(sc::HeadType::kSgd)),
-                         std::ios::in | std::ios::binary);
-    sc::Model target;
-    sc::load_model(in, target);
-    EXPECT_TRUE(target.compiled());
+TEST(CheckpointFixtures, EveryFixtureReSavesByteForByteAndTheyCoverTheTable) {
+  std::set<std::uint32_t> covered;
+  for (const Fixture& fixture : kFixtures) {
+    SCOPED_TRACE(fixture.file);
+    EXPECT_EQ(load_and_resave(fixture, covered), fixture_bytes(fixture.file));
   }
-  {
-    sc::Model sparse = trained_model(sc::HeadType::kBcpnn).sparsify();
-    std::stringstream in(model_bytes(sparse),
-                         std::ios::in | std::ios::binary);
-    sc::Model target;
-    sc::load_model(in, target);
-    EXPECT_TRUE(target.sparse());
-  }
-  {
-    sc::Model quant = trained_model(sc::HeadType::kSgd).quantize();
-    std::stringstream in(model_bytes(quant),
-                         std::ios::in | std::ios::binary);
-    sc::Model target;
-    sc::load_model(in, target);
-    EXPECT_TRUE(target.quantized());
-  }
-  {
-    sc::Model quant_sparse =
-        trained_model(sc::HeadType::kBcpnn).sparsify().quantize();
-    std::stringstream in(model_bytes(quant_sparse),
-                         std::ios::in | std::ios::binary);
-    sc::Model target;
-    sc::load_model(in, target);
-    EXPECT_TRUE(target.quantized());
-    EXPECT_TRUE(target.sparse());
+  EXPECT_TRUE(covered.count(sc::detail::kModelSectionTag));
+  for (const sc::detail::SectionTag& entry : sc::detail::kComponentSections) {
+    EXPECT_TRUE(covered.count(entry.tag))
+        << "no fixture carries section tag " << entry.tag;
   }
 }
 
 TEST(CheckpointFuzz, V1LayerBytesNeverCrash) {
   fuzz_corpus(Kind::kLayer,
               downconvert_layer_to_v1(
-                  downconvert_layer_to_v2(current_layer_bytes(false))),
+                  downconvert_layer_to_v2(current_layer_bytes())),
               "layer v1");
 }
 
 TEST(CheckpointFuzz, V2LayerBytesNeverCrash) {
-  fuzz_corpus(Kind::kLayer, downconvert_layer_to_v2(current_layer_bytes(false)),
+  fuzz_corpus(Kind::kLayer, downconvert_layer_to_v2(current_layer_bytes()),
               "layer v2");
 }
 
-TEST(CheckpointFuzz, CurrentPrunedLayerBytesNeverCrash) {
-  fuzz_corpus(Kind::kLayer, current_layer_bytes(true), "layer current pruned");
+class FixtureFuzz : public ::testing::TestWithParam<Fixture> {};
+
+TEST_P(FixtureFuzz, MutatedBytesNeverCrash) {
+  fuzz_corpus(GetParam().kind, fixture_bytes(GetParam().file),
+              GetParam().file);
 }
 
-TEST(CheckpointFuzz, DenseModelBytesNeverCrash) {
-  fuzz_corpus(Kind::kModel, model_bytes(trained_model(sc::HeadType::kSgd)),
-              "model dense sgd");
-  fuzz_corpus(Kind::kModel, model_bytes(trained_model(sc::HeadType::kBcpnn)),
-              "model dense bcpnn");
-}
-
-TEST(CheckpointFuzz, SparseModelBytesNeverCrash) {
-  sc::Model sparse = trained_model(sc::HeadType::kSgd).sparsify();
-  fuzz_corpus(Kind::kModel, model_bytes(sparse), "model sparse");
-}
-
-TEST(CheckpointFuzz, V4QuantDenseModelBytesNeverCrash) {
-  fuzz_corpus(Kind::kModel,
-              model_bytes(trained_model(sc::HeadType::kSgd).quantize()),
-              "model v4 quant dense sgd");
-  fuzz_corpus(Kind::kModel,
-              model_bytes(trained_model(sc::HeadType::kBcpnn).quantize()),
-              "model v4 quant dense bcpnn");
-}
-
-TEST(CheckpointFuzz, V4QuantSparseModelBytesNeverCrash) {
-  sc::Model quant_sparse =
-      trained_model(sc::HeadType::kSgd).sparsify().quantize();
-  fuzz_corpus(Kind::kModel, model_bytes(quant_sparse),
-              "model v4 quant sparse");
-}
+INSTANTIATE_TEST_SUITE_P(
+    CheckpointFuzz, FixtureFuzz, ::testing::ValuesIn(kFixtures),
+    [](const ::testing::TestParamInfo<Fixture>& info) {
+      std::string name = info.param.file;
+      name = name.substr(0, name.find('.'));
+      return name;
+    });
 
 TEST(CheckpointFuzz, TargetedQuantFieldMutationsAreRejected) {
   // Surgical quantized-payload mutations: an implausible block_size and
@@ -315,8 +346,7 @@ TEST(CheckpointFuzz, TargetedQuantFieldMutationsAreRejected) {
 
   // Quant-dense payload header is u64 rows|cols|block_size.
   {
-    std::string bytes =
-        model_bytes(trained_model(sc::HeadType::kSgd).quantize());
+    std::string bytes = fixture_bytes("model_sgd_quant.ckpt");
     const std::size_t pos = find_u64_pair(bytes, rows, cols);
     ASSERT_NE(pos, std::string::npos) << "quant header not found";
     const std::uint64_t huge_block = ~std::uint64_t{0} / 2;
@@ -328,8 +358,7 @@ TEST(CheckpointFuzz, TargetedQuantFieldMutationsAreRejected) {
   // Quant-sparse payload header is u64 rows|cols|nnz; nnz past
   // rows*cols is structurally impossible.
   {
-    std::string bytes = model_bytes(
-        trained_model(sc::HeadType::kSgd).sparsify().quantize());
+    std::string bytes = fixture_bytes("model_sgd_quant_sparse.ckpt");
     const std::size_t pos = find_u64_pair(bytes, rows, cols);
     ASSERT_NE(pos, std::string::npos) << "quant CSR header not found";
     const std::uint64_t huge_nnz = ~std::uint64_t{0} / 2;
@@ -343,7 +372,7 @@ TEST(CheckpointFuzz, TargetedQuantFieldMutationsAreRejected) {
 TEST(CheckpointFuzz, TargetedCountOverflowsAreRejected) {
   // Surgical versions of the historical failure modes: huge u64 float
   // counts, huge sparse nnz, oversized depth/options. Each must throw.
-  const std::string bytes = model_bytes(trained_model(sc::HeadType::kSgd));
+  const std::string bytes = fixture_bytes("model_sgd_dense.ckpt");
 
   // Version word -> unsupported.
   {
@@ -366,8 +395,7 @@ TEST(CheckpointFuzz, TargetedCountOverflowsAreRejected) {
   }
   // Sparse nnz blown up past rows*cols.
   {
-    sc::Model sparse = trained_model(sc::HeadType::kSgd).sparsify();
-    std::string sbytes = model_bytes(sparse);
+    std::string sbytes = fixture_bytes("model_sgd_sparse.ckpt");
     // Find the layer CSR header: rows == hidden units as a u64 directly
     // followed by cols == input units.
     const std::uint64_t rows = kMcus;

@@ -145,7 +145,7 @@ TEST(QuantGolden, QuantizedSupportBitIdenticalAcrossTiersOnTrainedWeights) {
   // 24-wide tail block per row).
   const FixtureData& data = fixture();
   sc::Model quant = trained_model(sc::HeadType::kBcpnn).quantize();
-  const auto& wt = quant.network().hidden().quant_weights();
+  const auto& wt = quant.network().hidden().inference_weights().quant();
   const auto& bias = quant.network().hidden().bias();
   ASSERT_EQ(wt.cols(), 280u);
 
@@ -204,7 +204,9 @@ TEST(QuantGolden, QuantizedCheckpointRoundTripsBitwiseBothHeads) {
     }
     // The restored clone preserved the block size, not just the codes.
     if (head == sc::HeadType::kBcpnn) {
-      EXPECT_EQ(restored.network().hidden().quant_weights().block_size(), 16u);
+      EXPECT_EQ(
+          restored.network().hidden().inference_weights().quant().block_size(),
+          16u);
     }
   }
 }
@@ -223,11 +225,11 @@ TEST(QuantGolden, PruneSparsifyQuantizeComposesAndRoundTrips) {
   ASSERT_FALSE(sparse.quantized());
 
   // Same index structure as the fp32 CSR, at ~0.1 density.
-  const auto& qcsr = quant.network().hidden().quant_sparse_weights();
-  EXPECT_EQ(qcsr.nnz(), sparse.network().hidden().sparse_weights().nnz());
+  const auto& qcsr = quant.network().hidden().inference_weights().quant_csr();
+  const auto& csr = sparse.network().hidden().inference_weights().csr();
+  EXPECT_EQ(qcsr.nnz(), csr.nnz());
   EXPECT_LE(qcsr.density(), 0.1 + 1e-9);
-  EXPECT_LT(qcsr.memory_bytes(),
-            sparse.network().hidden().sparse_weights().memory_bytes());
+  EXPECT_LT(qcsr.memory_bytes(), csr.memory_bytes());
 
   const double sparse_accuracy = sparse.evaluate(data.x_test, data.y_test);
   const double quant_accuracy = quant.evaluate(data.x_test, data.y_test);
@@ -267,7 +269,7 @@ TEST(QuantGolden, QuantizedModelIsReadOnlyAndStateMachineHolds) {
 
   // Compactness: int8 codes + per-block scales land well under the fp32
   // weight matrix (and the traces are gone entirely).
-  const auto& q = quant.network().hidden().quant_weights();
+  const auto& q = quant.network().hidden().inference_weights().quant();
   const std::size_t dense_bytes = q.rows() * q.cols() * sizeof(float);
   EXPECT_LT(q.memory_bytes(), dense_bytes / 3);
 }

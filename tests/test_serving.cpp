@@ -31,6 +31,7 @@ namespace st = streambrain::tensor;
 
 using streambrain::AsyncPredictor;
 using streambrain::AsyncPredictorOptions;
+using streambrain::CloseReason;
 
 namespace {
 
@@ -495,8 +496,10 @@ TEST(AsyncPredictor, FlushWakesADispatcherSleepingOnTheDeadline) {
                                serving().reference_labels.begin() + 1));
   }
   const auto stats =
-      settled_stats(server, [](const auto& s) { return s.flush_closes >= 1; });
-  EXPECT_GE(stats.flush_closes, 1u);
+      settled_stats(server, [](const auto& s) {
+        return s.closes_by(CloseReason::kFlush) >= 1;
+      });
+  EXPECT_GE(stats.closes_by(CloseReason::kFlush), 1u);
 }
 
 TEST(AsyncPredictor, AdmissionControlShedsWithOverloadError) {
@@ -565,8 +568,10 @@ TEST(AsyncPredictor, AdaptiveCloseServesLightTrafficWithoutDeadlineWait) {
             std::vector<int>(serving().reference_labels.begin(),
                              serving().reference_labels.begin() + 8));
   const auto stats = settled_stats(
-      server, [](const auto& s) { return s.adaptive_closes >= 1; });
-  EXPECT_GE(stats.adaptive_closes, 1u);
+      server, [](const auto& s) {
+        return s.closes_by(CloseReason::kAdaptive) >= 1;
+      });
+  EXPECT_GE(stats.closes_by(CloseReason::kAdaptive), 1u);
 }
 
 TEST(AsyncPredictor, PerStageTimingAndCloseReasonsAccountForEveryBatch) {
@@ -580,12 +585,14 @@ TEST(AsyncPredictor, PerStageTimingAndCloseReasonsAccountForEveryBatch) {
   const auto stats =
       settled_stats(server, [](const auto& s) { return s.batches >= 1; });
   ASSERT_GT(stats.batches, 0u);
-  // Close reasons partition the batches — and the accessor that the
-  // repo linter (tools/sb_lint.py) keys the counter convention on must
-  // agree with the hand-written sum.
-  EXPECT_EQ(stats.full_closes + stats.deadline_closes + stats.adaptive_closes +
-                stats.flush_closes,
-            stats.batches);
+  // Close reasons partition the batches: the summing accessor agrees
+  // with a sum over every reason the enum declares.
+  std::uint64_t by_reason = 0;
+  for (std::size_t r = 0; r < static_cast<std::size_t>(CloseReason::kCount);
+       ++r) {
+    by_reason += stats.closes_by(static_cast<CloseReason>(r));
+  }
+  EXPECT_EQ(by_reason, stats.batches);
   EXPECT_EQ(stats.close_reasons_total(), stats.batches);
   // Stage sums: compute mirrors the model clock exactly; the overhead
   // stages are non-negative and bounded by sanity.

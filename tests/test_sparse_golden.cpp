@@ -14,13 +14,17 @@
 #include <string>
 #include <vector>
 
+#include "core/classifier.hpp"
 #include "core/model.hpp"
 #include "core/pruning.hpp"
 #include "core/serialization.hpp"
+#include "core/sgd_head.hpp"
 #include "data/higgs.hpp"
 #include "encode/one_hot.hpp"
 #include "golden_util.hpp"
+#include "parallel/engine_registry.hpp"
 #include "tensor/kernel_set.hpp"
+#include "tensor/weight_store.hpp"
 
 namespace sc = streambrain::core;
 namespace st = streambrain::tensor;
@@ -153,7 +157,7 @@ TEST(SparseGolden, SparsifyIsBitIdenticalToMaskedDenseAndRoundTrips) {
     sc::Model sparse = dense.sparsify();
     ASSERT_TRUE(sparse.sparse());
     ASSERT_FALSE(dense.sparse()) << "sparsify must not mutate the original";
-    EXPECT_LE(sparse.network().hidden().sparse_weights().density(),
+    EXPECT_LE(sparse.network().hidden().inference_weights().csr().density(),
               0.1 + 1e-9);
     EXPECT_EQ(sparse.predict(data.x_test), dense_labels)
         << sc::head_name(head);
@@ -222,7 +226,7 @@ TEST(SparseGolden, SparseModelIsReadOnlyAndCompact) {
 
   // Compactness: the CSR weight payload is far below the dense matrix
   // (traces, which dominated the dense replica, are gone entirely).
-  const auto& csr = sparse.network().hidden().sparse_weights();
+  const auto& csr = sparse.network().hidden().inference_weights().csr();
   const std::size_t dense_bytes = csr.rows() * csr.cols() * sizeof(float);
   EXPECT_LT(csr.memory_bytes(), dense_bytes / 2);
 }
@@ -256,4 +260,30 @@ TEST(SparseGolden, DeepStackSparsifiesBitIdentically) {
   sc::Model restored;
   sc::load_model(buffer, restored);
   EXPECT_EQ(restored.predict(data.x_test), dense_labels);
+}
+
+TEST(SparseGolden, FrozenHeadRejectsAWrongWidthStore) {
+  // sparsify() frees a head's weights and traces, so the width check of
+  // adopt() cannot read the input width from them: a store one input
+  // column too wide must still be rejected, by both head types.
+  constexpr std::size_t kInputs = 24;
+  const st::MatrixF wide(kInputs + 1, 2, 0.5f);
+  const st::MatrixF fits(kInputs, 2, 0.5f);
+  const std::vector<float> bias(2, 0.0f);
+
+  sc::SgdHead sgd(kInputs, 2);
+  sgd.sparsify();
+  EXPECT_THROW(sgd.adopt(st::WeightStore::from_dense(wide), bias),
+               std::invalid_argument);
+  sgd.adopt(st::WeightStore::from_dense(fits), bias);
+  EXPECT_EQ(sgd.inference_weights().cols(), kInputs);
+
+  auto engine =
+      streambrain::parallel::EngineRegistry::instance().create("simd");
+  sc::BcpnnClassifier bcpnn(kInputs, 6, 2, *engine, 0.05f);
+  bcpnn.sparsify();
+  EXPECT_THROW(bcpnn.adopt(st::WeightStore::from_dense(wide), bias),
+               std::invalid_argument);
+  bcpnn.adopt(st::WeightStore::from_dense(fits), bias);
+  EXPECT_EQ(bcpnn.inference_weights().cols(), kInputs);
 }

@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
-# One-command local lint: the same three walls CI's static-analysis job
+# One-command local lint: the same two walls CI's static-analysis job
 # runs, degraded gracefully to what the host toolchain has.
 #
 #   tools/lint.sh [build-dir]
 #
-#   1. tools/sb_lint.py        — always (needs only python3)
-#   2. clang-tidy              — if clang-tidy is on PATH (uses the
+#   1. clang-tidy              — if clang-tidy is on PATH (uses the
 #                                build dir's compile_commands.json,
 #                                configuring one if needed)
-#   3. tests/tsa wall          — if clang++ is on PATH (via ctest -L lint)
+#   2. tests/tsa wall          — if clang++ is on PATH (via ctest -L lint)
 #
 # Exits nonzero on the first wall that fails; prints SKIP for tools the
 # host does not have so a partial pass cannot be mistaken for clean.
@@ -17,10 +16,6 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${1:-"${ROOT}/build"}"
-
-echo "== sb_lint (repo invariants) =="
-python3 "${ROOT}/tools/sb_lint.py" "${ROOT}"
-python3 "${ROOT}/tests/lint/test_sb_lint.py" 2>&1 | tail -1
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy =="
@@ -50,10 +45,7 @@ if command -v clang++ >/dev/null 2>&1; then
   fi
   ctest --test-dir "${BUILD_DIR}" -L lint --output-on-failure
 else
-  echo "== thread-safety wall == SKIP (clang++ not on PATH;" \
-       "ran sb_lint tests only)"
-  ctest --test-dir "${BUILD_DIR}" -L lint --output-on-failure \
-    2>/dev/null || true
+  echo "== thread-safety wall == SKIP (clang++ not on PATH)"
 fi
 
 echo "lint.sh: done"
