@@ -337,9 +337,7 @@ void run_unsupervised_phase(comm::Communicator& comm,
         engine.support(shard_x, layer.weights(), layer.bias().data(),
                        activations);
         if (noise_std > 0.0f) {
-          for (float& v : activations) {
-            v += static_cast<float>(noise_rng.normal(0.0, noise_std));
-          }
+          add_normal_noise(noise_rng, activations, noise_std);
         }
         engine.softmax_hcu(activations, cfg.mcus, cfg.inverse_temperature);
       },

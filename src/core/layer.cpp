@@ -1,13 +1,72 @@
 #include "core/layer.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "core/pruning.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace streambrain::core {
+
+namespace {
+
+// Minimum Box-Muller pairs per noise panel: about 15 us of libm work.
+constexpr std::size_t kMinNoisePairsPerPanel = 256;
+// Minimum weight rows per mask task.
+constexpr std::size_t kMinMaskRowsPerTask = 32;
+
+}  // namespace
+
+void add_normal_noise(util::Rng& rng, float* values, std::size_t n,
+                      float stddev, std::size_t threads) {
+  // normal(0.0, stddev)'s own arithmetic, so -0.0 noise reads +0.0 too.
+  const double sigma = stddev;
+  const auto noise = [sigma](double z) {
+    return static_cast<float>(0.0 + sigma * z);
+  };
+  std::size_t first = 0;
+  if (n > 0) {
+    if (const std::optional<double> cached = rng.take_cached_normal()) {
+      values[0] += noise(*cached);
+      first = 1;
+    }
+  }
+  const std::size_t pairs = (n - first) / 2;
+  thread_local std::vector<double> uniforms;
+  uniforms.resize(2 * pairs);
+  for (std::size_t p = 0; p < pairs; ++p) {
+    std::tie(uniforms[2 * p], uniforms[2 * p + 1]) = rng.normal_uniforms();
+  }
+  if (first + 2 * pairs < n) {
+    // An odd tail: the last value is the first normal of one more pair,
+    // whose second normal stays cached for the next draw.
+    const auto [u1, u2] = rng.normal_uniforms();
+    const util::NormalPair pair = util::box_muller(u1, u2);
+    values[n - 1] += noise(pair.first);
+    rng.cache_normal(pair.second);
+  }
+  float* out = values + first;
+  const double* u = uniforms.data();
+  const auto panel = [&](std::size_t p0, std::size_t p1) {
+    for (std::size_t p = p0; p < p1; ++p) {
+      const util::NormalPair pair = util::box_muller(u[2 * p], u[2 * p + 1]);
+      out[2 * p] += noise(pair.first);
+      out[2 * p + 1] += noise(pair.second);
+    }
+  };
+  parallel::for_row_panels(pairs, kMinNoisePairsPerPanel, threads, panel);
+}
+
+void add_normal_noise(util::Rng& rng, tensor::MatrixF& values,
+                      float stddev) {
+  add_normal_noise(
+      rng, values.data(), values.size(), stddev,
+      parallel::task_count(values.size() / 2 / kMinNoisePairsPerPanel));
+}
 
 BcpnnLayer::BcpnnLayer(const BcpnnConfig& config, parallel::Engine& engine,
                        util::Rng& rng)
@@ -45,9 +104,7 @@ void BcpnnLayer::forward_noisy(const tensor::MatrixF& x,
   }
   require_mutable("forward_noisy");
   engine_->support(x, weights_, bias_.data(), activations);
-  for (float& v : activations) {
-    v += static_cast<float>(rng_.normal(0.0, noise_std));
-  }
+  add_normal_noise(rng_, activations, noise_std);
   engine_->softmax_hcu(activations, config_.mcus, config_.inverse_temperature);
 }
 
@@ -93,30 +150,27 @@ void BcpnnLayer::recompute_weights() {
 void BcpnnLayer::apply_masks() {
   // A silent connection contributes nothing to the support: zero the
   // weight block (all input units of hypercolumn i) x (all MCUs of HCU h).
-  const std::size_t bins = config_.input_bins;
-  const std::size_t mcus = config_.mcus;
-#pragma omp parallel for schedule(static) collapse(2)
-  for (std::size_t h = 0; h < config_.hcus; ++h) {
-    for (std::size_t i = 0; i < config_.input_hypercolumns; ++i) {
-      if (masks_.active(h, i)) continue;
-      for (std::size_t bi = 0; bi < bins; ++bi) {
-        float* w_row = weights_.row(i * bins + bi);
-        for (std::size_t bj = 0; bj < mcus; ++bj) {
-          w_row[h * mcus + bj] = 0.0f;
-        }
-      }
-    }
-  }
   // Element-level magnitude pruning rides on top of the block masks: the
   // keep-mask survives every weight recomputation until re-pruned.
-  if (!prune_keep_.empty()) {
-    float* w = weights_.data();
-    const std::size_t n = weights_.size();
-#pragma omp parallel for schedule(static)
-    for (std::size_t i = 0; i < n; ++i) {
-      if (prune_keep_[i] == 0) w[i] = 0.0f;
+  const std::size_t bins = config_.input_bins;
+  const std::size_t mcus = config_.mcus;
+  const std::size_t cols = weights_.cols();
+  const auto panel = [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      float* w_row = weights_.row(r);
+      for (std::size_t h = 0; h < config_.hcus; ++h) {
+        if (!masks_.active(h, r / bins)) {
+          std::fill_n(w_row + h * mcus, mcus, 0.0f);
+        }
+      }
+      if (prune_keep_.empty()) continue;
+      const std::uint8_t* keep = prune_keep_.data() + r * cols;
+      for (std::size_t j = 0; j < cols; ++j) {
+        if (keep[j] == 0) w_row[j] = 0.0f;
+      }
     }
-  }
+  };
+  parallel::for_row_panels(weights_.rows(), kMinMaskRowsPerTask, panel);
 }
 
 std::size_t BcpnnLayer::prune_to_density(double density) {

@@ -24,6 +24,17 @@
 
 namespace streambrain::core {
 
+/// values[i] += float(rng.normal(0.0, stddev)) for every i in [0, n), in
+/// order, bit for bit: the uniforms are drawn here in stream order (and
+/// the cached normal taken and left exactly as those calls would), and
+/// the Box-Muller math of the pairs runs in row panels on up to `threads`
+/// threads. The result does not depend on `threads`.
+void add_normal_noise(util::Rng& rng, float* values, std::size_t n,
+                      float stddev, std::size_t threads);
+
+/// The same over every entry of `values`, at parallel::task_count tasks.
+void add_normal_noise(util::Rng& rng, tensor::MatrixF& values, float stddev);
+
 class BcpnnLayer {
  public:
   /// `engine` must outlive the layer.

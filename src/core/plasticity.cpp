@@ -5,7 +5,16 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "parallel/parallel_for.hpp"
+
 namespace streambrain::core {
+
+namespace {
+
+// Minimum (HCU, input hypercolumn) cells per MI-map task.
+constexpr std::size_t kMinMiCellsPerTask = 4;
+
+}  // namespace
 
 ReceptiveFieldMasks::ReceptiveFieldMasks(std::size_t hcus,
                                          std::size_t input_hypercolumns,
@@ -78,13 +87,15 @@ std::vector<std::vector<float>> mutual_information_map(
   const std::size_t input_hcs = traces.inputs() / input_hc_size;
   std::vector<std::vector<float>> map(hcus,
                                       std::vector<float>(input_hcs, 0.0f));
-#pragma omp parallel for schedule(static) collapse(2)
-  for (std::size_t h = 0; h < hcus; ++h) {
-    for (std::size_t i = 0; i < input_hcs; ++i) {
+  const auto cells = [&](std::size_t c0, std::size_t c1) {
+    for (std::size_t c = c0; c < c1; ++c) {
+      const std::size_t h = c / input_hcs;
+      const std::size_t i = c % input_hcs;
       map[h][i] = static_cast<float>(
           mutual_information(traces, i, input_hc_size, h, mcus_per_hcu, eps));
     }
-  }
+  };
+  parallel::for_row_panels(hcus * input_hcs, kMinMiCellsPerTask, cells);
   return map;
 }
 

@@ -2,7 +2,16 @@
 
 #include <stdexcept>
 
+#include "parallel/parallel_for.hpp"
+
 namespace streambrain::encode {
+
+namespace {
+
+// Minimum rows per transform task.
+constexpr std::size_t kMinRowsPerTask = 256;
+
+}  // namespace
 
 OneHotEncoder::OneHotEncoder(std::size_t bins, CodeStyle style)
     : binner_(bins), style_(style) {}
@@ -18,18 +27,20 @@ tensor::MatrixF OneHotEncoder::transform(const tensor::MatrixF& data) const {
   }
   const std::size_t bins = binner_.bins();
   tensor::MatrixF encoded(data.rows(), data.cols() * bins, 0.0f);
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    float* row = encoded.row(r);
-    for (std::size_t f = 0; f < data.cols(); ++f) {
-      const std::size_t bin = binner_.bin_of(f, data(r, f));
-      if (style_ == CodeStyle::kOneHot) {
-        row[f * bins + bin] = 1.0f;
-      } else {
-        for (std::size_t b = 0; b <= bin; ++b) row[f * bins + b] = 1.0f;
+  const auto panel = [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      float* row = encoded.row(r);
+      for (std::size_t f = 0; f < data.cols(); ++f) {
+        const std::size_t bin = binner_.bin_of(f, data(r, f));
+        if (style_ == CodeStyle::kOneHot) {
+          row[f * bins + bin] = 1.0f;
+        } else {
+          for (std::size_t b = 0; b <= bin; ++b) row[f * bins + b] = 1.0f;
+        }
       }
     }
-  }
+  };
+  parallel::for_row_panels(data.rows(), kMinRowsPerTask, panel);
   return encoded;
 }
 

@@ -3,7 +3,16 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "parallel/parallel_for.hpp"
+
 namespace streambrain::encode {
+
+namespace {
+
+// Minimum rows per transform task.
+constexpr std::size_t kMinRowsPerTask = 256;
+
+}  // namespace
 
 QuantileBinner::QuantileBinner(std::size_t bins) : bins_(bins) {
   if (bins < 2) {
@@ -17,24 +26,26 @@ void QuantileBinner::fit(const tensor::MatrixF& data) {
   }
   const std::size_t features = data.cols();
   cuts_.assign(features, {});
-  std::vector<float> column(data.rows());
-#pragma omp parallel for schedule(static) firstprivate(column)
-  for (std::size_t f = 0; f < features; ++f) {
-    for (std::size_t r = 0; r < data.rows(); ++r) column[r] = data(r, f);
-    std::sort(column.begin(), column.end());
-    std::vector<float> cuts;
-    cuts.reserve(bins_ - 1);
-    for (std::size_t g = 1; g < bins_; ++g) {
-      const double q = static_cast<double>(g) / static_cast<double>(bins_);
-      const double pos = q * static_cast<double>(column.size() - 1);
-      const std::size_t lo = static_cast<std::size_t>(pos);
-      const std::size_t hi = std::min(lo + 1, column.size() - 1);
-      const double frac = pos - static_cast<double>(lo);
-      cuts.push_back(static_cast<float>(column[lo] * (1.0 - frac) +
-                                        column[hi] * frac));
+  // Each task sorts its features' columns in one buffer of its own.
+  parallel::for_row_panels(features, 1, [&](std::size_t f0, std::size_t f1) {
+    std::vector<float> column(data.rows());
+    for (std::size_t f = f0; f < f1; ++f) {
+      for (std::size_t r = 0; r < data.rows(); ++r) column[r] = data(r, f);
+      std::sort(column.begin(), column.end());
+      std::vector<float> cuts;
+      cuts.reserve(bins_ - 1);
+      for (std::size_t g = 1; g < bins_; ++g) {
+        const double q = static_cast<double>(g) / static_cast<double>(bins_);
+        const double pos = q * static_cast<double>(column.size() - 1);
+        const std::size_t lo = static_cast<std::size_t>(pos);
+        const std::size_t hi = std::min(lo + 1, column.size() - 1);
+        const double frac = pos - static_cast<double>(lo);
+        cuts.push_back(static_cast<float>(column[lo] * (1.0 - frac) +
+                                          column[hi] * frac));
+      }
+      cuts_[f] = std::move(cuts);
     }
-    cuts_[f] = std::move(cuts);
-  }
+  });
 }
 
 std::size_t QuantileBinner::bin_of(std::size_t feature, float value) const {
@@ -56,14 +67,16 @@ std::vector<std::vector<std::size_t>> QuantileBinner::transform(
     throw std::invalid_argument("QuantileBinner::transform: feature mismatch");
   }
   std::vector<std::vector<std::size_t>> out(data.rows());
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < data.rows(); ++r) {
-    auto& row = out[r];
-    row.resize(data.cols());
-    for (std::size_t f = 0; f < data.cols(); ++f) {
-      row[f] = bin_of(f, data(r, f));
+  const auto panel = [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      auto& row = out[r];
+      row.resize(data.cols());
+      for (std::size_t f = 0; f < data.cols(); ++f) {
+        row[f] = bin_of(f, data(r, f));
+      }
     }
-  }
+  };
+  parallel::for_row_panels(data.rows(), kMinRowsPerTask, panel);
   return out;
 }
 

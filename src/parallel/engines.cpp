@@ -9,6 +9,7 @@
 
 #include "parallel/engine.hpp"
 #include "parallel/engine_registry.hpp"
+#include "parallel/parallel_for.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/kernel_set.hpp"
 #include "tensor/kernels.hpp"
@@ -17,6 +18,9 @@
 namespace streambrain::parallel {
 
 namespace {
+
+// Minimum p_ij rows per weight-recompute task.
+constexpr std::size_t kMinWeightRowsPerTask = 16;
 
 using tensor::MatrixF;
 
@@ -171,17 +175,19 @@ class SimdEngine final : public Engine {
     tensor::vlog_floored(pj, log_pj_.data(), eps, n_out);
     const float* log_pj = log_pj_.data();
     for (std::size_t j = 0; j < n_out; ++j) bias[j] = k_beta * log_pj[j];
-#pragma omp parallel for schedule(static)
-    for (std::size_t i = 0; i < n_in; ++i) {
-      const float log_pi = tensor::fast_log(std::max(pi[i], eps));
-      const float* pij_row = pij.row(i);
-      float* w_row = w.row(i);
-      tensor::vlog_floored(pij_row, w_row, eps2, n_out);
+    const auto rows = [&](std::size_t i0, std::size_t i1) {
+      for (std::size_t i = i0; i < i1; ++i) {
+        const float log_pi = tensor::fast_log(std::max(pi[i], eps));
+        const float* pij_row = pij.row(i);
+        float* w_row = w.row(i);
+        tensor::vlog_floored(pij_row, w_row, eps2, n_out);
 #pragma omp simd
-      for (std::size_t j = 0; j < n_out; ++j) {
-        w_row[j] -= log_pi + log_pj[j];
+        for (std::size_t j = 0; j < n_out; ++j) {
+          w_row[j] -= log_pi + log_pj[j];
+        }
       }
-    }
+    };
+    for_row_panels(n_in, kMinWeightRowsPerTask, rows);
   }
 
  private:

@@ -18,20 +18,14 @@ std::optional<std::size_t> parse_thread_count(std::string_view text) noexcept {
 
 namespace {
 
-// Resolved once. OMP_NUM_THREADS is honored too, so one variable pins
-// both this fan-out and the remaining OpenMP loops.
+// Resolved once.
 std::size_t max_compute_tasks() {
   static const std::size_t limit = [] {
     if (const char* env = std::getenv("STREAMBRAIN_THREADS")) {
       if (const auto threads = parse_thread_count(env)) return *threads;
       SB_LOG(util::LogLevel::kWarn)
           << "STREAMBRAIN_THREADS: '" << env
-          << "' is not a positive integer; falling back to OMP_NUM_THREADS, "
-             "then the pool size";
-    }
-    if (const char* env = std::getenv("OMP_NUM_THREADS")) {
-      const long value = std::atol(env);
-      if (value > 0) return static_cast<std::size_t>(value);
+          << "' is not a positive integer; using the pool size";
     }
     return global_pool().size();
   }();

@@ -3,9 +3,19 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "parallel/parallel_for.hpp"
 #include "tensor/kernel_set.hpp"
 
 namespace streambrain::tensor {
+
+namespace {
+
+// Minimum entries per softmax task, about 25 us of work: a 64-row batch
+// of 300 MCUs splits four ways. Back-to-back batches find the workers
+// still polling (ThreadPool::fan_out), so no call pays a wake-up.
+constexpr std::size_t kMinSoftmaxEntriesPerTask = 1 << 12;
+
+}  // namespace
 
 void axpy(float alpha, const float* x, float* y, std::size_t n) noexcept {
   active_kernels().axpy(alpha, x, y, n);
@@ -78,13 +88,17 @@ void softmax_blocks_temperature(MatrixF& m, std::size_t block,
   }
   const KernelSet& kernels = active_kernels();
   const std::size_t blocks_per_row = m.cols() / block;
-#pragma omp parallel for schedule(static)
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    float* row = m.row(r);
-    for (std::size_t b = 0; b < blocks_per_row; ++b) {
-      kernels.softmax_block(row + b * block, block, inverse_temperature);
+  const auto panel = [&](std::size_t r0, std::size_t r1) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      float* row = m.row(r);
+      for (std::size_t b = 0; b < blocks_per_row; ++b) {
+        kernels.softmax_block(row + b * block, block, inverse_temperature);
+      }
     }
-  }
+  };
+  const std::size_t cols = std::max<std::size_t>(1, m.cols());
+  parallel::for_row_panels(
+      m.rows(), (kMinSoftmaxEntriesPerTask + cols - 1) / cols, panel);
 }
 
 void wta_blocks(MatrixF& m, std::size_t block) noexcept {

@@ -4,22 +4,20 @@
 
 namespace streambrain::util {
 
-double Rng::normal() noexcept {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
-  // Box-Muller on (0,1] to avoid log(0).
-  double u1 = 0.0;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
+NormalPair box_muller(double u1, double u2) noexcept {
   const double radius = std::sqrt(-2.0 * std::log(u1));
   const double angle = 2.0 * M_PI * u2;
-  cached_normal_ = radius * std::sin(angle);
-  has_cached_normal_ = true;
-  return radius * std::cos(angle);
+  return {radius * std::cos(angle), radius * std::sin(angle)};
+}
+
+double Rng::normal() noexcept {
+  if (const std::optional<double> cached = take_cached_normal()) {
+    return *cached;
+  }
+  const auto [u1, u2] = normal_uniforms();
+  const NormalPair pair = box_muller(u1, u2);
+  cache_normal(pair.second);
+  return pair.first;
 }
 
 double Rng::exponential(double lambda) noexcept {

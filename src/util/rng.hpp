@@ -11,6 +11,8 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <utility>
 #include <vector>
 
 namespace streambrain::util {
@@ -23,6 +25,14 @@ inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
+
+/// The two standard normals of one Box-Muller draw from its uniform pair
+/// (u1 in (0, 1]), in the order Rng::normal() returns them.
+struct NormalPair {
+  double first;
+  double second;
+};
+NormalPair box_muller(double u1, double u2) noexcept;
 
 /// xoshiro256** PRNG. Satisfies UniformRandomBitGenerator.
 class Rng {
@@ -87,8 +97,37 @@ class Rng {
                     uniform_index(static_cast<std::uint64_t>(hi - lo + 1)));
   }
 
-  /// Standard normal via Box-Muller (cached second value).
+  /// Standard normal via Box-Muller (cached second value): the cached
+  /// normal when one is pending, else the first of box_muller() over
+  /// normal_uniforms(), caching the second.
   double normal() noexcept;
+
+  // The serial half of normal(), for a caller that runs box_muller()
+  // itself, elsewhere or in parallel (core::add_normal_noise): in the
+  // order normal() makes them, these calls consume the stream and the
+  // cache exactly as normal() does.
+
+  /// Takes the pending cached normal, if any.
+  std::optional<double> take_cached_normal() noexcept {
+    if (!has_cached_normal_) return std::nullopt;
+    has_cached_normal_ = false;
+    return cached_normal_;
+  }
+
+  /// The uniform pair (u1, u2) of the next Box-Muller draw, u1 in (0, 1).
+  std::pair<double, double> normal_uniforms() noexcept {
+    double u1 = 0.0;
+    do {
+      u1 = uniform();
+    } while (u1 <= 0.0);
+    return {u1, uniform()};
+  }
+
+  /// Caches the second normal of a pair for the next normal() call.
+  void cache_normal(double value) noexcept {
+    cached_normal_ = value;
+    has_cached_normal_ = true;
+  }
 
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev) noexcept {

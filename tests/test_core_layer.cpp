@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/classifier.hpp"
 #include "core/layer.hpp"
@@ -56,6 +58,54 @@ st::MatrixF synthetic_batch(const sc::BcpnnConfig& config, std::size_t rows,
 }
 
 }  // namespace
+
+// ------------------------------------------------------- support noise ----
+
+TEST(SupportNoise, MatchesTheSerialStreamBitForBitAtEveryThreadCount) {
+  // 7 x 3001 values is odd: one call leaves the second normal of its last
+  // pair cached, and the next call starts from it. Its 10,500 pairs split
+  // into 1, 8, 12 and 16 panels at 1, 2, 3 and 4 threads.
+  constexpr std::size_t kValues = 7 * 3001;
+  constexpr float kSigma = 2.5f;
+  for (const std::size_t threads : {1, 2, 3, 4}) {
+    su::Rng serial(99);
+    su::Rng batched(99);
+    // A pending cached normal before the first call too.
+    EXPECT_EQ(serial.normal(), batched.normal());
+    for (int call = 0; call < 4; ++call) {
+      std::vector<float> expected(kValues);
+      for (std::size_t i = 0; i < kValues; ++i) {
+        expected[i] = static_cast<float>(i % 13) * 0.25f - 1.0f;
+      }
+      std::vector<float> actual = expected;
+      for (float& v : expected) {
+        v += static_cast<float>(serial.normal(0.0, kSigma));
+      }
+      sc::add_normal_noise(batched, actual.data(), actual.size(), kSigma,
+                           threads);
+      for (std::size_t i = 0; i < kValues; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(actual[i]),
+                  std::bit_cast<std::uint32_t>(expected[i]))
+            << threads << " threads, call " << call << ", value " << i;
+      }
+    }
+    // Empty and one-value calls keep the stream in step as well.
+    float one = 0.0f;
+    sc::add_normal_noise(batched, &one, 0, kSigma, threads);
+    sc::add_normal_noise(batched, &one, 1, kSigma, threads);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(one),
+              std::bit_cast<std::uint32_t>(
+                  static_cast<float>(serial.normal(0.0, kSigma))));
+    for (int draw = 0; draw < 3; ++draw) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.normal()),
+                std::bit_cast<std::uint64_t>(serial.normal()))
+          << threads << " threads";
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.uniform()),
+                std::bit_cast<std::uint64_t>(serial.uniform()))
+          << threads << " threads";
+    }
+  }
+}
 
 // --------------------------------------------------------------- layer ----
 

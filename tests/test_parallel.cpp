@@ -4,6 +4,7 @@
 // tolerance).
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
@@ -18,6 +19,7 @@
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/kernel_set.hpp"
+#include "tensor/kernels.hpp"
 #include "util/rng.hpp"
 
 namespace sp = streambrain::parallel;
@@ -129,6 +131,62 @@ TEST(FanOut, ExceptionPropagatesAfterEveryPanelFinished) {
                  std::runtime_error);
     EXPECT_EQ(finished.load(), kTasks - 1) << "thrower " << thrower;
   }
+}
+
+// Several threads fan out at once: one holds the pool's fan-out slot,
+// the others run their tasks inline. Every task of every call runs
+// exactly once, and its plain (non-atomic) writes are visible to the
+// caller when fan_out returns.
+TEST(FanOut, ConcurrentCallersEachRunEveryTaskOnce) {
+  constexpr std::size_t kTasks = 8;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 3; ++c) {
+    callers.emplace_back([&wrong] {
+      for (int call = 0; call < 300; ++call) {
+        std::vector<int> runs(kTasks, 0);
+        sp::fan_out(kTasks, [&runs](std::size_t t) { ++runs[t]; });
+        for (const int r : runs) wrong += r != 1;
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+namespace {
+
+double process_cpu_seconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           1e-6 * static_cast<double>(t.tv_usec);
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+}  // namespace
+
+// Workers that keep spinning after the work is done take cores from every
+// other process on the host. A worker may poll for up to 500 us after
+// its last fan-out task; from 2 ms on it must sleep. Over ten
+// rounds of a softmax and a row-panel fan-out followed by that grace and
+// a 20 ms sleep, the process may use 50 ms of CPU in the 200 ms of sleep.
+// An OpenMP team with the default wait policy used 110-215 ms in this
+// loop on an idle 4-vCPU host.
+TEST(FanOut, IdleWorkersSleep) {
+  st::MatrixF activations(2048, 300, 0.5f);
+  double idle_cpu_s = 0.0;
+  for (int round = 0; round < 10; ++round) {
+    st::softmax_blocks(activations, 300);
+    sp::for_row_panels(4096, 1, [](std::size_t, std::size_t) {});
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const double before = process_cpu_seconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    idle_cpu_s += process_cpu_seconds() - before;
+  }
+  EXPECT_LT(idle_cpu_s, 0.05) << "CPU seconds used over 200 ms of sleep";
 }
 
 TEST(FanOut, ThreadCountParsesStrictly) {
