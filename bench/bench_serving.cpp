@@ -1,9 +1,13 @@
-// Serving-layer benchmark: concurrent client traffic through the old
-// mutex-serialized Predictor vs. the sharded AsyncPredictor, swept over
-// a clients x shards x max_batch_rows matrix, emitting BENCH_serving.json
+// Serving-layer benchmark: concurrent client traffic through one model
+// behind a std::mutex vs. the sharded AsyncPredictor, swept over a
+// clients x shards x max_batch_rows matrix, emitting BENCH_serving.json
 // with a per-stage latency breakdown for every async row.
 //
 // Methodology:
+//   - The "mutex" baseline locks one mutex around a direct
+//     model->predict_scores(request) call: one request per batch, the
+//     compute of an async row with max_batch_rows == --rows. Its
+//     mean_queue_wait_ms is the mean time spent acquiring the lock.
 //   - GEMM pool fan-out is pinned to 1 thread up front so both paths run
 //     identical single-threaded per-batch compute — the comparison
 //     measures serving architecture (one global lock vs. N replicas),
@@ -41,6 +45,7 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -292,14 +297,19 @@ int main(int argc, char** argv) {
     const std::size_t total_rows =
         clients * requests_per_client * rows_per_request;
 
-    // --- Baseline: the mutex-serialized Predictor, same clients ------------
+    // --- Baseline: one model behind a mutex, same clients ------------------
     double mutex_rows_per_second = 0.0;
     {
-      Predictor predictor(model, {/*max_batch_rows=*/rows_per_request});
+      std::mutex model_mutex;
+      std::vector<double> lock_wait_seconds(clients, 0.0);  // per client
       const auto serve = [&](std::size_t c) {
-        (void)predictor.predict_scores(load.request_slices[c]);
+        util::Stopwatch wait;
+        const std::lock_guard<std::mutex> lock(model_mutex);
+        lock_wait_seconds[c] += wait.seconds();
+        (void)model->predict_scores(load.request_slices[c]);
       };
       (void)drive(load, warmup_requests, latencies_ms, serve);  // warm-up
+      std::fill(lock_wait_seconds.begin(), lock_wait_seconds.end(), 0.0);
       const double wall =
           drive(load, requests_per_client, latencies_ms, serve);
       Result result;
@@ -309,8 +319,13 @@ int main(int argc, char** argv) {
       result.shards = 0;
       result.max_batch_rows = rows_per_request;
       summarize_latencies(result, wall, total_rows, latencies_ms);
+      double total_wait_seconds = 0.0;
+      for (const double seconds : lock_wait_seconds) {
+        total_wait_seconds += seconds;
+      }
       result.mean_queue_wait_ms =
-          1e3 * predictor.stats().mean_queue_wait_seconds();
+          1e3 * total_wait_seconds /
+          static_cast<double>(clients * requests_per_client);
       mutex_rows_per_second = result.rows_per_second;
       results.push_back(result);
       print_row(result);
@@ -467,6 +482,13 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   out << "{\n";
   out << "  \"bench\": \"serving\",\n";
+  out << "  \"header\": {\"git_sha\": \"" << STREAMBRAIN_BENCH_GIT_SHA
+      << "\", \"cores\": " << cores << ", \"dispatch\": \""
+      << tensor::dispatch_level_name(tensor::active_kernels().level)
+      << "\", \"compiler\": \"" << STREAMBRAIN_BENCH_COMPILER
+      << "\", \"build_type\": \"" << STREAMBRAIN_BENCH_BUILD_TYPE
+      << "\", \"statistic\": \"one measured pass per row after a "
+         "warm-up pass; p50/p99 are exact order statistics\"},\n";
   out << "  \"hardware_concurrency\": " << cores << ",\n";
   out << "  \"requests_per_client\": " << requests_per_client << ",\n";
   out << "  \"rows_per_request\": " << rows_per_request << ",\n";

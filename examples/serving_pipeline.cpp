@@ -1,7 +1,7 @@
 // Serving pipeline: the full production loop through the unified API —
 // train a Model, checkpoint it, restore it into an immutable snapshot,
-// and serve concurrent traffic two ways: the legacy mutex-serialized
-// Predictor and the sharded AsyncPredictor (bounded queue + deadline
+// and serve concurrent traffic two ways: direct predict() calls behind
+// one mutex and the sharded AsyncPredictor (bounded queue + deadline
 // micro-batching + N replica shards + LRU score cache).
 //
 // Also demonstrates the two extension seams of the redesigned API:
@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -78,12 +79,14 @@ int main(int argc, char** argv) {
   snapshot->load(checkpoint);
   std::printf("  checkpoint round-trip: %s\n", checkpoint.c_str());
 
-  // --- 4. Serve concurrent traffic ----------------------------------------
-  PredictorOptions options;
-  options.max_batch_rows = batch;
-  Predictor predictor(snapshot, options);
-
+  // --- 4. Embedded serving: one model behind a mutex -----------------------
+  // predict() is not const, so threads sharing one model take turns. For
+  // a single client this direct call is the fastest path there is; with
+  // many clients the lock serializes them, which step 5 removes.
   const std::size_t rows = x_test.rows();
+  std::mutex snapshot_mutex;
+  std::size_t rows_served = 0;
+  util::Stopwatch embedded_wall;
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t) {
@@ -95,27 +98,16 @@ int main(int argc, char** argv) {
         std::copy_n(x_test.row(r), x_test.cols(), slice.row(r - begin));
       }
       for (int round = 0; round < 5; ++round) {
-        (void)predictor.predict(slice);
+        const std::lock_guard<std::mutex> lock(snapshot_mutex);
+        rows_served += snapshot->predict(slice).size();
       }
     });
   }
   for (auto& worker : workers) worker.join();
-
-  const PredictorStats stats = predictor.stats();
-  std::printf("\nserving stats (%zu threads, max_batch_rows=%zu):\n", threads,
-              batch);
-  std::printf("  requests       : %llu\n",
-              static_cast<unsigned long long>(stats.requests));
-  std::printf("  rows served    : %llu\n",
-              static_cast<unsigned long long>(stats.rows));
-  std::printf("  micro-batches  : %llu\n",
-              static_cast<unsigned long long>(stats.batches));
-  std::printf("  mean latency   : %.3f ms (queue wait %.3f ms)\n",
-              1e3 * stats.mean_latency_seconds(),
-              1e3 * stats.mean_queue_wait_seconds());
-  std::printf("  max latency    : %.3f ms\n", 1e3 * stats.max_latency_seconds);
-  std::printf("  model thrpt    : %.0f rows/s\n",
-              stats.model_throughput_rows_per_second());
+  std::printf("\nembedded serving (%zu threads, one mutex): %zu rows, "
+              "%.0f rows/s\n",
+              threads, rows_served,
+              static_cast<double>(rows_served) / embedded_wall.seconds());
 
   // --- 5. Sharded async serving -------------------------------------------
   // The AsyncPredictor replaces the global inference mutex with a bounded
@@ -169,9 +161,14 @@ int main(int argc, char** argv) {
   // --- 6. The same serving loop drives a baseline -------------------------
   std::shared_ptr<Estimator> baseline = make_baseline_estimator("logistic");
   baseline->fit(train.features, train.labels);
-  Predictor baseline_predictor(baseline, options);
-  const auto labels = baseline_predictor.predict(test.features);
-  std::printf("\nbaseline '%s' served %zu rows through the same Predictor\n",
+  // A baseline cannot be cloned into replicas; one shard serves it in
+  // place.
+  AsyncPredictorOptions baseline_options;
+  baseline_options.shards = 1;
+  baseline_options.max_batch_rows = batch;
+  AsyncPredictor baseline_server(baseline, baseline_options);
+  const auto labels = baseline_server.predict(test.features);
+  std::printf("\nbaseline '%s' served %zu rows through an AsyncPredictor\n",
               baseline->name().c_str(), labels.size());
   return 0;
 }

@@ -21,7 +21,6 @@
 #include "api/async_predictor.hpp"
 #include "api/estimator.hpp"
 #include "api/online_trainer.hpp"
-#include "api/predictor.hpp"
 
 // --- Serving substrate ------------------------------------------------------
 #include "serve/request_queue.hpp"
@@ -69,12 +68,10 @@
 #include "tensor/weight_store.hpp"
 
 // --- Data loading & encoding ------------------------------------------------
-#include "data/cifar_loader.hpp"
 #include "data/dataset.hpp"
 #include "data/digits.hpp"
 #include "data/higgs.hpp"
 #include "data/idx_loader.hpp"
-#include "data/patches.hpp"
 #include "encode/one_hot.hpp"
 #include "encode/quantile.hpp"
 

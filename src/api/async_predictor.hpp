@@ -1,6 +1,6 @@
 #pragma once
-// Sharded asynchronous serving session — the concurrent successor to the
-// mutex-serialized Predictor. Clients submit requests into a bounded
+// Sharded asynchronous serving session — the concurrent alternative to
+// one model behind a mutex. Clients submit requests into a bounded
 // queue and get std::futures back; a background dispatcher coalesces
 // rows into micro-batches and closes each batch when it fills, when the
 // oldest row has waited max_batch_delay (so a lone request is never
@@ -17,7 +17,7 @@
 //   auto future = server.submit(rows);          // non-blocking
 //   std::vector<int> labels = future.get();     // or server.predict(rows)
 //
-// Extras over Predictor:
+// Extras over a direct predict() call under a mutex:
 //   - true concurrency: N shards run N batches in parallel, no global
 //     inference mutex;
 //   - backpressure: a bounded queue that blocks or rejects (throws) when

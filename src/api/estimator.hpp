@@ -2,8 +2,8 @@
 // The unified estimator contract. Every model in the repo — the BCPNN
 // Model facade (shallow and deep, both heads) and the four related-work
 // baselines — is driven through this one interface, so experiment
-// drivers, the conformance test suite, and the serving Predictor never
-// care which concrete model they hold:
+// drivers, the conformance test suite, and AsyncPredictor never care
+// which concrete model they hold:
 //
 //   std::unique_ptr<Estimator> model = ...;
 //   model->fit(x_train, y_train);

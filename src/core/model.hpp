@@ -18,7 +18,7 @@
 //
 // Model implements the streambrain::Estimator contract, so it is
 // interchangeable with the baselines in experiment drivers and can be
-// snapshotted into a serving Predictor. save()/load() round-trip the full
+// snapshotted into an AsyncPredictor. save()/load() round-trip the full
 // facade: topology, options, engine choice, and learned state.
 
 #include <cstdint>
@@ -127,7 +127,7 @@ class Model final : public Estimator {
   /// serving replica costs a fraction of the dense clone and
   /// serve::ShardPool fits more shards per host. The clone predicts
   /// bit-identically (at scalar dispatch) to this model, serves through
-  /// Predictor / AsyncPredictor / ShardPool transparently, and
+  /// AsyncPredictor / ShardPool transparently, and
   /// round-trips through save()/load() as a version-3 checkpoint.
   /// fit()/load() on the clone throw std::logic_error. Prune first
   /// (core::prune_model or the prune_density/prune_cadence options) —
@@ -145,10 +145,10 @@ class Model final : public Estimator {
   /// model is already a sparse clone, int8 codes with per-row scales on
   /// the CSR index structure (tensor::QuantCsr), composing both wins:
   ///   model -> prune_model -> sparsify() -> quantize()
-  /// The clone serves bit-stably through Predictor / AsyncPredictor /
-  /// ShardPool (the quantized kernels are bit-identical across dispatch
-  /// tiers, so replica cloning and batch splits can never change
-  /// results) and round-trips through save()/load() as a version-4
+  /// The clone serves bit-stably through AsyncPredictor / ShardPool
+  /// (the quantized kernels are bit-identical across dispatch tiers, so
+  /// replica cloning and batch splits can never change results) and
+  /// round-trips through save()/load() as a version-4
   /// checkpoint. fit()/load() on the clone throw std::logic_error;
   /// sparsify() after quantize() throws — order is prune, sparsify,
   /// quantize.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "data/digits.hpp"
 
@@ -49,7 +50,20 @@ IdxArray read_idx(const std::string& path) {
     const std::uint32_t dim = read_u32_be(file);
     if (!file) throw std::runtime_error("read_idx: truncated dims");
     array.dims.push_back(dim);
+    if (dim != 0 && total > std::numeric_limits<std::size_t>::max() / dim) {
+      throw std::runtime_error("read_idx: dims overflow in " + path);
+    }
     total *= dim;
+  }
+  // The header is untrusted: check the payload is really there before
+  // allocating it.
+  const std::streamoff header_end = file.tellg();
+  file.seekg(0, std::ios::end);
+  const std::streamoff file_end = file.tellg();
+  file.seekg(header_end);
+  if (header_end < 0 || file_end < header_end ||
+      total > static_cast<std::size_t>(file_end - header_end)) {
+    throw std::runtime_error("read_idx: truncated payload in " + path);
   }
   array.values.resize(total);
   file.read(reinterpret_cast<char*>(array.values.data()),
@@ -88,7 +102,11 @@ Dataset load_mnist(const std::string& images_path,
   }
   std::size_t n = images.dims[0];
   if (max_rows != 0) n = std::min<std::size_t>(n, max_rows);
-  const std::size_t pixels = images.dims[1] * images.dims[2];
+  const std::size_t pixels =
+      static_cast<std::size_t>(images.dims[1]) * images.dims[2];
+  if (pixels != 0 && n > images.values.size() / pixels) {
+    throw std::runtime_error("load_mnist: image payload too short");
+  }
 
   Dataset dataset;
   dataset.features = tensor::MatrixF(n, pixels);

@@ -1,7 +1,7 @@
 #pragma once
 // IDX-format reader/writer (the MNIST container format). StreamBrain
 // "includes data-loaders for several well-known datasets, including
-// MNIST, STL-10, CIFAR10/100" (Section III-A); this is the MNIST side.
+// MNIST, STL-10, CIFAR10/100" (Section III-A); this repo keeps MNIST.
 // The writer exists so tests can round-trip and so synthetic digit sets
 // can be exported in the standard format.
 //
@@ -25,7 +25,8 @@ struct IdxArray {
 };
 
 /// Read any uint8 IDX file. Throws std::runtime_error on bad magic,
-/// truncated payload, or unsupported dtype.
+/// unsupported dtype, dims whose product overflows, or a payload shorter
+/// than the dims claim (checked before anything is allocated).
 IdxArray read_idx(const std::string& path);
 
 /// Write a uint8 IDX file.

@@ -3,7 +3,7 @@
 // path's per-request allocation churn. A fresh ServeRequest costs the
 // object itself plus TWO std::promise shared states (labels and scores,
 // even though each request uses exactly one); at serving rates that
-// dominated the dispatch overhead the mutex Predictor never pays. A
+// dominated the dispatch overhead a direct predict() call never pays. A
 // recycled request costs one promise reconstruction (the one the
 // previous use consumed) and keeps its result-vector capacity.
 //

@@ -1,7 +1,7 @@
 #pragma once
 // A pool of read-only model replicas ("shards") for concurrent serving,
-// with RCU-style versioned rotation. The mutex-serialized Predictor runs
-// every batch on one model object; a ShardPool instead clones the
+// with RCU-style versioned rotation. One model behind a mutex runs
+// every batch on one object; a ShardPool instead clones the
 // trained model N times via the checkpoint round-trip
 // (core::clone_model), so N batches run truly concurrently — one per
 // replica — with zero shared mutable state between them. Replicas

@@ -19,7 +19,7 @@
 //
 // Determinism guarantee: within one set, every kernel is sequential and
 // order-stable per output element, so results never depend on batch
-// splits or thread scheduling — the foundation of the Predictor's
+// splits or thread scheduling — the foundation of AsyncPredictor's
 // bit-identical concurrent serving.
 
 #include <cstddef>

@@ -3,11 +3,11 @@
 // quantized model bitwise at the scalar dispatch tier — across shard
 // counts (1 vs 4), for both the quant-dense and quant-sparse (prune →
 // sparsify → quantize) forms, with the ScoreCache enabled, under
-// concurrent submitters, and through the legacy Predictor and raw
-// ShardPool paths. This suite runs in the TSan CI job: the quantized
-// path adds new read-only data structures (QuantBlockMatrix, QuantCsr)
-// shared across dispatcher, pool workers, and shard replicas, and any
-// hidden mutation of them is a race TSan can see.
+// concurrent submitters, and through the raw ShardPool path. This suite
+// runs in the TSan CI job: the quantized path adds new read-only data
+// structures (QuantBlockMatrix, QuantCsr) shared across dispatcher, pool
+// workers, and shard replicas, and any hidden mutation of them is a race
+// TSan can see.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "api/async_predictor.hpp"
-#include "api/predictor.hpp"
 #include "core/model.hpp"
 #include "core/pruning.hpp"
 #include "data/higgs.hpp"
@@ -31,8 +30,6 @@ namespace st = streambrain::tensor;
 
 using streambrain::AsyncPredictor;
 using streambrain::AsyncPredictorOptions;
-using streambrain::Predictor;
-using streambrain::PredictorOptions;
 using streambrain::testing::ScopedDispatch;
 
 namespace {
@@ -195,17 +192,6 @@ TEST(QuantServing, ScoreCacheHitsStayBitIdenticalOnQuantReplicas) {
                  q.sparse_labels, q.sparse_scores, "cache warm");
   const auto stats = server.stats();
   EXPECT_GT(stats.cache_hits, 0u);
-}
-
-TEST(QuantServing, LegacyPredictorServesQuantizedModelBitwise) {
-  const ScopedDispatch pin(st::DispatchLevel::kScalar);
-  const QuantServing& q = fixture(sc::HeadType::kBcpnn);
-  PredictorOptions options;
-  options.max_batch_rows = 24;
-  Predictor predictor(q.quant_dense, options);
-  expect_bitwise(predictor.predict(q.x_test),
-                 predictor.predict_scores(q.x_test), q.dense_labels,
-                 q.dense_scores, "legacy predictor");
 }
 
 TEST(QuantServing, ShardPoolReplicasPreserveQuantizedForm) {

@@ -257,6 +257,23 @@ TEST(AsyncPredictor, SingleShardMatchesSerialReference) {
   EXPECT_GE(stats.max_queue_wait_seconds, 0.0);
 }
 
+TEST(AsyncPredictor, ServesAnyEstimatorOnOneShard) {
+  // The session is generic over the Estimator contract, not Model-bound:
+  // a baseline cannot be cloned, but one shard serves it in place.
+  streambrain::data::SyntheticHiggsGenerator generator;
+  const auto train = generator.generate(400);
+  std::shared_ptr<streambrain::Estimator> baseline =
+      streambrain::make_baseline_estimator("logistic");
+  baseline->fit(train.features, train.labels);
+  const std::vector<int> reference = baseline->predict(train.features);
+  const std::vector<double> reference_scores =
+      baseline->predict_scores(train.features);
+
+  AsyncPredictor server(baseline, {/*shards=*/1, /*max_batch_rows=*/50});
+  EXPECT_EQ(server.predict(train.features), reference);
+  EXPECT_EQ(server.predict_scores(train.features), reference_scores);
+}
+
 TEST(AsyncPredictor, ShardedConcurrentTrafficStaysBitIdentical) {
   AsyncPredictorOptions options;
   options.shards = 4;

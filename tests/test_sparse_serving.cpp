@@ -2,10 +2,10 @@
 // AsyncPredictor serving SPARSIFIED shard replicas must match the masked
 // dense model bitwise at the scalar dispatch tier — across shard counts
 // (1 vs 4), with the ScoreCache enabled, under concurrent submitters,
-// and through the legacy Predictor and raw ShardPool paths. This suite
-// runs in the TSan CI job: the sparse path adds a new read-only data
-// structure (CsrMatrix) shared across dispatcher, pool workers, and
-// shard replicas, and any hidden mutation of it is a race TSan can see.
+// and through the raw ShardPool path. This suite runs in the TSan CI
+// job: the sparse path adds a new read-only data structure (CsrMatrix)
+// shared across dispatcher, pool workers, and shard replicas, and any
+// hidden mutation of it is a race TSan can see.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "api/async_predictor.hpp"
-#include "api/predictor.hpp"
 #include "core/model.hpp"
 #include "core/pruning.hpp"
 #include "data/higgs.hpp"
@@ -30,8 +29,6 @@ namespace st = streambrain::tensor;
 
 using streambrain::AsyncPredictor;
 using streambrain::AsyncPredictorOptions;
-using streambrain::Predictor;
-using streambrain::PredictorOptions;
 using streambrain::testing::ScopedDispatch;
 
 namespace {
@@ -178,16 +175,6 @@ TEST(SparseServing, ScoreCacheHitsStayBitIdenticalOnSparseReplicas) {
                  s, "cache warm");
   const auto stats = server.stats();
   EXPECT_GT(stats.cache_hits, 0u);
-}
-
-TEST(SparseServing, LegacyPredictorServesSparseModelBitwise) {
-  const ScopedDispatch pin(st::DispatchLevel::kScalar);
-  const SparseServing& s = fixture(sc::HeadType::kBcpnn);
-  PredictorOptions options;
-  options.max_batch_rows = 24;
-  Predictor predictor(s.sparse, options);
-  expect_bitwise(predictor.predict(s.x_test),
-                 predictor.predict_scores(s.x_test), s, "legacy predictor");
 }
 
 TEST(SparseServing, ShardPoolReplicasOfSparseModelAreSparseAndBitwise) {

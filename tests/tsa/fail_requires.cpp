@@ -1,8 +1,7 @@
 // NEGATIVE-COMPILE CASE — must FAIL under clang -Werror=thread-safety.
 // Second contract: a REQUIRES(mutex) method — the `*_locked()` helper
-// convention used by Predictor::run_pending_locked and
-// EngineRegistry::known_names_locked — cannot be called without the
-// caller holding the mutex.
+// convention used by EngineRegistry::known_names_locked — cannot be
+// called without the caller holding the mutex.
 
 #include "util/annotated_mutex.hpp"
 #include "util/thread_annotations.hpp"

@@ -9,7 +9,6 @@
 #include <cstddef>
 
 #include "api/async_predictor.hpp"
-#include "api/predictor.hpp"
 #include "parallel/engine_registry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/request_queue.hpp"
