@@ -1,6 +1,8 @@
 // google-benchmark microbenchmarks for the StreamBrain compute backends
 // (paper Section III-A), as a dispatch-tier sweep: the four BCPNN
-// primitives and a full epoch at Higgs-experiment dimensions on the
+// primitives, the training step (learn_batch: traces, weights and the
+// receptive-field mask, at 1 x 300 and 1 x 3000 MCUs) and a full epoch
+// at Higgs-experiment dimensions on the
 // scalar reference engine ("naive") and on the "simd" engine at every
 // kernel tier this host can run (simd_scalar / simd_sse42 / simd_avx2,
 // pinned with tensor::force_dispatch), plus GEMM naive-vs-blocked. These
@@ -13,6 +15,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,8 +30,8 @@ namespace {
 struct Workload {
   std::size_t batch = 64;
   std::size_t n_in = 280;   // 28 features x 10 quantiles
-  std::size_t n_out = 300;  // 1 HCU x 300 MCUs
-  std::size_t mcus = 300;
+  std::size_t n_out;        // 1 HCU x `mcus` MCUs
+  std::size_t mcus;
   tensor::MatrixF x;
   tensor::MatrixF w;
   std::vector<float> bias;
@@ -36,8 +39,12 @@ struct Workload {
   std::vector<float> pi;
   std::vector<float> pj;
   tensor::MatrixF pij;
+  /// Receptive field 0.40 as in the paper's runs: the HCU listens to
+  /// ceil(0.4 * 28) = 12 of the 28 input hypercolumns.
+  std::vector<std::uint8_t> active;
 
-  Workload() {
+  explicit Workload(std::size_t mcus_per_hcu)
+      : n_out(mcus_per_hcu), mcus(mcus_per_hcu) {
     util::Rng rng(1);
     x = tensor::MatrixF(batch, n_in, 0.0f);
     for (std::size_t r = 0; r < batch; ++r) {
@@ -51,14 +58,18 @@ struct Workload {
     a = tensor::MatrixF(batch, n_out);
     for (float& v : a) v = static_cast<float>(rng.uniform(0.0, 1.0));
     pi.assign(n_in, 0.1f);
-    pj.assign(n_out, 1.0f / 300.0f);
-    pij = tensor::MatrixF(n_in, n_out, 0.1f / 300.0f);
+    pj.assign(n_out, 1.0f / static_cast<float>(mcus));
+    pij = tensor::MatrixF(n_in, n_out, 0.1f / static_cast<float>(mcus));
+    active.assign(28, 0);
+    for (std::size_t f = 0; f < 28; f += 5) active[f] = 1;
+    for (std::size_t f = 1; f < 28; f += 5) active[f] = 1;
   }
 };
 
-Workload& workload() {
-  static Workload w;
-  return w;
+Workload& workload(std::size_t mcus = 300) {
+  static Workload w300(300);
+  static Workload w3000(3000);
+  return mcus == 3000 ? w3000 : w300;
 }
 
 /// One column of the backend ablation: an engine, and for "simd" the
@@ -140,6 +151,28 @@ void BM_WeightRecompute(benchmark::State& state, const Backend& backend) {
     engine.recompute_weights(w.pi.data(), w.pj.data(), w.pij, 1e-4f, 1.0f,
                              weights, bias.data());
     benchmark::DoNotOptimize(weights.data());
+  }
+}
+
+// The training step: trace update, weight recompute and the receptive-
+// field mask, at state.range(0) MCUs.
+void BM_LearnBatch(benchmark::State& state, const Backend& backend) {
+  BackendScope scope(backend);
+  parallel::Engine& engine = scope.engine();
+  auto& w = workload(static_cast<std::size_t>(state.range(0)));
+  auto pi = w.pi;
+  auto pj = w.pj;
+  auto pij = w.pij;
+  tensor::MatrixF weights;
+  std::vector<float> bias(w.n_out);
+  const parallel::WeightMask mask{.block_rows = 10,
+                                  .block_cols = w.mcus,
+                                  .active = w.active.data()};
+  for (auto _ : state) {
+    engine.learn_batch(w.x, w.a, 0.05f, 1e-4f, 1.0f, mask, pi.data(),
+                       pj.data(), pij, weights, bias.data());
+    benchmark::DoNotOptimize(weights.data());
+    benchmark::ClobberMemory();
   }
 }
 
@@ -244,6 +277,13 @@ int main(int argc, char** argv) {
           (std::string(name) + "/" + backend.label()).c_str(), primitive,
           backend);
     }
+  }
+  for (const Backend& backend : backends) {
+    benchmark::RegisterBenchmark(
+        ("BM_LearnBatch/" + backend.label()).c_str(), BM_LearnBatch, backend)
+        ->Arg(300)
+        ->Arg(3000)
+        ->Unit(benchmark::kMicrosecond);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -35,8 +35,9 @@ void BcpnnClassifier::train_batch(const tensor::MatrixF& hidden,
   if (targets.cols() != classes_ || targets.rows() != hidden.rows()) {
     throw std::invalid_argument("BcpnnClassifier::train_batch: shape");
   }
-  traces_.update(*engine_, hidden, targets, alpha_);
-  recompute_weights();
+  if (hidden.rows() == 0) return;
+  traces_.learn(*engine_, hidden, targets, alpha_, eps_, k_beta_,
+                weight_mask(), weights_, bias_.data());
 }
 
 void BcpnnClassifier::recompute_weights() {
@@ -44,15 +45,11 @@ void BcpnnClassifier::recompute_weights() {
   engine_->recompute_weights(traces_.pi().data(), traces_.pj().data(),
                              traces_.pij(), eps_, k_beta_, weights_,
                              bias_.data());
-  apply_prune_mask();
+  weight_mask().apply(weights_);
 }
 
-void BcpnnClassifier::apply_prune_mask() {
-  if (prune_keep_.empty()) return;
-  float* w = weights_.data();
-  for (std::size_t i = 0; i < weights_.size(); ++i) {
-    if (prune_keep_[i] == 0) w[i] = 0.0f;
-  }
+parallel::WeightMask BcpnnClassifier::weight_mask() const noexcept {
+  return {.keep = prune_keep_.empty() ? nullptr : prune_keep_.data()};
 }
 
 void BcpnnClassifier::predict(const tensor::MatrixF& hidden,
@@ -70,7 +67,7 @@ std::size_t BcpnnClassifier::prune_to_density(double density) {
   prune_keep_ = magnitude_keep_mask(weights_.data(), weights_.size(), density);
   std::size_t dropped = 0;
   for (const std::uint8_t keep : prune_keep_) dropped += keep == 0;
-  apply_prune_mask();
+  weight_mask().apply(weights_);
   return dropped;
 }
 
@@ -81,7 +78,7 @@ void BcpnnClassifier::set_prune_mask(std::vector<std::uint8_t> mask) {
         "BcpnnClassifier::set_prune_mask: size mismatch");
   }
   prune_keep_ = std::move(mask);
-  apply_prune_mask();
+  weight_mask().apply(weights_);
 }
 
 double BcpnnClassifier::weight_density() const noexcept {

@@ -26,7 +26,8 @@ class BcpnnClassifier {
                   std::size_t classes, parallel::Engine& engine, float alpha,
                   float eps = 1e-4f, float k_beta = 1.0f);
 
-  /// One supervised batch: hidden activations + one-hot targets.
+  /// One supervised batch: hidden activations + one-hot targets, through
+  /// the engine's learn_batch. An empty batch changes nothing.
   void train_batch(const tensor::MatrixF& hidden,
                    const tensor::MatrixF& targets);
 
@@ -106,7 +107,8 @@ class BcpnnClassifier {
   void adopt(tensor::WeightStore store, std::vector<float> bias);
 
  private:
-  void apply_prune_mask();
+  /// The keep-mask as the engine reads it (the head has no block masks).
+  [[nodiscard]] parallel::WeightMask weight_mask() const noexcept;
   void require_mutable(const char* what) const;
   /// Install the read-only weights and free the trainable state.
   void freeze(tensor::WeightStore store, std::vector<float> bias);

@@ -16,8 +16,6 @@ namespace {
 
 // Minimum Box-Muller pairs per noise panel: about 15 us of libm work.
 constexpr std::size_t kMinNoisePairsPerPanel = 256;
-// Minimum weight rows per mask task.
-constexpr std::size_t kMinMaskRowsPerTask = 32;
 
 }  // namespace
 
@@ -80,6 +78,7 @@ BcpnnLayer::BcpnnLayer(const BcpnnConfig& config, parallel::Engine& engine,
       weights_(config.input_units(), config.hidden_units(), 0.0f),
       bias_(config.hidden_units(), 0.0f) {
   config_.validate();
+  refresh_block_flags();
   recompute_weights();
 }
 
@@ -134,9 +133,10 @@ void BcpnnLayer::forward_spiking(const tensor::MatrixF& x,
 
 void BcpnnLayer::train_batch(const tensor::MatrixF& x, float noise_std) {
   require_mutable("train_batch");
+  if (x.rows() == 0) return;
   forward_noisy(x, noise_scratch_, noise_std);
-  traces_.update(*engine_, x, noise_scratch_, config_.alpha);
-  recompute_weights();
+  traces_.learn(*engine_, x, noise_scratch_, config_.alpha, config_.eps,
+                config_.k_beta, weight_mask(), weights_, bias_.data());
 }
 
 void BcpnnLayer::recompute_weights() {
@@ -144,33 +144,27 @@ void BcpnnLayer::recompute_weights() {
   engine_->recompute_weights(traces_.pi().data(), traces_.pj().data(),
                              traces_.pij(), config_.eps, config_.k_beta,
                              weights_, bias_.data());
-  apply_masks();
+  weight_mask().apply(weights_);
 }
 
-void BcpnnLayer::apply_masks() {
+parallel::WeightMask BcpnnLayer::weight_mask() const noexcept {
   // A silent connection contributes nothing to the support: zero the
   // weight block (all input units of hypercolumn i) x (all MCUs of HCU h).
   // Element-level magnitude pruning rides on top of the block masks: the
   // keep-mask survives every weight recomputation until re-pruned.
-  const std::size_t bins = config_.input_bins;
-  const std::size_t mcus = config_.mcus;
-  const std::size_t cols = weights_.cols();
-  const auto panel = [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      float* w_row = weights_.row(r);
-      for (std::size_t h = 0; h < config_.hcus; ++h) {
-        if (!masks_.active(h, r / bins)) {
-          std::fill_n(w_row + h * mcus, mcus, 0.0f);
-        }
-      }
-      if (prune_keep_.empty()) continue;
-      const std::uint8_t* keep = prune_keep_.data() + r * cols;
-      for (std::size_t j = 0; j < cols; ++j) {
-        if (keep[j] == 0) w_row[j] = 0.0f;
-      }
+  return {.block_rows = config_.input_bins,
+          .block_cols = config_.mcus,
+          .active = block_active_.data(),
+          .keep = prune_keep_.empty() ? nullptr : prune_keep_.data()};
+}
+
+void BcpnnLayer::refresh_block_flags() {
+  block_active_.resize(config_.input_hypercolumns * config_.hcus);
+  for (std::size_t i = 0; i < config_.input_hypercolumns; ++i) {
+    for (std::size_t h = 0; h < config_.hcus; ++h) {
+      block_active_[i * config_.hcus + h] = masks_.active(h, i) ? 1 : 0;
     }
-  };
-  parallel::for_row_panels(weights_.rows(), kMinMaskRowsPerTask, panel);
+  }
 }
 
 std::size_t BcpnnLayer::prune_to_density(double density) {
@@ -178,7 +172,7 @@ std::size_t BcpnnLayer::prune_to_density(double density) {
   prune_keep_ = magnitude_keep_mask(weights_.data(), weights_.size(), density);
   std::size_t dropped = 0;
   for (const std::uint8_t keep : prune_keep_) dropped += keep == 0;
-  apply_masks();
+  weight_mask().apply(weights_);
   return dropped;
 }
 
@@ -195,7 +189,7 @@ void BcpnnLayer::set_prune_mask(std::vector<std::uint8_t> mask) {
     throw std::invalid_argument("BcpnnLayer::set_prune_mask: size mismatch");
   }
   prune_keep_ = std::move(mask);
-  apply_masks();
+  weight_mask().apply(weights_);
 }
 
 double BcpnnLayer::weight_density() const noexcept {
@@ -261,7 +255,10 @@ std::size_t BcpnnLayer::plasticity_step() {
   const std::size_t swaps = structural_plasticity_step(
       masks_, traces_, config_.input_bins, config_.mcus, config_.eps,
       plasticity);
-  if (swaps > 0) recompute_weights();
+  if (swaps > 0) {
+    refresh_block_flags();
+    recompute_weights();
+  }
   return swaps;
 }
 
@@ -272,8 +269,13 @@ void BcpnnLayer::set_state(const ProbabilityTraces& traces,
       traces.outputs() != traces_.outputs()) {
     throw std::invalid_argument("BcpnnLayer::set_state: trace shape mismatch");
   }
+  if (masks.hcus() != config_.hcus ||
+      masks.input_hypercolumns() != config_.input_hypercolumns) {
+    throw std::invalid_argument("BcpnnLayer::set_state: mask shape mismatch");
+  }
   traces_ = traces;
   masks_ = masks;
+  refresh_block_flags();
   recompute_weights();
 }
 

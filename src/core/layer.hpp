@@ -52,8 +52,9 @@ class BcpnnLayer {
                      float noise_std);
 
   // --- Learning ----------------------------------------------------------
-  /// One unsupervised batch: noisy forward, trace EMA update, weight
-  /// recomputation. This is the inner loop the engines accelerate.
+  /// One unsupervised batch: noisy forward, then the engine's learn_batch
+  /// (trace EMA update, weight recomputation, masks). This is the inner
+  /// loop the engines accelerate. An empty batch changes nothing.
   void train_batch(const tensor::MatrixF& x, float noise_std);
 
   /// Recompute weights and biases from the traces and re-apply the masks.
@@ -166,12 +167,16 @@ class BcpnnLayer {
   [[nodiscard]] std::vector<std::vector<float>> mi_map() const;
 
   /// Overwrite traces and masks (used by the distributed trainer to adopt
-  /// the synchronized state); recomputes the weights.
+  /// the synchronized state); recomputes the weights. Throws
+  /// std::invalid_argument when a shape differs from the layer's.
   void set_state(const ProbabilityTraces& traces,
                  const ReceptiveFieldMasks& masks);
 
  private:
-  void apply_masks();
+  /// The receptive-field masks and the keep-mask, as the engine reads them.
+  [[nodiscard]] parallel::WeightMask weight_mask() const noexcept;
+  /// Flatten masks_ into block_active_; called whenever masks_ changes.
+  void refresh_block_flags();
   void require_mutable(const char* what) const;
   /// Install the read-only weights and free the trainable state.
   void freeze(tensor::WeightStore store, std::vector<float> bias);
@@ -181,11 +186,13 @@ class BcpnnLayer {
   util::Rng rng_;
   ProbabilityTraces traces_;
   ReceptiveFieldMasks masks_;
+  /// masks_ as [input_hypercolumns x hcus] bytes, 1 = active.
+  std::vector<std::uint8_t> block_active_;
   tensor::MatrixF weights_;   // [input_units x hidden_units]
   std::vector<float> bias_;   // [hidden_units]
   tensor::MatrixF noise_scratch_;
   /// Element keep-mask from prune_to_density (empty = no pruning);
-  /// weights_.size() bytes, 1 = keep. Re-applied by apply_masks().
+  /// weights_.size() bytes, 1 = keep. Part of weight_mask().
   std::vector<std::uint8_t> prune_keep_;
   /// Set once sparsify()/quantize()/adopt() ran: the only weight
   /// storage of the read-only inference form.

@@ -1,6 +1,7 @@
 #include "core/traces.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace streambrain::core {
 
@@ -28,14 +29,32 @@ ProbabilityTraces::ProbabilityTraces(std::size_t n_inputs,
   pij_.fill(prior_i * prior_j);
 }
 
+void ProbabilityTraces::check_batch(const tensor::MatrixF& x,
+                                    const tensor::MatrixF& a,
+                                    const char* what) const {
+  if (x.cols() != pi_.size() || a.cols() != pj_.size() ||
+      x.rows() != a.rows()) {
+    throw std::invalid_argument(std::string("ProbabilityTraces::") + what +
+                                ": shape mismatch");
+  }
+}
+
 void ProbabilityTraces::update(parallel::Engine& engine,
                                const tensor::MatrixF& x,
                                const tensor::MatrixF& a, float alpha) {
-  if (x.cols() != pi_.size() || a.cols() != pj_.size() ||
-      x.rows() != a.rows()) {
-    throw std::invalid_argument("ProbabilityTraces::update: shape mismatch");
-  }
+  check_batch(x, a, "update");
   engine.update_traces(x, a, alpha, pi_.data(), pj_.data(), pij_);
+}
+
+void ProbabilityTraces::learn(parallel::Engine& engine,
+                              const tensor::MatrixF& x,
+                              const tensor::MatrixF& a, float alpha,
+                              float eps, float k_beta,
+                              const parallel::WeightMask& mask,
+                              tensor::MatrixF& w, float* bias) {
+  check_batch(x, a, "learn");
+  engine.learn_batch(x, a, alpha, eps, k_beta, mask, pi_.data(), pj_.data(),
+                     pij_, w, bias);
 }
 
 std::vector<double> ProbabilityTraces::input_hypercolumn_mass() const {

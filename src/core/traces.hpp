@@ -31,6 +31,14 @@ class ProbabilityTraces {
   void update(parallel::Engine& engine, const tensor::MatrixF& x,
               const tensor::MatrixF& a, float alpha);
 
+  /// One training batch via engine.learn_batch: update(), then `w` and
+  /// `bias` recomputed from the traces with floor `eps` and bias gain
+  /// `k_beta`, then `mask` applied to `w`.
+  void learn(parallel::Engine& engine, const tensor::MatrixF& x,
+             const tensor::MatrixF& a, float alpha, float eps, float k_beta,
+             const parallel::WeightMask& mask, tensor::MatrixF& w,
+             float* bias);
+
   [[nodiscard]] std::size_t inputs() const noexcept { return pi_.size(); }
   [[nodiscard]] std::size_t outputs() const noexcept { return pj_.size(); }
 
@@ -60,6 +68,11 @@ class ProbabilityTraces {
   [[nodiscard]] std::vector<double> output_hypercolumn_mass() const;
 
  private:
+  /// Throws std::invalid_argument unless x is [batch x inputs()] and a is
+  /// [batch x outputs()].
+  void check_batch(const tensor::MatrixF& x, const tensor::MatrixF& a,
+                   const char* what) const;
+
   std::size_t input_hc_size_;
   std::size_t output_hc_size_;
   std::vector<float> pi_;

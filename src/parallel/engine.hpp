@@ -7,19 +7,67 @@
 // against. Engines are created by name through parallel::EngineRegistry
 // (engine_registry.hpp).
 //
-// An Engine supplies the four primitives that dominate BCPNN training:
+// An Engine supplies the four primitives that dominate BCPNN training,
+// and the training step built from the last two:
 //
 //   support   : S = X * W + b           (batch GEMM + bias)
 //   softmax   : per-hypercolumn soft-WTA normalization of S
 //   traces    : EMA update of p_i, p_j, p_ij from a batch (X, A)
 //   weights   : w_ij = log(p_ij / (p_i p_j)), b_j = k_beta * log(p_j)
+//   learn     : traces, then weights, then the WeightMask — one batch
+//
+// learn_batch's default is that reference composition, so an engine need
+// not override it; "simd" overrides it with one fused pass over p_ij and
+// W that gives the same bits.
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "tensor/matrix.hpp"
 
 namespace streambrain::parallel {
+
+/// The weights a BCPNN layer holds at zero, as a non-owning view of an
+/// [rows x cols] weight matrix. Block masks: the matrix is a grid of
+/// (block_rows x block_cols) blocks — (input bins x MCUs), one per input
+/// hypercolumn and HCU — and a block whose flag in `active` (row-major,
+/// rows / block_rows x cols / block_cols) is 0 is zero. Keep-mask: an
+/// entry whose byte in `keep` ([rows x cols]) is 0 is zero. A null
+/// pointer masks nothing; WeightMask{} masks nothing at all. When `active`
+/// is set, block_rows and block_cols must divide rows and cols.
+struct WeightMask {
+  std::size_t block_rows = 0;
+  std::size_t block_cols = 0;
+  const std::uint8_t* active = nullptr;
+  const std::uint8_t* keep = nullptr;
+
+  /// run(c0, c1) for each maximal run [c0, c1) of weight row `row`'s
+  /// columns in active blocks, ascending.
+  template <typename Run>
+  void for_active_runs(std::size_t row, std::size_t cols,
+                       const Run& run) const {
+    if (active == nullptr) {
+      if (cols > 0) run(std::size_t{0}, cols);
+      return;
+    }
+    const std::size_t blocks = cols / block_cols;
+    const std::uint8_t* flags = active + (row / block_rows) * blocks;
+    std::size_t start = 0;
+    for (std::size_t b = 0; b <= blocks; ++b) {
+      if (b < blocks && flags[b] != 0) continue;
+      if (start < b * block_cols) run(start, b * block_cols);
+      start = (b + 1) * block_cols;
+    }
+  }
+
+  /// Zeroes weight row `row` (`cols` entries at w_row) in its masked
+  /// blocks, then where its keep-mask drops an entry.
+  void apply_row(std::size_t row, float* w_row, std::size_t cols) const;
+
+  /// apply_row over every row of `w`, in row panels over the pool.
+  void apply(tensor::MatrixF& w) const;
+};
 
 class Engine {
  public:
@@ -51,6 +99,15 @@ class Engine {
                                  const tensor::MatrixF& pij, float eps,
                                  float k_beta, tensor::MatrixF& w,
                                  float* bias) = 0;
+
+  /// One training batch: update_traces(x, a, alpha, ...), then
+  /// recompute_weights(..., eps, k_beta, w, bias), then mask.apply(w).
+  /// That composition is the default; an override must give its bits.
+  virtual void learn_batch(const tensor::MatrixF& x, const tensor::MatrixF& a,
+                           float alpha, float eps, float k_beta,
+                           const WeightMask& mask, float* pi, float* pj,
+                           tensor::MatrixF& pij, tensor::MatrixF& w,
+                           float* bias);
 };
 
 }  // namespace streambrain::parallel

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "parallel/engine.hpp"
 #include "parallel/engine_registry.hpp"
@@ -19,13 +20,30 @@ namespace streambrain::parallel {
 
 namespace {
 
-// Minimum p_ij rows per weight-recompute task.
+// Minimum p_ij rows per weight-recompute and training-step task.
 constexpr std::size_t kMinWeightRowsPerTask = 16;
 
 using tensor::MatrixF;
 
 float floored_log(float value, float floor) noexcept {
   return std::log(std::max(value, floor));
+}
+
+// mean[j] = sum over rows b of inv_b * m(b, j), accumulated in row order.
+void column_means(const MatrixF& m, float inv_b, std::vector<float>& mean) {
+  mean.assign(m.cols(), 0.0f);
+  for (std::size_t b = 0; b < m.rows(); ++b) {
+    tensor::axpy(inv_b, m.row(b), mean.data(), m.cols());
+  }
+}
+
+// Weight row columns [c0, c1) from their p_ij row: the floored log minus
+// (log p_i + log p_j).
+void weight_columns(float log_pi, const float* pij_row, const float* log_pj,
+                    float eps2, float* w_row, std::size_t c0, std::size_t c1) {
+  tensor::vlog_floored(pij_row + c0, w_row + c0, eps2, c1 - c0);
+#pragma omp simd
+  for (std::size_t j = c0; j < c1; ++j) w_row[j] -= log_pi + log_pj[j];
 }
 
 /// Scalar reference engine: no threads, no fast-math approximations.
@@ -142,22 +160,11 @@ class SimdEngine final : public Engine {
 
   void update_traces(const MatrixF& x, const MatrixF& a, float alpha,
                      float* pi, float* pj, MatrixF& pij) override {
-    const std::size_t batch = x.rows();
-    const std::size_t n_in = x.cols();
-    const std::size_t n_out = a.cols();
-    const float inv_b = 1.0f / static_cast<float>(batch);
-
-    mean_x_.assign(n_in, 0.0f);
-    for (std::size_t b = 0; b < batch; ++b) {
-      tensor::axpy(inv_b, x.row(b), mean_x_.data(), n_in);
-    }
-    tensor::ema_update(pi, mean_x_.data(), alpha, n_in);
-
-    mean_a_.assign(n_out, 0.0f);
-    for (std::size_t b = 0; b < batch; ++b) {
-      tensor::axpy(inv_b, a.row(b), mean_a_.data(), n_out);
-    }
-    tensor::ema_update(pj, mean_a_.data(), alpha, n_out);
+    const float inv_b = 1.0f / static_cast<float>(x.rows());
+    column_means(x, inv_b, mean_x_);
+    tensor::ema_update(pi, mean_x_.data(), alpha, x.cols());
+    column_means(a, inv_b, mean_a_);
+    tensor::ema_update(pj, mean_a_.data(), alpha, a.cols());
 
     // p_ij = (1-alpha) p_ij + (alpha/B) X^T A as one GEMM.
     tensor::gemm(tensor::Transpose::kYes, tensor::Transpose::kNo,
@@ -167,36 +174,81 @@ class SimdEngine final : public Engine {
   void recompute_weights(const float* pi, const float* pj, const MatrixF& pij,
                          float eps, float k_beta, MatrixF& w,
                          float* bias) override {
-    const std::size_t n_in = pij.rows();
     const std::size_t n_out = pij.cols();
-    w.resize(n_in, n_out);
+    w.resize(pij.rows(), n_out);
+    const float* log_pj = log_pj_and_bias(pj, n_out, eps, k_beta, bias);
     const float eps2 = eps * eps;
-    log_pj_.resize(n_out);
-    tensor::vlog_floored(pj, log_pj_.data(), eps, n_out);
-    const float* log_pj = log_pj_.data();
-    for (std::size_t j = 0; j < n_out; ++j) bias[j] = k_beta * log_pj[j];
     const auto rows = [&](std::size_t i0, std::size_t i1) {
       for (std::size_t i = i0; i < i1; ++i) {
-        const float log_pi = tensor::fast_log(std::max(pi[i], eps));
-        const float* pij_row = pij.row(i);
-        float* w_row = w.row(i);
-        tensor::vlog_floored(pij_row, w_row, eps2, n_out);
-#pragma omp simd
-        for (std::size_t j = 0; j < n_out; ++j) {
-          w_row[j] -= log_pi + log_pj[j];
-        }
+        weight_columns(tensor::fast_log(std::max(pi[i], eps)), pij.row(i),
+                       log_pj, eps2, w.row(i), 0, n_out);
       }
     };
-    for_row_panels(n_in, kMinWeightRowsPerTask, rows);
+    for_row_panels(pij.rows(), kMinWeightRowsPerTask, rows);
+  }
+
+  // update_traces, recompute_weights and the mask in one row-panel pass:
+  // each p_ij row is scaled and updated (tensor::GemmRows, the trace GEMM
+  // one row at a time), and its W row is computed from it while it is in
+  // cache, skipping the logs of masked blocks. Every element sees the
+  // reference's operations in the reference's order.
+  void learn_batch(const MatrixF& x, const MatrixF& a, float alpha, float eps,
+                   float k_beta, const WeightMask& mask, float* pi, float* pj,
+                   MatrixF& pij, MatrixF& w, float* bias) override {
+    const float inv_b = 1.0f / static_cast<float>(x.rows());
+    // GemmRows equals gemm only for finite activations, and a non-finite
+    // activation makes its column mean non-finite. A dense X (the upper
+    // layers of a deep stack, the classifier head) does not skip zeros;
+    // its GEMM dominates the step, which runs as the reference.
+    column_means(a, inv_b, mean_a_);
+    if (!std::all_of(mean_a_.begin(), mean_a_.end(),
+                     [](float mean) { return std::isfinite(mean); }) ||
+        !trace_rows_.reset(tensor::Transpose::kYes, alpha * inv_b, x, a,
+                           1.0f - alpha, pij)) {
+      Engine::learn_batch(x, a, alpha, eps, k_beta, mask, pi, pj, pij, w,
+                          bias);
+      return;
+    }
+    const std::size_t n_out = a.cols();
+    column_means(x, inv_b, mean_x_);
+    tensor::ema_update(pi, mean_x_.data(), alpha, x.cols());
+    tensor::ema_update(pj, mean_a_.data(), alpha, n_out);
+
+    w.resize(pij.rows(), n_out);
+    const float* log_pj = log_pj_and_bias(pj, n_out, eps, k_beta, bias);
+    const float eps2 = eps * eps;
+    const auto rows = [&](std::size_t i0, std::size_t i1) {
+      for (std::size_t i = i0; i < i1; ++i) {
+        float* pij_row = pij.row(i);
+        float* w_row = w.row(i);
+        trace_rows_.row(i, pij_row);
+        const float log_pi = tensor::fast_log(std::max(pi[i], eps));
+        mask.for_active_runs(i, n_out, [&](std::size_t c0, std::size_t c1) {
+          weight_columns(log_pi, pij_row, log_pj, eps2, w_row, c0, c1);
+        });
+        mask.apply_row(i, w_row, n_out);
+      }
+    };
+    for_row_panels(pij.rows(), kMinWeightRowsPerTask, rows);
   }
 
  private:
+  // log max(p_j, eps) into log_pj_, and bias = k_beta * that.
+  const float* log_pj_and_bias(const float* pj, std::size_t n_out, float eps,
+                               float k_beta, float* bias) {
+    log_pj_.resize(n_out);
+    tensor::vlog_floored(pj, log_pj_.data(), eps, n_out);
+    for (std::size_t j = 0; j < n_out; ++j) bias[j] = k_beta * log_pj_[j];
+    return log_pj_.data();
+  }
+
   // Per-batch scratch, reused across calls so steady-state training
   // allocates nothing. Safe because an engine is never shared between
   // threads: every rank and serving replica owns its own.
   std::vector<float> mean_x_;
   std::vector<float> mean_a_;
   std::vector<float> log_pj_;
+  tensor::GemmRows trace_rows_;
 };
 
 }  // namespace

@@ -104,19 +104,10 @@ void multiply_dense(const KernelSet& kernels, float alpha, const float* a,
   parallel::for_row_panels(m, kMinRowsPerTask, panel);
 }
 
-// The nonzero entries of op(A), row by row in ascending k (CSR layout).
+using detail::NonzeroRows;
+
 // Thread-local, so the buffers keep their capacity from call to call and
 // the zero-skipping path allocates nothing in steady state.
-struct NonzeroRows {
-  std::vector<std::uint64_t> row_ptr;
-  std::vector<std::uint32_t> col_idx;
-  std::vector<float> values;
-  // trans_a = kYes only: each op(A) row's next free slot, and one
-  // stored row's nonzero positions.
-  std::vector<std::uint64_t> cursor;
-  std::vector<std::size_t> positions;
-};
-
 NonzeroRows& nonzero_scratch() {
   thread_local NonzeroRows rows;
   return rows;
@@ -192,16 +183,28 @@ bool collect_nonzeros(Transpose trans, const MatrixF& a, std::size_t m,
   return true;
 }
 
-// C = beta * C with apply_beta's arithmetic; reports whether any element
-// is now -0.0, the one C value a skipped +0 term would have changed.
-bool scale_finds_negative_zero(float beta, MatrixF& c) {
+// Whether gemm takes the zero-skipping path: op(A) has nonzeros, strictly
+// fewer than the crossover density. Fills `rows` when it does.
+bool collect_sparse_operand(Transpose trans_a, const MatrixF& a,
+                            std::size_t m, std::size_t k, NonzeroRows& rows) {
+  if (m == 0 || k == 0) return false;
+  const auto total = static_cast<double>(m) * static_cast<double>(k);
+  const auto max_nnz = static_cast<std::size_t>(
+      std::ceil(kSparseDensityCrossover * total) - 1.0);
+  return collect_nonzeros(trans_a, a, m, k, max_nnz, rows) &&
+         rows.row_ptr[m] != 0;
+}
+
+// data[0, n) = beta * data with apply_beta's arithmetic; reports whether
+// any element is now -0.0, the one C value a skipped +0 term would have
+// changed.
+bool scale_finds_negative_zero(float beta, float* data, std::size_t n) {
   if (beta == 0.0f) {
-    c.fill(0.0f);
+    std::fill_n(data, n, 0.0f);
     return false;
   }
-  float* data = c.data();
   std::uint32_t found = 0;
-  for (std::size_t i = 0; i < c.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const float value = beta == 1.0f ? data[i] : beta * data[i];
     data[i] = value;
     found |= std::bit_cast<std::uint32_t>(value) == kNegativeZeroBits;
@@ -217,7 +220,7 @@ void multiply_sparse(float alpha, const NonzeroRows& rows, Transpose trans_a,
   std::vector<float> b_storage;
   const float* b_ptr = pack_b(trans_b, b, k, n, b_storage);
   const KernelSet& kernels = active_kernels();
-  if (scale_finds_negative_zero(beta, c)) {
+  if (scale_finds_negative_zero(beta, c.data(), c.size())) {
     std::vector<float> a_storage;
     multiply_dense(kernels, alpha, pack_a(trans_a, a, m, k, a_storage), b_ptr,
                    c, m, n, k);
@@ -289,21 +292,47 @@ void gemm_sparse_a(Transpose trans_a, Transpose trans_b, float alpha,
 void gemm(Transpose trans_a, Transpose trans_b, float alpha, const MatrixF& a,
           const MatrixF& b, float beta, MatrixF& c) {
   const auto [m, n, k] = check_dims(trans_a, trans_b, a, b, c);
-  if (m == 0 || n == 0 || k == 0) {
-    gemm_blocked(trans_a, trans_b, alpha, a, b, beta, c);
-    return;
-  }
-  // Strictly below the crossover density.
-  const auto total = static_cast<double>(m) * static_cast<double>(k);
-  const auto max_nnz = static_cast<std::size_t>(
-      std::ceil(kSparseDensityCrossover * total) - 1.0);
   NonzeroRows& rows = nonzero_scratch();
-  if (!collect_nonzeros(trans_a, a, m, k, max_nnz, rows) ||
-      rows.row_ptr[m] == 0) {
+  if (n == 0 || !collect_sparse_operand(trans_a, a, m, k, rows)) {
     gemm_blocked(trans_a, trans_b, alpha, a, b, beta, c);
     return;
   }
   multiply_sparse(alpha, rows, trans_a, a, trans_b, b, beta, c, m, n, k);
+}
+
+bool GemmRows::reset(Transpose trans_a, float alpha, const MatrixF& a,
+                     const MatrixF& b, float beta, const MatrixF& c) {
+  const auto [m, n, k] = check_dims(trans_a, Transpose::kNo, a, b, c);
+  a_ = &a;
+  b_ = b.data();
+  trans_a_ = trans_a;
+  alpha_ = alpha;
+  beta_ = beta;
+  n_ = n;
+  k_ = k;
+  return n != 0 && collect_sparse_operand(trans_a, a, m, k, nonzeros_);
+}
+
+void GemmRows::row(std::size_t i, float* c_row) const {
+  const KernelSet& kernels = active_kernels();
+  if (!scale_finds_negative_zero(beta_, c_row, n_)) {
+    kernels.gemm_sparse_rows(alpha_, nonzeros_.values.data(),
+                             nonzeros_.col_idx.data(),
+                             nonzeros_.row_ptr.data() + i, 1, b_, n_, c_row,
+                             n_, n_);
+    return;
+  }
+  // The dense row reads op(A) row i itself: its -0.0 entries, which the
+  // nonzero lists drop, count here.
+  float a_panel[kBlockK];
+  for (std::size_t p0 = 0; p0 < k_; p0 += kBlockK) {
+    const std::size_t kb = std::min(kBlockK, k_ - p0);
+    for (std::size_t p = 0; p < kb; ++p) {
+      a_panel[p] = load(*a_, trans_a_, i, p0 + p);
+    }
+    kernels.gemm_block(alpha_, a_panel, kb, b_ + p0 * n_, n_, c_row, n_, 1,
+                       n_, kb);
+  }
 }
 
 MatrixF matmul(const MatrixF& a, const MatrixF& b) {

@@ -13,6 +13,9 @@
 //                    has nonzeros at a density below
 //                    kSparseDensityCrossover, gemm_blocked otherwise
 //
+// GemmRows runs gemm's zero-skipping path one row of C at a time, for the
+// BCPNN training step that fuses its weight recompute into the same pass.
+//
 // Zero-skip contract: skipping a zero entry of A drops terms that add
 // exactly zero, so gemm_sparse_a (and therefore gemm) is bit-identical to
 // gemm_blocked at every dispatch tier whenever B is finite (0 * inf is
@@ -27,6 +30,8 @@
 // training time exactly as the paper's Section II-B describes.
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "tensor/matrix.hpp"
 
@@ -63,6 +68,52 @@ inline constexpr double kSparseDensityCrossover = 0.25;
 /// when B is finite.
 void gemm(Transpose trans_a, Transpose trans_b, float alpha, const MatrixF& a,
           const MatrixF& b, float beta, MatrixF& c);
+
+namespace detail {
+
+/// The nonzero entries of op(A), row by row in ascending k (CSR layout).
+struct NonzeroRows {
+  std::vector<std::uint64_t> row_ptr;
+  std::vector<std::uint32_t> col_idx;
+  std::vector<float> values;
+  // trans_a = kYes only: each op(A) row's next free slot, and one
+  // stored row's nonzero positions.
+  std::vector<std::uint64_t> cursor;
+  std::vector<std::size_t> positions;
+};
+
+}  // namespace detail
+
+/// gemm(trans_a, Transpose::kNo, alpha, a, b, beta, c) one row of C at a
+/// time, for a caller that fuses its own per-row work into the same pass
+/// over C. Reuse one object across products: its buffers keep their
+/// capacity. `a` and `b` must outlive the row() calls.
+class GemmRows {
+ public:
+  /// Makes gemm's choice for this product. Returns true, with op(A)'s
+  /// nonzero lists collected, when gemm would take the zero-skipping path;
+  /// false when it would take the dense one (call gemm then). Throws
+  /// std::invalid_argument on a dimension mismatch, as gemm does.
+  bool reset(Transpose trans_a, float alpha, const MatrixF& a,
+             const MatrixF& b, float beta, const MatrixF& c);
+
+  /// Row i of C (n = b.cols() entries): scaled by beta, then updated from
+  /// op(A) row i's nonzeros, or by gemm_block's dense row where the
+  /// scaled row holds a -0.0. When B is finite this is, bit for bit, row
+  /// i of gemm's result (whose -0.0 fallback covers the whole matrix), in
+  /// any row order and on any thread. Valid after reset() returned true.
+  void row(std::size_t i, float* c_row) const;
+
+ private:
+  const MatrixF* a_ = nullptr;
+  const float* b_ = nullptr;
+  Transpose trans_a_ = Transpose::kNo;
+  float alpha_ = 0.0f;
+  float beta_ = 0.0f;
+  std::size_t n_ = 0;
+  std::size_t k_ = 0;
+  detail::NonzeroRows nonzeros_;
+};
 
 /// Convenience: C = A * B with fresh output.
 MatrixF matmul(const MatrixF& a, const MatrixF& b);

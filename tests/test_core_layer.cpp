@@ -3,15 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "core/classifier.hpp"
 #include "core/layer.hpp"
 #include "core/sgd_head.hpp"
 #include "data/dataset.hpp"
 #include "parallel/engine_registry.hpp"
+#include "parallel/thread_pool.hpp"
+#include "tensor/kernel_set.hpp"
 #include "util/rng.hpp"
 
 namespace sc = streambrain::core;
@@ -268,6 +273,243 @@ TEST(BcpnnLayer, SetStateRoundTrip) {
   }
 }
 
+TEST(BcpnnLayer, SetStateRejectsMasksOfAnotherGeometry) {
+  // 4 HCUs x 2 MCUs has the same trace shape as 2 x 4, not the same masks.
+  auto config = small_config();
+  auto other_config = small_config();
+  other_config.hcus = 4;
+  other_config.mcus = 2;
+  auto engine = sp::EngineRegistry::instance().create("simd");
+  su::Rng rng(16);
+  sc::BcpnnLayer layer(config, *engine, rng);
+  sc::BcpnnLayer other(other_config, *engine, rng);
+  EXPECT_THROW(layer.set_state(other.traces(), other.masks()),
+               std::invalid_argument);
+}
+
+TEST(BcpnnLayer, EmptyBatchChangesNothing) {
+  // 1/B with B = 0 turned every trace into NaN on "naive"; "simd" decayed
+  // them by (1 - alpha). Both layers must treat an empty batch as a no-op.
+  const auto same = [](const auto& expected, const auto& actual) {
+    return std::equal(expected.begin(), expected.end(), actual.begin(),
+                      actual.end(), [](float lhs, float rhs) {
+                        return std::bit_cast<std::uint32_t>(lhs) ==
+                               std::bit_cast<std::uint32_t>(rhs);
+                      });
+  };
+  for (const char* name : {"naive", "simd"}) {
+    auto config = small_config();
+    auto engine = sp::EngineRegistry::instance().create(name);
+    su::Rng rng(17);
+    sc::BcpnnLayer layer(config, *engine, rng);
+    su::Rng data_rng(18);
+    layer.train_batch(synthetic_batch(config, 8, data_rng), 0.5f);
+    const sc::ProbabilityTraces traces = layer.traces();
+    const st::MatrixF weights = layer.weights();
+    const std::vector<float> bias = layer.bias();
+    layer.train_batch(st::MatrixF(0, config.input_units()), 0.5f);
+    EXPECT_TRUE(same(traces.pi(), layer.traces().pi())) << name;
+    EXPECT_TRUE(same(traces.pj(), layer.traces().pj())) << name;
+    EXPECT_TRUE(same(traces.pij(), layer.traces().pij())) << name;
+    EXPECT_TRUE(same(weights, layer.weights())) << name;
+    EXPECT_TRUE(same(bias, layer.bias())) << name;
+
+    sc::BcpnnClassifier head(config.hidden_units(), config.hcus, 2, *engine,
+                             0.1f);
+    const sc::ProbabilityTraces head_traces = head.traces();
+    const std::vector<float> head_bias = head.bias();
+    head.train_batch(st::MatrixF(0, config.hidden_units()),
+                     st::MatrixF(0, 2));
+    EXPECT_TRUE(same(head_traces.pi(), head.traces().pi())) << name;
+    EXPECT_TRUE(same(head_traces.pj(), head.traces().pj())) << name;
+    EXPECT_TRUE(same(head_traces.pij(), head.traces().pij())) << name;
+    EXPECT_TRUE(same(head_bias, head.bias())) << name;
+  }
+}
+
+// -------------------------------------------------- fused training step ----
+
+namespace {
+
+/// Restores the dispatch tier that was active at construction.
+class DispatchGuard {
+ public:
+  DispatchGuard() : original_(st::active_kernels().level) {}
+  ~DispatchGuard() { st::force_dispatch(original_); }
+  DispatchGuard(const DispatchGuard&) = delete;
+  DispatchGuard& operator=(const DispatchGuard&) = delete;
+
+ private:
+  st::DispatchLevel original_;
+};
+
+/// The trace and weight buffers one learn_batch call writes.
+struct StepState {
+  std::vector<float> pi;
+  std::vector<float> pj;
+  st::MatrixF pij;
+  st::MatrixF w;
+  std::vector<float> bias;
+
+  void learn(sp::Engine& engine, bool reference, const st::MatrixF& x,
+             const st::MatrixF& a, const sp::WeightMask& mask) {
+    if (reference) {
+      engine.sp::Engine::learn_batch(x, a, 0.05f, 1e-4f, 1.0f, mask,
+                                     pi.data(), pj.data(), pij, w,
+                                     bias.data());
+    } else {
+      engine.learn_batch(x, a, 0.05f, 1e-4f, 1.0f, mask, pi.data(),
+                         pj.data(), pij, w, bias.data());
+    }
+  }
+};
+
+::testing::AssertionResult same_bits(const float* expected,
+                                     const float* actual, std::size_t n,
+                                     const char* what) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::bit_cast<std::uint32_t>(expected[i]) !=
+        std::bit_cast<std::uint32_t>(actual[i])) {
+      return ::testing::AssertionFailure()
+             << what << "[" << i << "]: expected " << expected[i] << ", got "
+             << actual[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult same_state(const StepState& expected,
+                                      const StepState& actual) {
+  for (const auto& result :
+       {same_bits(expected.pi.data(), actual.pi.data(), expected.pi.size(),
+                  "pi"),
+        same_bits(expected.pj.data(), actual.pj.data(), expected.pj.size(),
+                  "pj"),
+        same_bits(expected.pij.data(), actual.pij.data(),
+                  expected.pij.size(), "pij"),
+        same_bits(expected.w.data(), actual.w.data(), expected.w.size(), "w"),
+        same_bits(expected.bias.data(), actual.bias.data(),
+                  expected.bias.size(), "bias")}) {
+    if (!result) return result;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+}  // namespace
+
+TEST(LearnBatch, SimdStepIsBitIdenticalToTheReferenceComposition) {
+  // The paper's input (28 features x 10 quantile bins, batch 64) at the
+  // 1 x 300 MCU shape, and at 3 HCUs x 77 MCUs, where masked blocks cut
+  // W's rows into segments, with a keep-mask on top.
+  struct Shape {
+    std::size_t hcus;
+    std::size_t mcus;
+    double receptive_field;
+    bool pruned;
+  };
+  enum class Seed { kPlain, kNegativeZero, kNegativeZeroAndNan };
+  constexpr std::size_t kHcs = 28;
+  constexpr std::size_t kBins = 10;
+  constexpr std::size_t kBatch = 64;
+  constexpr std::size_t kInputs = kHcs * kBins;
+  // Two input units no row activates: the column of X of the first holds
+  // -0.0, a zero the nonzero lists drop but gemm's dense fallback reads;
+  // the second's holds +0.0, which turns a -0.0 in its p_ij row into +0.0
+  // on the dense fallback only.
+  constexpr std::size_t kNegativeZeroInput = 3;
+  constexpr std::size_t kSilentInput = 6;
+  const DispatchGuard guard;
+  auto engine = sp::EngineRegistry::instance().create("simd");
+  for (const Shape shape : {Shape{1, 300, 0.4, false}, Shape{3, 77, 0.6, true}}) {
+    const std::size_t outputs = shape.hcus * shape.mcus;
+    su::Rng rng(outputs);
+    st::MatrixF x(kBatch, kInputs, 0.0f);
+    for (std::size_t r = 0; r < kBatch; ++r) {
+      x(r, kNegativeZeroInput) = -0.0f;
+      for (std::size_t f = 0; f < kHcs; ++f) {
+        std::size_t unit = f * kBins + rng.uniform_index(kBins);
+        if (unit == kNegativeZeroInput || unit == kSilentInput) ++unit;
+        x(r, unit) = 1.0f;
+      }
+    }
+    std::size_t busy_input = kBins;
+    while (x(0, busy_input) == 0.0f) ++busy_input;
+    st::MatrixF a(kBatch, outputs);
+    for (float& v : a) v = static_cast<float>(rng.uniform(-2.0, 2.0));
+    engine->softmax_hcu(a, shape.mcus, 1.0f);
+
+    std::vector<std::uint8_t> active(kHcs * shape.hcus);
+    for (auto& flag : active) flag = rng.uniform() < shape.receptive_field;
+    std::vector<std::uint8_t> keep;
+    if (shape.pruned) {
+      keep.resize(kInputs * outputs);
+      for (auto& flag : keep) flag = rng.uniform() < 0.7;
+    }
+    const sp::WeightMask mask{
+        .block_rows = kBins,
+        .block_cols = shape.mcus,
+        .active = active.data(),
+        .keep = keep.empty() ? nullptr : keep.data()};
+
+    StepState start{.pi = std::vector<float>(kInputs),
+                    .pj = std::vector<float>(outputs),
+                    .pij = st::MatrixF(kInputs, outputs),
+                    .w = st::MatrixF(kInputs, outputs, 7.0f),
+                    .bias = std::vector<float>(outputs, 7.0f)};
+    for (float& p : start.pi) p = static_cast<float>(rng.uniform(0.01, 0.2));
+    for (float& p : start.pj) p = static_cast<float>(rng.uniform(1e-3, 1e-2));
+    for (float& p : start.pij) p = static_cast<float>(rng.uniform(1e-6, 1e-3));
+
+    for (const Seed seed :
+         {Seed::kPlain, Seed::kNegativeZero, Seed::kNegativeZeroAndNan}) {
+      StepState seeded = start;
+      st::MatrixF acts = a;
+      if (seed != Seed::kPlain) {
+        // -0.0 sends these rows down the dense fallback: two whose inputs
+        // never fire and one whose input does.
+        seeded.pij(kNegativeZeroInput, 1) = -0.0f;
+        seeded.pij(kSilentInput, 1) = -0.0f;
+        seeded.pij(busy_input, 2) = -0.0f;
+      }
+      if (seed == Seed::kNegativeZeroAndNan) {
+        // gemm's -0.0 fallback is whole-matrix: with a NaN activation it
+        // spreads 0 * NaN over column 4 of every row, which per-row
+        // fallbacks would not.
+        acts(5, 4) = std::numeric_limits<float>::quiet_NaN();
+      }
+      for (const st::DispatchLevel level :
+           {st::DispatchLevel::kScalar, st::DispatchLevel::kSse42,
+            st::DispatchLevel::kAvx2}) {
+        if (st::kernel_set_for(level) == nullptr) continue;
+        st::force_dispatch(level);
+        StepState expected = seeded;
+        expected.learn(*engine, true, x, acts, mask);
+        if (seed == Seed::kNegativeZero) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                        expected.pij(kNegativeZeroInput, 1)),
+                    0x80000000u);
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(
+                        expected.pij(kSilentInput, 1)),
+                    0u);
+        }
+        for (const bool in_pool : {false, true}) {
+          StepState fused = seeded;
+          const auto step = [&] { fused.learn(*engine, false, x, acts, mask); };
+          if (in_pool) {
+            sp::global_pool().submit(step).get();
+          } else {
+            step();
+          }
+          EXPECT_TRUE(same_state(expected, fused))
+              << st::dispatch_level_name(level) << " " << shape.hcus << "x"
+              << shape.mcus << " seed " << static_cast<int>(seed)
+              << (in_pool ? " in a pool task" : " inline");
+        }
+      }
+    }
+  }
+}
+
 TEST(BcpnnConfig, ValidateCatchesBadValues) {
   sc::BcpnnConfig config = small_config();
   config.receptive_field = 1.5;
@@ -368,6 +610,8 @@ TEST(BcpnnClassifier, RejectsBadShapes) {
   st::MatrixF hidden(2, 4);
   st::MatrixF bad_targets(2, 3);
   EXPECT_THROW(classifier.train_batch(hidden, bad_targets),
+               std::invalid_argument);
+  EXPECT_THROW(classifier.train_batch(st::MatrixF(2, 5), st::MatrixF(2, 2)),
                std::invalid_argument);
 }
 

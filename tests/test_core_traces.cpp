@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "core/plasticity.hpp"
 #include "core/traces.hpp"
@@ -93,10 +95,21 @@ TEST(Traces, ConvergesToEmpiricalFrequencies) {
 
 TEST(Traces, UpdateRejectsShapeMismatch) {
   sc::ProbabilityTraces traces(10, 10, 4, 4);
-  auto engine = sp::EngineRegistry::instance().create("naive");
-  st::MatrixF x(2, 8);
-  st::MatrixF a(2, 4);
-  EXPECT_THROW(traces.update(*engine, x, a, 0.1f), std::invalid_argument);
+  st::MatrixF w;
+  std::vector<float> bias(4);
+  for (const char* name : {"naive", "simd"}) {
+    auto engine = sp::EngineRegistry::instance().create(name);
+    for (const auto& [x, a] : {std::pair{st::MatrixF(2, 8), st::MatrixF(2, 4)},
+                               std::pair{st::MatrixF(2, 10), st::MatrixF(2, 3)},
+                               std::pair{st::MatrixF(2, 10), st::MatrixF(3, 4)}}) {
+      EXPECT_THROW(traces.update(*engine, x, a, 0.1f), std::invalid_argument)
+          << name;
+      EXPECT_THROW(traces.learn(*engine, x, a, 0.1f, 1e-4f, 1.0f, {}, w,
+                                bias.data()),
+                   std::invalid_argument)
+          << name;
+    }
+  }
 }
 
 // ------------------------------------------------------------- masks ----

@@ -501,7 +501,7 @@ TEST(KernelProperty, ForceDispatchRejectsUnavailableTiersAndRoundTrips) {
   }
 }
 
-// --- Zero-skip wall: tensor::gemm vs gemm_blocked, bit for bit ------------
+// --- Zero-skip wall: gemm and GemmRows vs gemm_blocked, bit for bit -------
 
 namespace {
 
@@ -716,6 +716,17 @@ TEST(KernelProperty, GemmZeroSkipIsBitIdenticalToBlockedAtEveryTier) {
                       << "gemm " << where();
                   ASSERT_TRUE(same_bits(expected, skipping))
                       << "gemm_sparse_a " << where();
+                  if (tb == st::Transpose::kNo) {
+                    st::GemmRows rows;
+                    if (rows.reset(ta, alpha, a, b, beta, c0)) {
+                      st::MatrixF by_row = c0;
+                      for (std::size_t i = m; i-- > 0;) {
+                        rows.row(i, by_row.row(i));
+                      }
+                      ASSERT_TRUE(same_bits(expected, by_row))
+                          << "GemmRows " << where();
+                    }
+                  }
                 }
               }
             }
