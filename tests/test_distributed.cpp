@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -280,16 +281,18 @@ TEST(Distributed, OverlapDoesNotChangeResults) {
 
 namespace {
 
-void check_distributed_golden(
-    const std::string& name, sc::HeadType head,
-    scomm::Backend backend = scomm::Backend::kInProcess) {
+/// Train `make()`'s model at 2 ranks under `options` on the scalar tier and
+/// compare its test-set predictions with the committed digest `name`.
+void check_distributed_golden(const std::string& name,
+                              const std::function<sc::Model()>& make,
+                              sc::DistributedOptions options = {}) {
+  options.ranks = 2;
   const FixtureData& data = fixture();
   sg::Digest actual;
   {
     const sg::ScopedDispatch pin(st::DispatchLevel::kScalar);
-    sc::Model model = make_shallow(head);
-    sc::fit_distributed(model, data.x_train, data.y_train,
-                        {.ranks = 2, .backend = backend});
+    sc::Model model = make();
+    sc::fit_distributed(model, data.x_train, data.y_train, options);
     actual.labels = model.predict(data.x_test);
     actual.scores = model.predict_scores(data.x_test);
     actual.accuracy = model.evaluate(data.x_test, data.y_test);
@@ -321,27 +324,48 @@ void check_distributed_golden(
   }
 }
 
+sc::Model make_bcpnn_head() { return make_shallow(sc::HeadType::kBcpnn); }
+sc::Model make_sgd_head() { return make_shallow(sc::HeadType::kSgd); }
+
 }  // namespace
 
 TEST(DistributedGolden, BcpnnHeadMatchesCommittedDigest) {
-  check_distributed_golden("distributed_bcpnn_head", sc::HeadType::kBcpnn);
+  check_distributed_golden("distributed_bcpnn_head", make_bcpnn_head);
 }
 
 TEST(DistributedGolden, SgdHeadMatchesCommittedDigest) {
-  check_distributed_golden("distributed_sgd_head", sc::HeadType::kSgd);
+  check_distributed_golden("distributed_sgd_head", make_sgd_head);
 }
 
 // The shm and TCP backends must reproduce the SAME committed digests —
 // the transport is invisible to the trained bits.
 
 TEST(DistributedGolden, BcpnnHeadMatchesCommittedDigestOverShm) {
-  check_distributed_golden("distributed_bcpnn_head", sc::HeadType::kBcpnn,
-                           scomm::Backend::kShm);
+  check_distributed_golden("distributed_bcpnn_head", make_bcpnn_head,
+                           {.backend = scomm::Backend::kShm});
 }
 
 TEST(DistributedGolden, SgdHeadMatchesCommittedDigestOverTcp) {
-  check_distributed_golden("distributed_sgd_head", sc::HeadType::kSgd,
-                           scomm::Backend::kTcp);
+  check_distributed_golden("distributed_sgd_head", make_sgd_head,
+                           {.backend = scomm::Backend::kTcp});
+}
+
+// Approximate mode (local updates, averaged every third batch) and the
+// deep stack are deterministic per (ranks, options), so they are pinned
+// too: the batch loop may change shape, never these bits.
+
+TEST(DistributedGolden, BcpnnHeadCadence3MatchesCommittedDigest) {
+  check_distributed_golden("distributed_bcpnn_head_cadence3", make_bcpnn_head,
+                           {.sync_cadence = 3});
+}
+
+TEST(DistributedGolden, SgdHeadCadence3MatchesCommittedDigest) {
+  check_distributed_golden("distributed_sgd_head_cadence3", make_sgd_head,
+                           {.sync_cadence = 3});
+}
+
+TEST(DistributedGolden, DeepStackMatchesCommittedDigest) {
+  check_distributed_golden("distributed_deep_stack", make_deep);
 }
 
 // --- fit_rank: the one-rank-per-process entry point -------------------------
