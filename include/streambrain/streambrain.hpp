@@ -53,7 +53,6 @@
 
 // --- Message passing --------------------------------------------------------
 #include "comm/communicator.hpp"
-#include "comm/hierarchical.hpp"
 #include "comm/transport.hpp"
 
 // --- Tensor primitives ------------------------------------------------------

@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -121,16 +123,30 @@ void Transport::check_peer(int peer, const char* op) const {
 
 namespace {
 
-int env_int(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
+/// The one parser for SB_COMM_* integers: the whole of `text` must be a
+/// decimal integer in [lo, hi]. `what` names the variable in the error.
+int parse_env_int(const char* what, const std::string& text, long lo,
+                  long hi) {
+  errno = 0;
   char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0') {
-    throw std::invalid_argument(std::string(name) + ": '" + value +
+  const long parsed = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0') {
+    throw std::invalid_argument(std::string(what) + ": '" + text +
                                 "' is not an integer");
   }
+  if (errno == ERANGE || parsed < lo || parsed > hi) {
+    throw std::invalid_argument(std::string(what) + ": " + text +
+                                " is outside [" + std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
+  }
   return static_cast<int>(parsed);
+}
+
+int env_int(const char* name, int fallback, long lo,
+            long hi = std::numeric_limits<int>::max()) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || *value == '\0') return fallback;
+  return parse_env_int(name, value, lo, hi);
 }
 
 std::vector<std::string> split_csv(const std::string& text) {
@@ -158,8 +174,8 @@ Backend parse_backend(const std::string& name) {
 
 TransportOptions options_from_env() {
   TransportOptions options;
-  options.rank = env_int("SB_COMM_RANK", 0);
-  options.world = env_int("SB_COMM_WORLD", 1);
+  options.rank = env_int("SB_COMM_RANK", 0, 0);
+  options.world = env_int("SB_COMM_WORLD", 1, 1);
   if (const char* backend = std::getenv("SB_COMM_BACKEND")) {
     options.backend = parse_backend(backend);
   } else {
@@ -173,20 +189,16 @@ TransportOptions options_from_env() {
   }
   if (const char* ports = std::getenv("SB_COMM_PORTS")) {
     for (const std::string& port : split_csv(ports)) {
-      std::size_t parsed = 0;
-      const int value = std::stoi(port, &parsed);
-      if (parsed != port.size()) {
-        throw std::invalid_argument("SB_COMM_PORTS: '" + port +
-                                    "' is not an integer");
-      }
-      options.ports.push_back(value);
+      options.ports.push_back(
+          parse_env_int("SB_COMM_PORTS", port, 1, detail::kMaxPort));
     }
   }
-  options.base_port = env_int("SB_COMM_BASE_PORT", options.base_port);
+  options.base_port = env_int("SB_COMM_BASE_PORT", options.base_port, 1,
+                              detail::kMaxPort);
   options.connect_timeout_ms =
-      env_int("SB_COMM_CONNECT_TIMEOUT_MS", options.connect_timeout_ms);
+      env_int("SB_COMM_CONNECT_TIMEOUT_MS", options.connect_timeout_ms, 1);
   options.op_timeout_ms =
-      env_int("SB_COMM_OP_TIMEOUT_MS", options.op_timeout_ms);
+      env_int("SB_COMM_OP_TIMEOUT_MS", options.op_timeout_ms, 1);
   return options;
 }
 
@@ -432,11 +444,6 @@ void Communicator::allreduce(float* data, std::size_t count, ReduceOp op,
   allreduce_dispatch(data, count, op, algorithm);
 }
 
-void Communicator::allreduce(double* data, std::size_t count, ReduceOp op,
-                             AllreduceAlgorithm algorithm) {
-  allreduce_dispatch(data, count, op, algorithm);
-}
-
 void Communicator::allreduce(std::uint64_t* data, std::size_t count,
                              ReduceOp op, AllreduceAlgorithm algorithm) {
   allreduce_dispatch(data, count, op, algorithm);
@@ -449,157 +456,11 @@ void Communicator::allreduce_mean(float* data, std::size_t count,
   for (std::size_t i = 0; i < count; ++i) data[i] *= inv;
 }
 
-void Communicator::allreduce_mean(double* data, std::size_t count,
-                                  AllreduceAlgorithm algorithm) {
-  allreduce(data, count, ReduceOp::kSum, algorithm);
-  const double inv = 1.0 / static_cast<double>(size());
-  for (std::size_t i = 0; i < count; ++i) data[i] *= inv;
-}
-
 Request Communicator::iallreduce(float* data, std::size_t count, ReduceOp op,
                                  AllreduceAlgorithm algorithm) {
   return Request(transport_, [this, data, count, op, algorithm] {
     allreduce(data, count, op, algorithm);
   });
-}
-
-Request Communicator::iallreduce(double* data, std::size_t count, ReduceOp op,
-                                 AllreduceAlgorithm algorithm) {
-  return Request(transport_, [this, data, count, op, algorithm] {
-    allreduce(data, count, op, algorithm);
-  });
-}
-
-void Communicator::broadcast(float* data, std::size_t count, int root) {
-  const int rank = this->rank();
-  const int size = this->size();
-  if (size == 1 || count == 0) return;
-  const std::size_t bytes = count * sizeof(float);
-  if (rank == root) {
-    for (int r = 0; r < size; ++r) {
-      if (r != root) transport_->send(r, detail::kCollTag, data, bytes);
-    }
-    transport_->add_logical_bytes(static_cast<std::uint64_t>(bytes) *
-                                  static_cast<std::uint64_t>(size - 1));
-  } else {
-    transport_->recv(root, detail::kCollTag, data, bytes);
-  }
-}
-
-void Communicator::allgather(const float* data, std::size_t count,
-                             float* out) {
-  const int rank = this->rank();
-  const int size = this->size();
-  if (count == 0) return;
-  std::copy(data, data + count, out + static_cast<std::size_t>(rank) * count);
-  const std::size_t bytes = count * sizeof(float);
-  for (int s = 1; s < size; ++s) {
-    const int dest = (rank + s) % size;
-    const int src = (rank - s + size) % size;
-    transport_->send(dest, detail::kCollTag, data, bytes);
-    transport_->recv(src, detail::kCollTag,
-                     out + static_cast<std::size_t>(src) * count, bytes);
-  }
-  transport_->add_logical_bytes(static_cast<std::uint64_t>(bytes) *
-                                static_cast<std::uint64_t>(size - 1));
-}
-
-void Communicator::gather(const float* data, std::size_t count, float* out,
-                          int root) {
-  const int rank = this->rank();
-  const int size = this->size();
-  if (count == 0) return;
-  const std::size_t bytes = count * sizeof(float);
-  if (rank == root) {
-    std::copy(data, data + count,
-              out + static_cast<std::size_t>(root) * count);
-    for (int r = 0; r < size; ++r) {
-      if (r == root) continue;
-      transport_->recv(r, detail::kCollTag,
-                       out + static_cast<std::size_t>(r) * count, bytes);
-    }
-  } else {
-    transport_->send(root, detail::kCollTag, data, bytes);
-    transport_->add_logical_bytes(bytes);
-  }
-}
-
-void Communicator::scatter(const float* data, std::size_t count, float* out,
-                           int root) {
-  const int rank = this->rank();
-  const int size = this->size();
-  if (count == 0) return;
-  const std::size_t bytes = count * sizeof(float);
-  if (rank == root) {
-    for (int r = 0; r < size; ++r) {
-      if (r == root) continue;
-      transport_->send(r, detail::kCollTag,
-                       data + static_cast<std::size_t>(r) * count, bytes);
-    }
-    std::copy(data + static_cast<std::size_t>(root) * count,
-              data + static_cast<std::size_t>(root + 1) * count, out);
-    transport_->add_logical_bytes(static_cast<std::uint64_t>(bytes) *
-                                  static_cast<std::uint64_t>(size - 1));
-  } else {
-    transport_->recv(root, detail::kCollTag, out, bytes);
-  }
-}
-
-void Communicator::reduce_scatter(const float* data, std::size_t count,
-                                  float* out) {
-  const int rank = this->rank();
-  const int size = this->size();
-  if (count == 0) return;
-  if (size == 1) {
-    std::copy(data, data + count, out);
-    return;
-  }
-  const std::size_t bytes = count * sizeof(float);
-  // All-to-all of destination blocks, then every rank reduces its own
-  // block in rank order (deterministic, rank 0's values first — the same
-  // association as allreduce-then-slice).
-  std::vector<float> slots(static_cast<std::size_t>(size) * count);
-  std::copy(data + static_cast<std::size_t>(rank) * count,
-            data + static_cast<std::size_t>(rank + 1) * count,
-            slots.begin() + static_cast<std::size_t>(rank) * count);
-  for (int s = 1; s < size; ++s) {
-    const int dest = (rank + s) % size;
-    const int src = (rank - s + size) % size;
-    transport_->send(dest, detail::kCollTag,
-                     data + static_cast<std::size_t>(dest) * count, bytes);
-    transport_->recv(src, detail::kCollTag,
-                     slots.data() + static_cast<std::size_t>(src) * count,
-                     bytes);
-  }
-  std::copy(slots.begin(), slots.begin() + count, out);
-  for (int r = 1; r < size; ++r) {
-    const float* block = slots.data() + static_cast<std::size_t>(r) * count;
-    for (std::size_t i = 0; i < count; ++i) out[i] += block[i];
-  }
-  transport_->add_logical_bytes(static_cast<std::uint64_t>(
-      static_cast<double>(size - 1) / size * static_cast<double>(count) *
-      static_cast<double>(size) * sizeof(float)));
-}
-
-void Communicator::send(const float* data, std::size_t count, int dest,
-                        int tag) {
-  if (tag < 0) {
-    throw std::invalid_argument(
-        "send: user tags must be non-negative (negative tags are reserved "
-        "for collectives)");
-  }
-  transport_->send(dest, tag, data, count * sizeof(float));
-  transport_->add_logical_bytes(
-      static_cast<std::uint64_t>(count * sizeof(float)));
-}
-
-void Communicator::recv(float* data, std::size_t count, int source, int tag) {
-  if (tag < 0) {
-    throw std::invalid_argument(
-        "recv: user tags must be non-negative (negative tags are reserved "
-        "for collectives)");
-  }
-  transport_->recv(source, tag, data, count * sizeof(float));
 }
 
 // ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@
 //
 // The paper's MPI backend exists to show that BCPNN's local learning makes
 // data-parallel training communication-light (one trace reduction per
-// batch). This substrate reproduces that communication pattern exactly:
-// collectives have MPI semantics, reductions are deterministic (fixed
-// schedules), and every operation accounts the bytes that cross the
-// network, so benchmarks can report communication volume per epoch. The
-// same collective schedules run over threads-as-ranks mailboxes, POSIX
-// shared memory, or a TCP mesh (see transport.hpp) — and a rank failure
-// poisons the world so peers fail fast with comm::CommError instead of
-// hanging in a collective.
+// batch). This substrate reproduces that communication pattern exactly,
+// and offers only what the data-parallel trainer needs: a barrier and an
+// allreduce (blocking or nonblocking, float or uint64, MPI semantics).
+// Reductions are deterministic (fixed schedules), and every operation
+// accounts the bytes that cross the network, so benchmarks can report
+// communication volume per epoch. The same schedules run over
+// threads-as-ranks mailboxes, POSIX shared memory, or a TCP mesh (see
+// transport.hpp; raw point-to-point frames live there) — and a rank
+// failure poisons the world so peers fail fast with comm::CommError
+// instead of hanging in a collective.
 //
 // Two allreduce algorithms are available, selectable per call so
 // benchmarks can compare them on the same payload:
@@ -103,15 +105,11 @@ class Communicator {
   /// association) is fixed per algorithm regardless of thread timing.
   void allreduce(float* data, std::size_t count, ReduceOp op,
                  AllreduceAlgorithm algorithm = AllreduceAlgorithm::kFlat);
-  void allreduce(double* data, std::size_t count, ReduceOp op,
-                 AllreduceAlgorithm algorithm = AllreduceAlgorithm::kFlat);
   void allreduce(std::uint64_t* data, std::size_t count, ReduceOp op,
                  AllreduceAlgorithm algorithm = AllreduceAlgorithm::kFlat);
 
   /// allreduce(kSum) followed by division by world size.
   void allreduce_mean(float* data, std::size_t count,
-                      AllreduceAlgorithm algorithm = AllreduceAlgorithm::kFlat);
-  void allreduce_mean(double* data, std::size_t count,
                       AllreduceAlgorithm algorithm = AllreduceAlgorithm::kFlat);
 
   /// Nonblocking allreduce: returns immediately; the reduction happens
@@ -122,34 +120,6 @@ class Communicator {
   [[nodiscard]] Request iallreduce(
       float* data, std::size_t count, ReduceOp op,
       AllreduceAlgorithm algorithm = AllreduceAlgorithm::kFlat);
-  [[nodiscard]] Request iallreduce(
-      double* data, std::size_t count, ReduceOp op,
-      AllreduceAlgorithm algorithm = AllreduceAlgorithm::kFlat);
-
-  /// Copy `count` elements from `root`'s buffer to every rank.
-  void broadcast(float* data, std::size_t count, int root);
-
-  /// Concatenate each rank's `count` elements into `out` (size*count) on
-  /// every rank, ordered by rank.
-  void allgather(const float* data, std::size_t count, float* out);
-
-  /// Root receives every rank's `count` elements concatenated in rank
-  /// order (`out` is only written on the root, size*count elements).
-  void gather(const float* data, std::size_t count, float* out, int root);
-
-  /// Root distributes `count` elements to each rank from its size*count
-  /// buffer (read only on the root).
-  void scatter(const float* data, std::size_t count, float* out, int root);
-
-  /// Element-wise sum-reduce of size*count inputs; rank r receives the
-  /// r-th `count`-element block of the reduced vector. Deterministic.
-  void reduce_scatter(const float* data, std::size_t count, float* out);
-
-  /// Blocking point-to-point. Matching is by (source, tag); tags must be
-  /// non-negative (negative tags are reserved for the collectives).
-  /// Sending to self is allowed and delivered locally.
-  void send(const float* data, std::size_t count, int dest, int tag);
-  void recv(float* data, std::size_t count, int source, int tag);
 
   /// Bytes this rank has logically sent so far (the backend-independent
   /// cost model the benchmarks assert).

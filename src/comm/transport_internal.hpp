@@ -12,10 +12,12 @@
 
 namespace streambrain::comm::detail {
 
-// Tags below this are reserved for internal protocol traffic; user-facing
-// send/recv enforces tag >= 0.
+// Negative tags carry the transports' own protocol traffic.
 inline constexpr int kCollTag = -2;     // collective payload frames
 inline constexpr int kBarrierTag = -3;  // TCP dissemination-barrier tokens
+
+// TCP listen ports, explicit or base_port + rank, must lie in [1, 65535].
+inline constexpr int kMaxPort = 65535;
 
 /// Whole thread-mode worlds: `world` transports sharing one PoisonState
 /// (and, for shm/tcp, one pre-created segment / pre-bound listener set).

@@ -281,8 +281,22 @@ class TcpTransport final : public Transport {
         throw std::invalid_argument(
             "tcp transport: ports list must have one entry per rank");
       }
+      for (const int port : options_.ports) {
+        if (port < 1 || port > detail::kMaxPort) {
+          throw std::invalid_argument("tcp transport: port " +
+                                      std::to_string(port) +
+                                      " is outside [1, " +
+                                      std::to_string(detail::kMaxPort) + "]");
+        }
+      }
       ports_ = options_.ports;
     } else if (options_.base_port > 0) {
+      if (options_.base_port > detail::kMaxPort - (size_ - 1)) {
+        throw std::invalid_argument(
+            "tcp transport: base_port " + std::to_string(options_.base_port) +
+            " puts rank " + std::to_string(size_ - 1) + " above port " +
+            std::to_string(detail::kMaxPort));
+      }
       ports_.resize(static_cast<std::size_t>(size_));
       for (int r = 0; r < size_; ++r) ports_[static_cast<std::size_t>(r)] =
           options_.base_port + r;

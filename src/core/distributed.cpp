@@ -1,10 +1,10 @@
 #include "core/distributed.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/classifier.hpp"
@@ -86,69 +86,10 @@ void pack_batch(const tensor::MatrixF& src_x, const tensor::MatrixF* src_t,
   }
 }
 
-/// Zero-padded per-shard statistics buffer + the fixed-order combine.
-/// Each shard's statistics live in a disjoint slot, so the allreduce adds
-/// x + 0 everywhere — exact for both algorithms — and the subsequent
-/// left-to-right combine over shards is identical on every rank.
-struct LeafExchange {
-  std::size_t shards = 0;
-  std::size_t block = 0;
-  std::vector<float> buffer;  // shards * block
-  std::vector<float> total;   // block
-
-  void configure(std::size_t shard_count, std::size_t block_size) {
-    shards = shard_count;
-    block = block_size;
-    buffer.assign(shards * block, 0.0f);
-    total.assign(block, 0.0f);
-  }
-
-  void reset() { std::fill(buffer.begin(), buffer.end(), 0.0f); }
-
-  [[nodiscard]] float* slot(std::size_t shard) noexcept {
-    return buffer.data() + shard * block;
-  }
-
-  /// allreduce the padded buffer, then combine shards in fixed order.
-  /// `overlap_work` runs between issuing the nonblocking reduction and
-  /// waiting on it (compute/communication overlap).
-  void exchange(comm::Communicator& comm, comm::AllreduceAlgorithm algorithm,
-                const std::function<void()>& overlap_work) {
-    comm::Request request = comm.iallreduce(buffer.data(), buffer.size(),
-                                            comm::ReduceOp::kSum, algorithm);
-    if (overlap_work) overlap_work();
-    request.wait();
-    combine_all();
-  }
-
-  /// Combine every shard's slot (after an exchange).
-  void combine_all() {
-    std::fill(total.begin(), total.end(), 0.0f);
-    for (std::size_t v = 0; v < shards; ++v) {
-      const float* part = slot(v);
-      for (std::size_t i = 0; i < block; ++i) total[i] += part[i];
-    }
-  }
-
-  /// Combine only the shards this rank owns (approximate mode).
-  void combine_owned(int rank, int world) {
-    std::fill(total.begin(), total.end(), 0.0f);
-    for (std::size_t v = 0; v < shards; ++v) {
-      if (!owns_shard(v, rank, world)) continue;
-      const float* part = slot(v);
-      for (std::size_t i = 0; i < block; ++i) total[i] += part[i];
-    }
-  }
-};
-
 // --- Trace-based updates (hidden layers and the BCPNN head) ----------------
 
 /// Stat block layout for a trace update over (x, a): col-sums of x, col-
-/// sums of a, and x^T a, concatenated.
-std::size_t trace_block_size(std::size_t n_in, std::size_t n_out) noexcept {
-  return n_in + n_out + n_in * n_out;
-}
-
+/// sums of a, and x^T a, concatenated — the layout of pi, pj and pij.
 void accumulate_trace_stats(const tensor::MatrixF& x, const tensor::MatrixF& a,
                             tensor::MatrixF& pij_scratch, float* slot) {
   const std::size_t n_in = x.cols();
@@ -187,88 +128,86 @@ void apply_trace_ema(const float* totals, std::size_t rows, float alpha,
   }
 }
 
-/// Pack / unpack traces into a flat buffer for cadence-mode averaging.
-void traces_to_buffer(const ProbabilityTraces& traces, float* out) {
-  std::copy(traces.pi().begin(), traces.pi().end(), out);
-  out += traces.pi().size();
-  std::copy(traces.pj().begin(), traces.pj().end(), out);
-  out += traces.pj().size();
-  std::copy_n(traces.pij().data(), traces.pij().size(), out);
-}
+// --- The batch driver --------------------------------------------------------
 
-void buffer_to_traces(const float* in, ProbabilityTraces& traces) {
-  std::copy_n(in, traces.mutable_pi().size(), traces.mutable_pi().data());
-  in += traces.pi().size();
-  std::copy_n(in, traces.mutable_pj().size(), traces.mutable_pj().data());
-  in += traces.pj().size();
-  std::copy_n(in, traces.pij().size(), traces.mutable_pij().data());
-}
-
-/// Everything one synchronized trace-training phase needs.
-struct TracePhase {
-  ProbabilityTraces& traces;
-  std::function<void()> recompute;          ///< weights from traces
-  std::function<void(const tensor::MatrixF&, tensor::MatrixF&, float,
-                     util::Rng&)>
-      forward;  ///< shard rows -> activations (empty: targets provided)
-  float alpha;
-  std::size_t epochs;
-  std::size_t batch_size;
-  std::function<float(std::size_t)> noise_for_epoch;  ///< 0 => none
-  std::function<void()> end_epoch;          ///< e.g. plasticity (may be {})
-  std::uint64_t stream;                     ///< schedule / noise rng tag
+/// What one synchronized training phase (a hidden layer, the BCPNN head or
+/// the SGD head) plugs into run_phase. The callbacks act on this rank's
+/// replica; run_phase owns everything else.
+struct Phase {
+  std::size_t epochs = 0;
+  std::size_t batch_size = 0;
+  std::uint64_t stream = 0;  ///< shuffle (and noise) rng tag
+  /// Statistics per virtual shard. The state averaged in cadence mode has
+  /// the same size and layout (traces for trace sums, weights and bias for
+  /// gradient sums).
+  std::size_t block = 0;
+  /// Write one virtual shard's statistics into `slot`: rows `x`, targets
+  /// `t` (null for unsupervised phases), of batch `batch` of `epoch`.
+  std::function<void(const tensor::MatrixF& x, const tensor::MatrixF* t,
+                     std::size_t epoch, std::size_t batch, std::size_t shard,
+                     float* slot)>
+      shard_stats;
+  /// Update the replica from combined statistics over `rows` rows.
+  std::function<void(const float* totals, std::size_t rows)> apply;
+  /// Cadence mode: copy the averaged state out of / back into the replica.
+  std::function<void(float* out)> save_state;
+  std::function<void(const float* in)> load_state;
+  std::function<void()> end_epoch;  ///< may be empty
 };
 
-/// One full trace-training phase (all epochs) over `x` with optional
-/// supervised targets. This is the core of the data-parallel trainer.
-void run_trace_phase(comm::Communicator& comm, const DistributedOptions& opts,
-                     TracePhase&& phase, const tensor::MatrixF& x,
-                     const tensor::MatrixF* targets, std::size_t n_out,
-                     std::size_t& sync_count) {
+/// One full phase (all epochs) over `x` with optional supervised targets:
+/// the shuffle, the shard packing, one exchange per batch with the next
+/// batch's packing overlapped (exact mode) or local updates averaged on
+/// cadence (approximate mode), and the sync count. This is the core of
+/// the data-parallel trainer.
+void run_phase(comm::Communicator& comm, const DistributedOptions& opts,
+               const Phase& phase, const tensor::MatrixF& x,
+               const tensor::MatrixF* targets, std::size_t& sync_count) {
   const int rank = comm.rank();
   const int world = comm.size();
   const std::size_t n = x.rows();
   const std::size_t shards = static_cast<std::size_t>(opts.virtual_shards);
+  const std::size_t block = phase.block;
   const bool exact = opts.sync_cadence <= 1;
 
-  LeafExchange exchange;
-  exchange.configure(shards, trace_block_size(x.cols(), n_out));
-  std::vector<float> trace_buffer;
+  // Zero-padded per-shard statistics. Each shard's slot is disjoint, so
+  // the allreduce adds x + 0 everywhere — exact for both algorithms — and
+  // the left-to-right combine over shards is identical on every rank.
+  std::vector<float> slots(shards * block);
+  std::vector<float> totals(block);
+  std::vector<float> state_buffer(exact ? 0 : block);
+  /// Sum, in shard order, the slots `owner` holds in an `owners`-rank
+  /// split; (0, 1) sums every shard.
+  const auto combine = [&](int owner, int owners) {
+    std::fill(totals.begin(), totals.end(), 0.0f);
+    for (std::size_t v = 0; v < shards; ++v) {
+      if (!owns_shard(v, owner, owners)) continue;
+      const float* part = slots.data() + v * block;
+      for (std::size_t i = 0; i < block; ++i) totals[i] += part[i];
+    }
+  };
 
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   util::Rng order_rng(mix(phase.stream, 0x5A55C0DEULL));
-  tensor::MatrixF activations;
-  tensor::MatrixF pij_scratch;
   BatchShards current;
   BatchShards next;
 
   const std::size_t batches = (n + phase.batch_size - 1) / phase.batch_size;
   for (std::size_t epoch = 0; epoch < phase.epochs; ++epoch) {
-    const float noise =
-        phase.noise_for_epoch ? phase.noise_for_epoch(epoch) : 0.0f;
     order_rng.shuffle(order);
-    pack_batch(x, targets, order, 0,
-               std::min(phase.batch_size, n), shards, rank, world, current);
+    pack_batch(x, targets, order, 0, std::min(phase.batch_size, n), shards,
+               rank, world, current);
     for (std::size_t b = 0; b < batches; ++b) {
-      const std::size_t start = b * phase.batch_size;
-      const std::size_t next_start = start + phase.batch_size;
-      exchange.reset();
+      const std::size_t next_start = (b + 1) * phase.batch_size;
+      std::fill(slots.begin(), slots.end(), 0.0f);
       for (std::size_t v = 0; v < shards; ++v) {
         if (!owns_shard(v, rank, world) || current.rows_per_shard[v] == 0) {
           continue;
         }
-        const tensor::MatrixF& shard_x = current.x[v];
-        const tensor::MatrixF* shard_a;
-        if (targets != nullptr) {
-          shard_a = &current.t[v];
-        } else {
-          util::Rng noise_rng = shard_noise_rng(phase.stream, epoch, b, v);
-          phase.forward(shard_x, activations, noise, noise_rng);
-          shard_a = &activations;
-        }
-        accumulate_trace_stats(shard_x, *shard_a, pij_scratch,
-                               exchange.slot(v));
+        phase.shard_stats(current.x[v],
+                          targets != nullptr ? &current.t[v] : nullptr, epoch,
+                          b, v, slots.data() + v * block);
       }
 
       const auto pack_next = [&] {
@@ -282,214 +221,167 @@ void run_trace_phase(comm::Communicator& comm, const DistributedOptions& opts,
       if (exact) {
         // One reduction per batch; packing the next batch's shard rows
         // overlaps the (logical) network transfer.
-        exchange.exchange(comm, opts.algorithm,
-                          opts.overlap ? std::function<void()>(pack_next)
-                                       : std::function<void()>{});
-        if (!opts.overlap) pack_next();
-        apply_trace_ema(exchange.total.data(), current.batch_rows, phase.alpha,
-                        phase.traces);
-        phase.recompute();
+        comm::Request request = comm.iallreduce(
+            slots.data(), slots.size(), comm::ReduceOp::kSum, opts.algorithm);
+        pack_next();
+        request.wait();
+        combine(0, 1);
+        phase.apply(totals.data(), current.batch_rows);
         ++sync_count;
       } else {
-        // Approximate mode: local update now, trace averaging on cadence.
-        exchange.combine_owned(rank, world);
+        // Approximate mode: local update now, state averaging on cadence.
+        combine(rank, world);
         if (current.local_rows > 0) {
-          apply_trace_ema(exchange.total.data(), current.local_rows,
-                          phase.alpha, phase.traces);
-          phase.recompute();
+          phase.apply(totals.data(), current.local_rows);
         }
         pack_next();
         const bool last_batch = b + 1 == batches;
         if ((b + 1) % opts.sync_cadence == 0 || last_batch) {
-          trace_buffer.resize(exchange.block);
-          traces_to_buffer(phase.traces, trace_buffer.data());
-          comm.allreduce_mean(trace_buffer.data(), trace_buffer.size(),
+          phase.save_state(state_buffer.data());
+          comm.allreduce_mean(state_buffer.data(), state_buffer.size(),
                               opts.algorithm);
-          buffer_to_traces(trace_buffer.data(), phase.traces);
-          phase.recompute();
+          phase.load_state(state_buffer.data());
           ++sync_count;
         }
       }
       std::swap(current, next);
     }
-    // Traces are rank-identical here (exact every batch; approximate via
-    // the forced epoch-end average), so per-epoch structural plasticity
-    // makes the same swaps on every rank.
+    // The replicated state is rank-identical here (exact every batch;
+    // approximate via the forced epoch-end average), so per-epoch
+    // structural plasticity makes the same swaps on every rank.
     if (phase.end_epoch) phase.end_epoch();
   }
+}
+
+// --- The three phases ----------------------------------------------------------
+
+/// The trace half of a Phase, shared by hidden layers and the BCPNN head:
+/// totals replay the trace EMA, and cadence mode averages the traces.
+Phase trace_phase(ProbabilityTraces& traces, float alpha,
+                  const std::function<void()>& recompute) {
+  const std::size_t n_pi = traces.pi().size();
+  const std::size_t n_pj = traces.pj().size();
+  Phase phase;
+  phase.block = n_pi + n_pj + traces.pij().size();
+  phase.apply = [&traces, alpha, recompute](const float* totals,
+                                            std::size_t rows) {
+    apply_trace_ema(totals, rows, alpha, traces);
+    recompute();
+  };
+  phase.save_state = [&traces, n_pi, n_pj](float* out) {
+    std::copy_n(traces.pi().data(), n_pi, out);
+    std::copy_n(traces.pj().data(), n_pj, out + n_pi);
+    std::copy_n(traces.pij().data(), traces.pij().size(), out + n_pi + n_pj);
+  };
+  phase.load_state = [&traces, recompute, n_pi, n_pj](const float* in) {
+    std::copy_n(in, n_pi, traces.mutable_pi().data());
+    std::copy_n(in + n_pi, n_pj, traces.mutable_pj().data());
+    std::copy_n(in + n_pi + n_pj, traces.pij().size(),
+                traces.mutable_pij().data());
+    recompute();
+  };
+  return phase;
 }
 
 /// Unsupervised hidden-layer phase: schedule parameters all come from the
 /// layer's own config, so the same code drives shallow networks and every
 /// layer of a deep stack.
-void run_unsupervised_phase(comm::Communicator& comm,
-                            const DistributedOptions& opts,
-                            parallel::Engine& engine, BcpnnLayer& layer,
-                            const tensor::MatrixF& x, std::uint64_t stream,
-                            std::size_t& sync_count) {
+Phase unsupervised_phase(parallel::Engine& engine, BcpnnLayer& layer,
+                         std::uint64_t stream) {
   const BcpnnConfig& cfg = layer.config();
-  TracePhase phase{
-      layer.mutable_traces(),
-      [&layer] { layer.recompute_weights(); },
-      [&engine, &layer, &cfg](const tensor::MatrixF& shard_x,
-                              tensor::MatrixF& activations, float noise_std,
-                              util::Rng& noise_rng) {
-        engine.support(shard_x, layer.weights(), layer.bias().data(),
-                       activations);
-        if (noise_std > 0.0f) {
-          add_normal_noise(noise_rng, activations, noise_std);
-        }
-        engine.softmax_hcu(activations, cfg.mcus, cfg.inverse_temperature);
-      },
-      cfg.alpha,
-      cfg.epochs,
-      cfg.batch_size,
-      [&cfg](std::size_t epoch) {
-        const float progress =
-            cfg.epochs > 1 ? static_cast<float>(epoch) /
-                                 static_cast<float>(cfg.epochs - 1)
-                           : 1.0f;
-        return cfg.noise_start + (cfg.noise_end - cfg.noise_start) * progress;
-      },
-      [&layer] { layer.plasticity_step(); },
-      mix(cfg.seed, stream)};
-  run_trace_phase(comm, opts, std::move(phase), x, nullptr,
-                  layer.hidden_units(), sync_count);
+  Phase phase = trace_phase(layer.mutable_traces(), cfg.alpha,
+                            [&layer] { layer.recompute_weights(); });
+  phase.epochs = cfg.epochs;
+  phase.batch_size = cfg.batch_size;
+  phase.stream = mix(cfg.seed, stream);
+  phase.shard_stats = [&engine, &layer, &cfg, phase_stream = phase.stream,
+                       activations = tensor::MatrixF(),
+                       pij_scratch = tensor::MatrixF()](
+                          const tensor::MatrixF& shard_x,
+                          const tensor::MatrixF*, std::size_t epoch,
+                          std::size_t batch, std::size_t shard,
+                          float* slot) mutable {
+    const float progress = cfg.epochs > 1
+                               ? static_cast<float>(epoch) /
+                                     static_cast<float>(cfg.epochs - 1)
+                               : 1.0f;
+    const float noise_std =
+        cfg.noise_start + (cfg.noise_end - cfg.noise_start) * progress;
+    engine.support(shard_x, layer.weights(), layer.bias().data(),
+                   activations);
+    if (noise_std > 0.0f) {
+      util::Rng noise_rng = shard_noise_rng(phase_stream, epoch, batch, shard);
+      add_normal_noise(noise_rng, activations, noise_std);
+    }
+    engine.softmax_hcu(activations, cfg.mcus, cfg.inverse_temperature);
+    accumulate_trace_stats(shard_x, activations, pij_scratch, slot);
+  };
+  phase.end_epoch = [&layer] { layer.plasticity_step(); };
+  return phase;
 }
 
 /// Supervised BCPNN head phase (shallow kBcpnn head and deep heads).
-void run_bcpnn_head_phase(comm::Communicator& comm,
-                          const DistributedOptions& opts,
-                          BcpnnClassifier& head,
-                          const tensor::MatrixF& hidden,
-                          const tensor::MatrixF& targets, std::size_t epochs,
-                          std::size_t batch_size, std::uint64_t stream,
-                          std::size_t& sync_count) {
-  TracePhase phase{head.mutable_traces(),
-                   [&head] { head.recompute_weights(); },
-                   {},
-                   head.alpha(),
-                   epochs,
-                   batch_size,
-                   {},
-                   {},
-                   stream};
-  run_trace_phase(comm, opts, std::move(phase), hidden, &targets,
-                  targets.cols(), sync_count);
+Phase bcpnn_head_phase(BcpnnClassifier& head) {
+  Phase phase = trace_phase(head.mutable_traces(), head.alpha(),
+                            [&head] { head.recompute_weights(); });
+  phase.shard_stats = [pij_scratch = tensor::MatrixF()](
+                          const tensor::MatrixF& shard_x,
+                          const tensor::MatrixF* shard_t, std::size_t,
+                          std::size_t, std::size_t, float* slot) mutable {
+    accumulate_trace_stats(shard_x, *shard_t, pij_scratch, slot);
+  };
+  return phase;
 }
 
-// --- SGD head --------------------------------------------------------------
-
-void run_sgd_head_phase(comm::Communicator& comm,
-                        const DistributedOptions& opts, SgdHead& head,
-                        const tensor::MatrixF& hidden,
-                        const tensor::MatrixF& targets, std::size_t epochs,
-                        std::size_t batch_size, std::uint64_t stream,
-                        std::size_t& sync_count) {
-  const int rank = comm.rank();
-  const int world = comm.size();
-  const std::size_t n = hidden.rows();
-  const std::size_t n_feat = hidden.cols();
-  const std::size_t classes = targets.cols();
-  const std::size_t shards = static_cast<std::size_t>(opts.virtual_shards);
-  const bool exact = opts.sync_cadence <= 1;
-
-  LeafExchange exchange;
-  exchange.configure(shards, n_feat * classes + classes);
-
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  util::Rng order_rng(mix(stream, 0x5A55C0DEULL));
-  tensor::MatrixF probs;
-  tensor::MatrixF grad_scratch(n_feat, classes);
-  tensor::MatrixF grad(n_feat, classes);
-  std::vector<float> bias_grad(classes);
-  std::vector<float> weight_buffer;
-  BatchShards current;
-  BatchShards next;
-
-  const std::size_t batches = (n + batch_size - 1) / batch_size;
-  for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-    order_rng.shuffle(order);
-    pack_batch(hidden, &targets, order, 0, std::min(batch_size, n), shards,
-               rank, world, current);
-    for (std::size_t b = 0; b < batches; ++b) {
-      const std::size_t next_start = (b + 1) * batch_size;
-      exchange.reset();
-      for (std::size_t v = 0; v < shards; ++v) {
-        if (!owns_shard(v, rank, world) || current.rows_per_shard[v] == 0) {
-          continue;
-        }
-        const tensor::MatrixF& shard_x = current.x[v];
-        const tensor::MatrixF& shard_t = current.t[v];
-        head.predict(shard_x, probs);
-        // Softmax-cross-entropy residual, then the un-normalized partial
-        // gradient X^T (p - t) and its bias column sums.
-        for (std::size_t r = 0; r < probs.rows(); ++r) {
-          for (std::size_t c = 0; c < classes; ++c) {
-            probs(r, c) -= shard_t(r, c);
-          }
-        }
-        float* slot = exchange.slot(v);
-        tensor::gemm(tensor::Transpose::kYes, tensor::Transpose::kNo, 1.0f,
-                     shard_x, probs, 0.0f, grad_scratch);
-        std::copy_n(grad_scratch.data(), n_feat * classes, slot);
-        tensor::col_sums(probs, slot + n_feat * classes);
+/// Supervised SGD head phase: statistics are the un-normalized gradient,
+/// and cadence mode averages the weights and bias (momentum stays local).
+Phase sgd_head_phase(SgdHead& head) {
+  const std::size_t n_feat = head.inputs();
+  const std::size_t classes = head.classes();
+  const std::size_t n_weights = n_feat * classes;
+  Phase phase;
+  phase.block = n_weights + classes;
+  phase.shard_stats = [&head, classes, n_weights, probs = tensor::MatrixF(),
+                       grad = tensor::MatrixF(n_feat, classes)](
+                          const tensor::MatrixF& shard_x,
+                          const tensor::MatrixF* shard_t, std::size_t,
+                          std::size_t, std::size_t, float* slot) mutable {
+    head.predict(shard_x, probs);
+    // Softmax-cross-entropy residual, then the un-normalized partial
+    // gradient X^T (p - t) and its bias column sums.
+    for (std::size_t r = 0; r < probs.rows(); ++r) {
+      for (std::size_t c = 0; c < classes; ++c) {
+        probs(r, c) -= (*shard_t)(r, c);
       }
-
-      const auto pack_next = [&] {
-        if (next_start < n) {
-          pack_batch(hidden, &targets, order, next_start,
-                     std::min(next_start + batch_size, n), shards, rank, world,
-                     next);
-        }
-      };
-
-      const auto apply_totals = [&](std::size_t rows) {
-        const float inv = 1.0f / static_cast<float>(rows);
-        std::copy_n(exchange.total.data(), n_feat * classes, grad.data());
-        tensor::scale(inv, grad.data(), grad.size());
-        std::copy_n(exchange.total.data() + n_feat * classes, classes,
-                    bias_grad.data());
-        tensor::scale(inv, bias_grad.data(), classes);
-        head.apply_gradient(grad, bias_grad);
-      };
-
-      if (exact) {
-        exchange.exchange(comm, opts.algorithm,
-                          opts.overlap ? std::function<void()>(pack_next)
-                                       : std::function<void()>{});
-        if (!opts.overlap) pack_next();
-        apply_totals(current.batch_rows);
-        ++sync_count;
-      } else {
-        exchange.combine_owned(rank, world);
-        if (current.local_rows > 0) apply_totals(current.local_rows);
-        pack_next();
-        const bool last_batch = b + 1 == batches;
-        if ((b + 1) % opts.sync_cadence == 0 || last_batch) {
-          // Average the replicated parameters (momentum stays local).
-          weight_buffer.resize(n_feat * classes + classes);
-          std::copy_n(head.weights().data(), n_feat * classes,
-                      weight_buffer.data());
-          std::copy_n(head.bias().data(), classes,
-                      weight_buffer.data() + n_feat * classes);
-          comm.allreduce_mean(weight_buffer.data(), weight_buffer.size(),
-                              opts.algorithm);
-          tensor::MatrixF averaged(n_feat, classes);
-          std::copy_n(weight_buffer.data(), n_feat * classes, averaged.data());
-          std::vector<float> averaged_bias(
-              weight_buffer.begin() +
-                  static_cast<std::ptrdiff_t>(n_feat * classes),
-              weight_buffer.end());
-          head.set_parameters(averaged, averaged_bias);  // momentum kept
-          ++sync_count;
-        }
-      }
-      std::swap(current, next);
     }
-    head.end_epoch();
-  }
+    tensor::gemm(tensor::Transpose::kYes, tensor::Transpose::kNo, 1.0f,
+                 shard_x, probs, 0.0f, grad);
+    std::copy_n(grad.data(), n_weights, slot);
+    tensor::col_sums(probs, slot + n_weights);
+  };
+  phase.apply = [&head, classes, n_weights,
+                 grad = tensor::MatrixF(n_feat, classes),
+                 bias_grad = std::vector<float>(classes)](
+                    const float* totals, std::size_t rows) mutable {
+    const float inv = 1.0f / static_cast<float>(rows);
+    std::copy_n(totals, n_weights, grad.data());
+    tensor::scale(inv, grad.data(), grad.size());
+    std::copy_n(totals + n_weights, classes, bias_grad.data());
+    tensor::scale(inv, bias_grad.data(), classes);
+    head.apply_gradient(grad, bias_grad);
+  };
+  phase.save_state = [&head, classes, n_weights](float* out) {
+    std::copy_n(head.weights().data(), n_weights, out);
+    std::copy_n(head.bias().data(), classes, out + n_weights);
+  };
+  phase.load_state = [&head, n_feat, classes, n_weights](const float* in) {
+    tensor::MatrixF averaged(n_feat, classes);
+    std::copy_n(in, n_weights, averaged.data());
+    head.set_parameters(averaged, std::vector<float>(in + n_weights,
+                                                     in + n_weights + classes));
+  };
+  phase.end_epoch = [&head] { head.end_epoch(); };
+  return phase;
 }
 
 // --- Replica plumbing ------------------------------------------------------
@@ -497,32 +389,41 @@ void run_sgd_head_phase(comm::Communicator& comm,
 void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
                    Model& replica, const tensor::MatrixF& x,
                    const std::vector<int>& labels, std::size_t& sync_count) {
+  // Both head types train head_epochs over the hidden codes on stream 2.
+  const auto train_head = [&](Phase head, const tensor::MatrixF& hidden,
+                              std::size_t classes, std::size_t epochs,
+                              std::size_t batch_size, std::uint64_t seed) {
+    head.epochs = epochs;
+    head.batch_size = batch_size;
+    head.stream = mix(seed, /*stream=*/2);
+    const tensor::MatrixF targets = data::one_hot_labels(labels, classes);
+    run_phase(comm, opts, head, hidden, &targets, sync_count);
+  };
+
   if (replica.hidden_specs().size() == 1) {
     Network& net = replica.network();
     const BcpnnConfig& cfg = net.config().bcpnn;
-    run_unsupervised_phase(comm, opts, net.engine(), net.mutable_hidden(), x,
-                           /*stream=*/1, sync_count);
+    run_phase(comm, opts,
+              unsupervised_phase(net.engine(), net.mutable_hidden(),
+                                 /*stream=*/1),
+              x, nullptr, sync_count);
 
     tensor::MatrixF hidden;
     net.mutable_hidden().forward(x, hidden);  // replicated, deterministic
-    const tensor::MatrixF targets =
-        data::one_hot_labels(labels, net.config().classes);
-    if (net.sgd_head() != nullptr) {
-      run_sgd_head_phase(comm, opts, *net.sgd_head(), hidden, targets,
-                         cfg.head_epochs, cfg.batch_size,
-                         mix(cfg.seed, /*stream=*/2), sync_count);
-    } else {
-      run_bcpnn_head_phase(comm, opts, *net.bcpnn_head(), hidden,
-                           targets, cfg.head_epochs, cfg.batch_size,
-                           mix(cfg.seed, /*stream=*/2), sync_count);
-    }
+    train_head(net.sgd_head() != nullptr
+                   ? sgd_head_phase(*net.sgd_head())
+                   : bcpnn_head_phase(*net.bcpnn_head()),
+               hidden, net.config().classes, cfg.head_epochs, cfg.batch_size,
+               cfg.seed);
   } else {
     DeepBcpnn& deep = replica.deep();
     const DeepBcpnnConfig& cfg = deep.config();
     tensor::MatrixF current = x;
     for (std::size_t l = 0; l < deep.depth(); ++l) {
-      run_unsupervised_phase(comm, opts, deep.engine(), deep.mutable_layer(l),
-                             current, /*stream=*/16 + l, sync_count);
+      run_phase(comm, opts,
+                unsupervised_phase(deep.engine(), deep.mutable_layer(l),
+                                   /*stream=*/16 + l),
+                current, nullptr, sync_count);
       tensor::MatrixF next;
       deep.mutable_layer(l).forward(current, next);
       if (cfg.propagate_wta) {
@@ -530,12 +431,8 @@ void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
       }
       current = std::move(next);
     }
-    const tensor::MatrixF head_input = deep.transform(x);
-    const tensor::MatrixF targets =
-        data::one_hot_labels(labels, cfg.classes);
-    run_bcpnn_head_phase(comm, opts, deep.head(), head_input,
-                         targets, cfg.head_epochs, cfg.batch_size,
-                         mix(cfg.seed, /*stream=*/2), sync_count);
+    train_head(bcpnn_head_phase(deep.head()), deep.transform(x), cfg.classes,
+               cfg.head_epochs, cfg.batch_size, cfg.seed);
   }
 
   // Schedule-agreement invariant over the new uint64 collective: a rank
@@ -578,6 +475,25 @@ void adopt_state(const Model& src, Model& dst) {
   }
 }
 
+/// The checks fit() and fit_rank() share, before any replica is cloned.
+/// `who` names the entry point in the message.
+void validate_fit(const std::string& who, const Model& model,
+                  const tensor::MatrixF& x, const std::vector<int>& labels) {
+  if (!model.compiled()) {
+    throw std::logic_error(who + ": model not compiled");
+  }
+  if (model.quantized() || model.sparse()) {
+    throw std::logic_error(who + ": model is a read-only inference form "
+                                 "(quantized or sparsified)");
+  }
+  if (x.rows() != labels.size()) {
+    throw std::invalid_argument(who + ": rows != labels");
+  }
+  if (x.rows() == 0) {
+    throw std::invalid_argument(who + ": empty dataset");
+  }
+}
+
 }  // namespace
 
 DistributedTrainer::DistributedTrainer(DistributedOptions options)
@@ -598,15 +514,7 @@ DistributedTrainer::DistributedTrainer(DistributedOptions options)
 DistributedReport DistributedTrainer::fit(Model& model,
                                           const tensor::MatrixF& x,
                                           const std::vector<int>& labels) {
-  if (!model.compiled()) {
-    throw std::logic_error("DistributedTrainer::fit: model not compiled");
-  }
-  if (x.rows() != labels.size()) {
-    throw std::invalid_argument("DistributedTrainer::fit: rows != labels");
-  }
-  if (x.rows() == 0) {
-    throw std::invalid_argument("DistributedTrainer::fit: empty dataset");
-  }
+  validate_fit("DistributedTrainer::fit", model, x, labels);
 
   DistributedReport report;
   report.ranks = options_.ranks;
@@ -649,15 +557,7 @@ std::size_t DistributedTrainer::fit_rank(comm::Communicator& comm,
                                          Model& model,
                                          const tensor::MatrixF& x,
                                          const std::vector<int>& labels) {
-  if (!model.compiled()) {
-    throw std::logic_error("DistributedTrainer::fit_rank: model not compiled");
-  }
-  if (x.rows() != labels.size()) {
-    throw std::invalid_argument("DistributedTrainer::fit_rank: rows != labels");
-  }
-  if (x.rows() == 0) {
-    throw std::invalid_argument("DistributedTrainer::fit_rank: empty dataset");
-  }
+  validate_fit("DistributedTrainer::fit_rank", model, x, labels);
   // Train a clone and adopt it, exactly like fit() does per rank, so the
   // multi-process path shares fit()'s state handling bit for bit.
   Model replica = clone_model(model);

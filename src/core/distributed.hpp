@@ -57,9 +57,6 @@ struct DistributedOptions {
   /// knob. Lower it (or raise sync_cadence) to trade traffic for
   /// parallel width / fidelity.
   int virtual_shards = 8;
-  /// Issue the per-batch reduction as a nonblocking iallreduce and pack
-  /// the next batch's shard rows before waiting on it (exact mode only).
-  bool overlap = true;
 };
 
 struct DistributedReport {

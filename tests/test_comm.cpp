@@ -1,7 +1,8 @@
-// Tests for the comm substrate: MPI-semantics collectives over
-// threads-as-ranks, determinism, byte accounting, point-to-point,
-// world-poisoning fault semantics, real multi-process transports
-// (fork + shm / TCP), and the hierarchical two-level collectives.
+// Tests for the comm substrate: the barrier and allreduce over
+// threads-as-ranks, determinism, byte accounting, the transport's
+// point-to-point frames, world-poisoning fault semantics, the SB_COMM_*
+// environment contract, and real multi-process transports
+// (fork + shm / TCP).
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,6 @@
 #include <string>
 
 #include "comm/communicator.hpp"
-#include "comm/hierarchical.hpp"
 #include "util/rng.hpp"
 
 // fork() inside a ThreadSanitizer'd gtest binary trips TSan's
@@ -73,12 +73,12 @@ TEST(Comm, AllreduceSumFloat) {
 
 TEST(Comm, AllreduceMinMax) {
   sc::run(3, [](sc::Communicator& comm) {
-    std::vector<double> lo = {static_cast<double>(comm.rank())};
-    std::vector<double> hi = {static_cast<double>(comm.rank())};
+    std::vector<float> lo = {static_cast<float>(comm.rank())};
+    std::vector<float> hi = {static_cast<float>(comm.rank())};
     comm.allreduce(lo.data(), 1, sc::ReduceOp::kMin);
     comm.allreduce(hi.data(), 1, sc::ReduceOp::kMax);
-    EXPECT_DOUBLE_EQ(lo[0], 0.0);
-    EXPECT_DOUBLE_EQ(hi[0], 2.0);
+    EXPECT_FLOAT_EQ(lo[0], 0.0f);
+    EXPECT_FLOAT_EQ(hi[0], 2.0f);
   });
 }
 
@@ -128,97 +128,16 @@ TEST(Comm, AllRanksGetIdenticalAllreduceResult) {
   }
 }
 
-TEST(Comm, BroadcastFromEveryRoot) {
-  for (int root = 0; root < 3; ++root) {
-    sc::run(3, [root](sc::Communicator& comm) {
-      std::vector<float> data(4, comm.rank() == root ? 42.0f : -1.0f);
-      comm.broadcast(data.data(), data.size(), root);
-      for (float v : data) EXPECT_FLOAT_EQ(v, 42.0f);
-    });
-  }
-}
-
-TEST(Comm, AllgatherConcatenatesInRankOrder) {
-  sc::run(4, [](sc::Communicator& comm) {
-    const float mine[2] = {static_cast<float>(comm.rank()),
-                           static_cast<float>(comm.rank() * 10)};
-    std::vector<float> all(8);
-    comm.allgather(mine, 2, all.data());
-    for (int r = 0; r < 4; ++r) {
-      EXPECT_FLOAT_EQ(all[static_cast<std::size_t>(2 * r)], r);
-      EXPECT_FLOAT_EQ(all[static_cast<std::size_t>(2 * r + 1)], r * 10);
-    }
-  });
-}
-
-TEST(Comm, GatherCollectsOnRootOnly) {
-  for (int root = 0; root < 3; ++root) {
-    sc::run(3, [root](sc::Communicator& comm) {
-      const float mine = static_cast<float>(100 + comm.rank());
-      std::vector<float> out(3, -1.0f);
-      comm.gather(&mine, 1, out.data(), root);
-      if (comm.rank() == root) {
-        EXPECT_FLOAT_EQ(out[0], 100.0f);
-        EXPECT_FLOAT_EQ(out[1], 101.0f);
-        EXPECT_FLOAT_EQ(out[2], 102.0f);
-      } else {
-        EXPECT_FLOAT_EQ(out[0], -1.0f);  // untouched off-root
-      }
-    });
-  }
-}
-
-TEST(Comm, ScatterDistributesBlocks) {
-  sc::run(4, [](sc::Communicator& comm) {
-    std::vector<float> source;
-    if (comm.rank() == 2) {
-      for (int i = 0; i < 8; ++i) source.push_back(static_cast<float>(i));
-    } else {
-      source.assign(8, -1.0f);  // non-root buffers are ignored
-    }
-    float mine[2] = {};
-    comm.scatter(source.data(), 2, mine, /*root=*/2);
-    EXPECT_FLOAT_EQ(mine[0], static_cast<float>(2 * comm.rank()));
-    EXPECT_FLOAT_EQ(mine[1], static_cast<float>(2 * comm.rank() + 1));
-  });
-}
-
-TEST(Comm, ReduceScatterSumsAndSplits) {
-  sc::run(3, [](sc::Communicator& comm) {
-    // Every rank contributes [rank, rank, ..., rank] of length 6.
-    std::vector<float> contribution(6, static_cast<float>(comm.rank() + 1));
-    float mine[2] = {};
-    comm.reduce_scatter(contribution.data(), 2, mine);
-    // Sum across ranks = 1+2+3 = 6 in every slot; each rank gets 2 slots.
-    EXPECT_FLOAT_EQ(mine[0], 6.0f);
-    EXPECT_FLOAT_EQ(mine[1], 6.0f);
-  });
-}
-
-TEST(Comm, ReduceScatterMatchesAllreducePlusSlice) {
-  sc::run(4, [](sc::Communicator& comm) {
-    su::Rng rng(500 + comm.rank());
-    std::vector<float> data(12);
-    for (auto& v : data) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    std::vector<float> reference = data;
-    comm.allreduce(reference.data(), reference.size(), sc::ReduceOp::kSum);
-    float mine[3] = {};
-    comm.reduce_scatter(data.data(), 3, mine);
-    for (std::size_t i = 0; i < 3; ++i) {
-      EXPECT_FLOAT_EQ(mine[i],
-                      reference[static_cast<std::size_t>(comm.rank()) * 3 + i]);
-    }
-  });
-}
+// --- Transport point-to-point frames (what the collectives are built on) --
 
 TEST(Comm, SendRecvPointToPoint) {
   sc::run(2, [](sc::Communicator& comm) {
     if (comm.rank() == 0) {
       const float payload[3] = {1.0f, 2.0f, 3.0f};
-      comm.send(payload, 3, 1, 7);
+      comm.transport().send(1, 7, payload, sizeof(payload));
     } else {
       float received[3] = {};
-      comm.recv(received, 3, 0, 7);
+      comm.transport().recv(0, 7, received, sizeof(received));
       EXPECT_FLOAT_EQ(received[0], 1.0f);
       EXPECT_FLOAT_EQ(received[2], 3.0f);
     }
@@ -230,13 +149,14 @@ TEST(Comm, SendRecvTagsAreIndependentChannels) {
     if (comm.rank() == 0) {
       const float a = 1.0f;
       const float b = 2.0f;
-      comm.send(&a, 1, 1, /*tag=*/100);
-      comm.send(&b, 1, 1, /*tag=*/200);
+      comm.transport().send(1, /*tag=*/100, &a, sizeof(a));
+      comm.transport().send(1, /*tag=*/200, &b, sizeof(b));
     } else {
       float b = 0.0f;
       float a = 0.0f;
-      comm.recv(&b, 1, 0, 200);  // out of send order, matched by tag
-      comm.recv(&a, 1, 0, 100);
+      // Out of send order, matched by tag.
+      comm.transport().recv(0, 200, &b, sizeof(b));
+      comm.transport().recv(0, 100, &a, sizeof(a));
       EXPECT_FLOAT_EQ(a, 1.0f);
       EXPECT_FLOAT_EQ(b, 2.0f);
     }
@@ -248,10 +168,10 @@ TEST(Comm, RecvSizeMismatchThrows) {
                        [](sc::Communicator& comm) {
                          if (comm.rank() == 0) {
                            const float v = 1.0f;
-                           comm.send(&v, 1, 1, 0);
+                           comm.transport().send(1, 0, &v, sizeof(v));
                          } else {
                            float two[2];
-                           comm.recv(two, 2, 0, 0);
+                           comm.transport().recv(0, 0, two, sizeof(two));
                          }
                        }),
                std::runtime_error);
@@ -277,8 +197,6 @@ TEST(Comm, SingleRankCollectivesAreLocal) {
   sc::run(1, [](sc::Communicator& comm) {
     std::vector<float> data = {3.0f};
     comm.allreduce_mean(data.data(), 1);
-    EXPECT_FLOAT_EQ(data[0], 3.0f);
-    comm.broadcast(data.data(), 1, 0);
     EXPECT_FLOAT_EQ(data[0], 3.0f);
     comm.barrier();
   });
@@ -359,26 +277,106 @@ TEST(Comm, MovedFromRequestIsInert) {
   });
 }
 
-TEST(Comm, NegativeUserTagsAreRejected) {
-  // Negative tags are reserved for the transports' internal traffic
-  // (collective payloads, barrier tokens); user code must not forge them.
-  sc::run(2, [](sc::Communicator& comm) {
-    float v = 0.0f;
-    EXPECT_THROW(comm.send(&v, 1, /*dest=*/1 - comm.rank(), /*tag=*/-1),
-                 std::invalid_argument);
-    EXPECT_THROW(comm.recv(&v, 1, /*source=*/1 - comm.rank(), /*tag=*/-2),
-                 std::invalid_argument);
-  });
-}
-
 TEST(Comm, OutOfRangePeersAreRejected) {
   sc::run(2, [](sc::Communicator& comm) {
     float v = 0.0f;
-    EXPECT_THROW(comm.send(&v, 1, /*dest=*/2, /*tag=*/0),
+    EXPECT_THROW(comm.transport().send(/*dest=*/2, /*tag=*/0, &v, sizeof(v)),
                  std::invalid_argument);
-    EXPECT_THROW(comm.recv(&v, 1, /*source=*/-1, /*tag=*/0),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        comm.transport().recv(/*source=*/-1, /*tag=*/0, &v, sizeof(v)),
+        std::invalid_argument);
   });
+}
+
+// --- The SB_COMM_* environment contract -------------------------------------
+
+namespace {
+
+/// Set (or unset, for nullptr) one environment variable for a scope and
+/// restore its previous value afterwards.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_ = old != nullptr;
+    if (had_) saved_ = old;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (had_) {
+      ::setenv(name_, saved_.c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::string saved_;
+  bool had_ = false;
+};
+
+}  // namespace
+
+TEST(Comm, CommEnvIntegersAreRangeChecked) {
+  // Every SB_COMM_* integer goes through one range-checked parser: values
+  // past int's range used to wrap (world 4294967298 became 2) and ports
+  // outside [1, 65535] were bound modulo 65536.
+  const struct {
+    const char* name;
+    const char* value;
+  } bad[] = {
+      {"SB_COMM_WORLD", "4294967298"},
+      {"SB_COMM_WORLD", "0"},
+      {"SB_COMM_RANK", "4294967296"},
+      {"SB_COMM_RANK", "-1"},
+      {"SB_COMM_PORTS", "70000,-1"},
+      {"SB_COMM_PORTS", "5000,-1"},
+      {"SB_COMM_PORTS", "0"},
+      {"SB_COMM_PORTS", "99999999999999999999"},
+      {"SB_COMM_PORTS", "12x"},
+      {"SB_COMM_BASE_PORT", "70000"},
+      {"SB_COMM_BASE_PORT", "-5"},
+      {"SB_COMM_CONNECT_TIMEOUT_MS", "2147483648"},
+      {"SB_COMM_OP_TIMEOUT_MS", "-1"},
+  };
+  for (const auto& entry : bad) {
+    const ScopedEnv set(entry.name, entry.value);
+    try {
+      (void)sc::options_from_env();
+      ADD_FAILURE() << entry.name << "=" << entry.value << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(entry.name), std::string::npos)
+          << error.what();
+    }
+  }
+
+  const ScopedEnv world("SB_COMM_WORLD", "3");
+  const ScopedEnv rank("SB_COMM_RANK", "2");
+  const ScopedEnv ports("SB_COMM_PORTS", "1,65535,4000");
+  const sc::TransportOptions options = sc::options_from_env();
+  EXPECT_EQ(options.world, 3);
+  EXPECT_EQ(options.rank, 2);
+  EXPECT_EQ(options.ports, (std::vector<int>{1, 65535, 4000}));
+}
+
+TEST(Comm, TcpPortsPastTheRangeAreRejected) {
+  // base_port + rank must stay a port too; checked before anything binds.
+  sc::TransportOptions options;
+  options.backend = sc::Backend::kTcp;
+  options.world = 2;
+  options.base_port = 65535;
+  options.connect_timeout_ms = 200;
+  EXPECT_THROW((void)sc::connect(options), std::invalid_argument);
+  options.base_port = 0;
+  options.ports = {5000, 70000};
+  EXPECT_THROW((void)sc::connect(options), std::invalid_argument);
 }
 
 // --- Real multi-process transports (fork + shm / TCP) -----------------------
@@ -539,81 +537,3 @@ TEST(Comm, TcpPeerProcessDeathPoisonsSurvivor) {
 }
 
 #endif  // !STREAMBRAIN_TSAN_BUILD
-
-// --- Hierarchical (intra-host shm + inter-host TCP) collectives -------------
-
-TEST(Comm, HierarchicalAllreduceAcrossHosts) {
-  sc::HierarchicalOptions options;  // 2 hosts × 2 ranks
-  sc::run_hierarchical(options, [](sc::HierarchicalComm& comm) {
-    EXPECT_EQ(comm.world(), 4);
-    EXPECT_EQ(comm.global_rank(), comm.host() * 2 + comm.local_rank());
-    EXPECT_EQ(comm.is_leader(), comm.local_rank() == 0);
-
-    std::vector<float> sum = {static_cast<float>(comm.global_rank() + 1)};
-    comm.allreduce(sum.data(), 1, sc::ReduceOp::kSum);
-    EXPECT_FLOAT_EQ(sum[0], 10.0f);  // 1+2+3+4
-
-    std::vector<float> lo = {static_cast<float>(comm.global_rank())};
-    std::vector<float> hi = {static_cast<float>(comm.global_rank())};
-    comm.allreduce(lo.data(), 1, sc::ReduceOp::kMin);
-    comm.allreduce(hi.data(), 1, sc::ReduceOp::kMax);
-    EXPECT_FLOAT_EQ(lo[0], 0.0f);  // exact: min/max associate freely
-    EXPECT_FLOAT_EQ(hi[0], 3.0f);
-
-    std::vector<float> mean = {static_cast<float>(10 * comm.global_rank())};
-    comm.allreduce_mean(mean.data(), 1);
-    EXPECT_FLOAT_EQ(mean[0], 15.0f);  // mean of 0,10,20,30
-
-    comm.barrier();
-  });
-}
-
-TEST(Comm, HierarchicalDisjointShardPayloadsAreExact) {
-  // The payload shape DistributedTrainer reduces: each rank's slots are
-  // disjoint and zero-padded, so every addition is x + 0 and the
-  // two-level association cannot change a single bit.
-  sc::HierarchicalOptions options;
-  options.hosts = 2;
-  options.ranks_per_host = 2;
-  sc::run_hierarchical(options, [](sc::HierarchicalComm& comm) {
-    std::vector<float> data(4, 0.0f);
-    data[static_cast<std::size_t>(comm.global_rank())] =
-        0.1f * static_cast<float>(comm.global_rank() + 1);
-    comm.allreduce(data.data(), data.size(), sc::ReduceOp::kSum);
-    for (int g = 0; g < 4; ++g) {
-      EXPECT_EQ(data[static_cast<std::size_t>(g)],
-                0.1f * static_cast<float>(g + 1));  // bitwise
-    }
-  });
-}
-
-TEST(Comm, HierarchicalRankFailureDoesNotHang) {
-  // Global rank 3 (host 1, non-leader) dies before contributing; every
-  // other rank is already inside the two-level allreduce. The failure
-  // must cascade through both levels and run_hierarchical must return.
-  sc::HierarchicalOptions options;
-  EXPECT_THROW(
-      sc::run_hierarchical(options,
-                           [](sc::HierarchicalComm& comm) {
-                             if (comm.global_rank() == 3) {
-                               throw std::runtime_error("rank 3 down");
-                             }
-                             std::vector<float> data(32, 1.0f);
-                             comm.allreduce(data.data(), data.size(),
-                                            sc::ReduceOp::kSum);
-                           }),
-      std::runtime_error);
-}
-
-TEST(Comm, HierarchicalSingleHostDegeneratesToIntra) {
-  sc::HierarchicalOptions options;
-  options.hosts = 1;
-  options.ranks_per_host = 3;
-  sc::run_hierarchical(options, [](sc::HierarchicalComm& comm) {
-    EXPECT_EQ(comm.world(), 3);
-    std::vector<float> data = {static_cast<float>(comm.global_rank() + 1)};
-    comm.allreduce(data.data(), 1, sc::ReduceOp::kSum);
-    EXPECT_FLOAT_EQ(data[0], 6.0f);
-    comm.barrier();
-  });
-}

@@ -269,14 +269,6 @@ TEST(Distributed, WireBytesIncludeFramingOnRealTransports) {
   EXPECT_GE(inproc.report.wire_bytes_per_rank, inproc.report.bytes_per_rank);
 }
 
-TEST(Distributed, OverlapDoesNotChangeResults) {
-  const auto on = train_snapshot(make_shallow(sc::HeadType::kSgd),
-                                 {.ranks = 2, .overlap = true});
-  const auto off = train_snapshot(make_shallow(sc::HeadType::kSgd),
-                                  {.ranks = 2, .overlap = false});
-  expect_bit_identical(on, off, "overlap on vs off");
-}
-
 // --- Golden digests (scalar tier, committed under tests/golden/) -----------
 
 namespace {
@@ -467,9 +459,7 @@ TEST(Distributed, CadenceModeStillLearns) {
 
 TEST(Distributed, ReportTotalBytesIsSumOfPerRankCounters) {
   // All trainer collectives are symmetric, so the true sum equals
-  // ranks * bytes_per_rank here; the asymmetric-traffic case (where the
-  // old rank0 * world extrapolation over-counts) is locked down by
-  // CommProperty.RootedCollectiveBytesAreAsymmetric.
+  // ranks * bytes_per_rank here.
   const auto snap = train_snapshot(make_shallow(sc::HeadType::kBcpnn),
                                    {.ranks = 3});
   EXPECT_EQ(snap.report.total_bytes, snap.report.bytes_per_rank * 3);
@@ -527,4 +517,43 @@ TEST(Distributed, ValidatesOptionsAndInputs) {
                                 data.y_train.end() - 1);
   EXPECT_THROW(sc::fit_distributed(model, data.x_train, short_labels, {}),
                std::invalid_argument);
+
+  // Read-only inference forms are refused up front with Model::fit's
+  // error, before replicas are cloned or a world is built — by fit() and
+  // by fit_rank() alike.
+  const auto expect_read_only = [](const std::function<void()>& train,
+                                   const std::string& what) {
+    try {
+      train();
+      ADD_FAILURE() << what << ": a read-only form was trained";
+    } catch (const std::logic_error& error) {
+      EXPECT_NE(std::string(error.what()).find("read-only"),
+                std::string::npos)
+          << what << ": " << error.what();
+    }
+  };
+  for (const auto head : {sc::HeadType::kBcpnn, sc::HeadType::kSgd}) {
+    const sc::Model dense = make_shallow(head);
+    sc::Model quantized = dense.quantize();
+    sc::Model sparse = dense.sparsify();
+    for (sc::Model* frozen : {&quantized, &sparse}) {
+      const std::string what =
+          std::string(head == sc::HeadType::kSgd ? "sgd" : "bcpnn") +
+          (frozen == &sparse ? " sparsify" : " quantize");
+      expect_read_only(
+          [&] {
+            sc::fit_distributed(*frozen, data.x_train, data.y_train,
+                                {.ranks = 2});
+          },
+          what + " fit");
+      expect_read_only(
+          [&] {
+            scomm::run(1, [&](scomm::Communicator& comm) {
+              sc::DistributedTrainer().fit_rank(comm, *frozen, data.x_train,
+                                                data.y_train);
+            });
+          },
+          what + " fit_rank");
+    }
+  }
 }

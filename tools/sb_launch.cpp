@@ -10,9 +10,10 @@
 //   -n / --np N          world size (default 2)
 //   --backend NAME       inproc|shm|tcp (default shm; inproc is rejected
 //                        for N > 1 — threads cannot span processes)
-//   --base-port P        tcp only: rank r listens on P+r. Default: pick
-//                        free ports by binding port 0 and passing the
-//                        discovered list via SB_COMM_PORTS.
+//   --base-port P        tcp only: rank r listens on P+r, so P+N-1 must
+//                        not exceed 65535. Default: pick free ports by
+//                        binding port 0 and passing the discovered list
+//                        via SB_COMM_PORTS.
 //   --session NAME       shm only: segment name (default: generated)
 //   --timeout MS         per-operation timeout handed to the ranks
 //                        (SB_COMM_OP_TIMEOUT_MS, default 60000)
@@ -32,6 +33,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -40,6 +43,8 @@
 #include <vector>
 
 namespace {
+
+constexpr int kMaxPort = 65535;
 
 [[noreturn]] void usage(const char* argv0, const char* error = nullptr) {
   if (error != nullptr) std::fprintf(stderr, "sb_launch: %s\n", error);
@@ -77,11 +82,14 @@ int pick_free_port() {
   return port;
 }
 
+// A whole decimal integer in [1, INT_MAX]; anything else exits 2.
 int parse_int(const char* argv0, const char* flag, const char* value) {
   if (value == nullptr) usage(argv0, "missing value");
+  errno = 0;
   char* end = nullptr;
   const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || parsed <= 0) {
+  if (end == value || *end != '\0' || errno == ERANGE || parsed <= 0 ||
+      parsed > INT_MAX) {
     std::fprintf(stderr, "sb_launch: bad value for %s: '%s'\n", flag, value);
     std::exit(2);
   }
@@ -130,6 +138,13 @@ int main(int argc, char** argv) {
   if (backend == "inproc" && world > 1) {
     usage(argv[0],
           "--backend inproc cannot span processes; use shm or tcp for -n > 1");
+  }
+  if (base_port > kMaxPort - (world - 1)) {
+    std::fprintf(stderr,
+                 "sb_launch: --base-port %d with -n %d puts rank ports above "
+                 "%d\n",
+                 base_port, world, kMaxPort);
+    return 2;
   }
 
   // Shared world config, identical in every child.
