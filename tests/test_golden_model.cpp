@@ -1,6 +1,7 @@
 // Golden-regression tests: train one small fixed-seed model per head
-// type on the scalar kernel tier (strict left-to-right accumulation, no
-// libc exp/log on the model path — fully deterministic across hosts) and
+// type, and one two-hidden-layer stack, on the scalar kernel tier (strict
+// left-to-right accumulation, no libc exp/log on the model path — fully
+// deterministic across hosts) and
 // compare predictions, scores, accuracy, and log-loss against digests
 // committed under tests/golden/. Any drift — a kernel swap changing
 // numerics, a refactor reordering accumulation — fails loudly instead of
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -72,14 +74,34 @@ double binary_log_loss(const std::vector<double>& scores,
   return scores.empty() ? 0.0 : total / static_cast<double>(scores.size());
 }
 
-Digest run_model(sc::HeadType head) {
+/// Declares the layers, head and options between input() and compile().
+using Declare = std::function<void(sc::Model&)>;
+
+Declare shallow(sc::HeadType head) {
+  return [head](sc::Model& model) {
+    model.hidden(1, 30, 0.4).classifier(2, head).set_option("epochs", 3);
+  };
+}
+
+/// Two hidden layers under the BCPNN head. At two epochs per phase the
+/// anneal start + (end - start) * p and start * (1 - p) give the same
+/// noise levels (3 and 0), so the digest pins the stack's schedule.
+Declare deep_stack() {
+  return [](sc::Model& model) {
+    model.hidden(4, 20, 0.3)
+        .hidden(1, 30, 1.0)
+        .classifier(2, sc::HeadType::kBcpnn)
+        .set_option("epochs", 2)
+        .set_option("head_epochs", 2);
+  };
+}
+
+Digest run_model(const Declare& declare) {
   const FixtureData& data = fixture();
   sc::Model model;
-  model.input(28, 10)
-      .hidden(1, 30, 0.4)
-      .classifier(2, head)
-      .set_option("epochs", 3)
-      .compile("simd", /*seed=*/7);
+  model.input(28, 10);
+  declare(model);
+  model.compile("simd", /*seed=*/7);
   model.fit(data.x_train, data.y_train);
   Digest digest;
   digest.labels = model.predict(data.x_test);
@@ -89,12 +111,12 @@ Digest run_model(sc::HeadType head) {
   return digest;
 }
 
-void check_against_golden(const std::string& name, sc::HeadType head) {
+void check_against_golden(const std::string& name, const Declare& declare) {
   Digest actual;
   {
     // Scalar tier: platform-stable ordered math for exact digests.
     const ScopedDispatch pin(st::DispatchLevel::kScalar);
-    actual = run_model(head);
+    actual = run_model(declare);
   }
 
   if (sg::update_mode()) {
@@ -122,7 +144,7 @@ void check_against_golden(const std::string& name, sc::HeadType head) {
   // tier (possibly SSE4.2/AVX2) must stay within honest float tolerance
   // of the scalar goldens — kernel tiers may round differently but must
   // not change learned behavior.
-  const Digest simd = run_model(head);
+  const Digest simd = run_model(declare);
   EXPECT_NEAR(simd.accuracy, expected.accuracy, 0.02) << name;
   EXPECT_NEAR(simd.log_loss, expected.log_loss, 0.02) << name;
   std::size_t label_mismatches = 0;
@@ -140,11 +162,15 @@ void check_against_golden(const std::string& name, sc::HeadType head) {
 }  // namespace
 
 TEST(GoldenModel, BcpnnHeadMatchesCommittedDigest) {
-  check_against_golden("bcpnn_head", sc::HeadType::kBcpnn);
+  check_against_golden("bcpnn_head", shallow(sc::HeadType::kBcpnn));
 }
 
 TEST(GoldenModel, SgdHeadMatchesCommittedDigest) {
-  check_against_golden("sgd_head", sc::HeadType::kSgd);
+  check_against_golden("sgd_head", shallow(sc::HeadType::kSgd));
+}
+
+TEST(GoldenModel, DeepStackMatchesCommittedDigest) {
+  check_against_golden("deep_stack", deep_stack());
 }
 
 TEST(GoldenModel, UpdateModeIsOffInCommittedRuns) {
