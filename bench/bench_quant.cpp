@@ -197,8 +197,8 @@ int main(int argc, char** argv) {
   sc::Model sparse_quant = sparse.quantize();
 
   auto bias_bytes = [](const sc::Model& m) {
-    return (m.network().hidden().config().hcus *
-                m.network().hidden().config().mcus +
+    return (m.network().layer(0).config().hcus *
+                m.network().layer(0).config().mcus +
             2) *
            sizeof(float);
   };
@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
 
   std::vector<ModelResult> model_results;
   {
-    const auto& hidden = dense.network().hidden();
+    const auto& hidden = dense.network().layer(0);
     ModelResult r;
     r.form = "dense";
     r.rows_per_second = rows_per_second(dense);
@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
     r.form = form;
     r.rows_per_second = rows_per_second(*model);
     r.weight_bytes =
-        model->network().hidden().inference_weights().memory_bytes() +
+        model->network().layer(0).inference_weights().memory_bytes() +
         model->network().sgd_head()->inference_weights().memory_bytes() +
         bias_bytes(*model);
     model_results.push_back(r);

@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
     result.speedup = dense_seconds / sparse_seconds;
 
     const auto& hidden_csr =
-        sparse.network().hidden().inference_weights().csr();
+        sparse.network().layer(0).inference_weights().csr();
     const auto& head_csr =
         sparse.network().sgd_head()->inference_weights().csr();
     result.dense_weight_bytes =

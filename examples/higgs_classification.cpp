@@ -99,11 +99,11 @@ int main(int argc, char** argv) {
   const auto& names = data::higgs_feature_names();
   for (std::size_t h = 0; h < net_config.bcpnn.hcus; ++h) {
     std::printf("HCU %zu: %s\n", h,
-                viz::render_mask_bar(network.hidden().masks().mask(h)).c_str());
+                viz::render_mask_bar(network.layer(0).masks().mask(h)).c_str());
   }
   std::printf("\nfeatures attended by HCU 0:\n");
   for (std::size_t f = 0; f < names.size(); ++f) {
-    if (network.hidden().masks().active(0, f)) {
+    if (network.layer(0).masks().active(0, f)) {
       std::printf("  %-26s%s\n", names[f].c_str(),
                   f >= 21 ? "   [high-level]" : "");
     }

@@ -50,11 +50,11 @@ int main(int argc, char** argv) {
   sc::prune_model(model, density);
   std::printf("pruned accuracy (d=%.2f): %.4f  (hidden density %.3f)\n",
               density, model.evaluate(x_test, test.labels),
-              model.network().hidden().weight_density());
+              model.network().layer(0).weight_density());
 
   // --- 3. Sparsify: compact read-only clone ------------------------------
   sc::Model sparse = model.sparsify();
-  const auto& csr = sparse.network().hidden().inference_weights().csr();
+  const auto& csr = sparse.network().layer(0).inference_weights().csr();
   std::printf("sparse replica          : %zu KiB CSR (dense weights were "
               "%zu KiB + traces)\n",
               csr.memory_bytes() / 1024,

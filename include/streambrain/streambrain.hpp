@@ -30,7 +30,6 @@
 // --- Core BCPNN stack -------------------------------------------------------
 #include "core/adaptive_plasticity.hpp"
 #include "core/classifier.hpp"
-#include "core/deep.hpp"
 #include "core/distributed.hpp"
 #include "core/head.hpp"
 #include "core/hyperparams.hpp"

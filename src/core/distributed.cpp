@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/classifier.hpp"
-#include "core/deep.hpp"
 #include "core/network.hpp"
 #include "core/serialization.hpp"
 #include "core/sgd_head.hpp"
@@ -284,8 +283,7 @@ Phase trace_phase(ProbabilityTraces& traces, float alpha,
 }
 
 /// Unsupervised hidden-layer phase: schedule parameters all come from the
-/// layer's own config, so the same code drives shallow networks and every
-/// layer of a deep stack.
+/// layer's own config, so the same code drives every layer of the stack.
 Phase unsupervised_phase(parallel::Engine& engine, BcpnnLayer& layer,
                          std::uint64_t stream) {
   const BcpnnConfig& cfg = layer.config();
@@ -320,7 +318,7 @@ Phase unsupervised_phase(parallel::Engine& engine, BcpnnLayer& layer,
   return phase;
 }
 
-/// Supervised BCPNN head phase (shallow kBcpnn head and deep heads).
+/// Supervised BCPNN head phase, at any depth.
 Phase bcpnn_head_phase(BcpnnClassifier& head) {
   Phase phase = trace_phase(head.mutable_traces(), head.alpha(),
                             [&head] { head.recompute_weights(); });
@@ -400,40 +398,27 @@ void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
     run_phase(comm, opts, head, hidden, &targets, sync_count);
   };
 
-  if (replica.hidden_specs().size() == 1) {
-    Network& net = replica.network();
-    const BcpnnConfig& cfg = net.config().bcpnn;
+  Network& net = replica.network();
+  const NetworkConfig& cfg = net.config();
+  const std::size_t depth = net.depth();
+  tensor::MatrixF below;  // replicated, deterministic code of layer l-1
+  for (std::size_t l = 0; l < depth; ++l) {
+    const tensor::MatrixF& input = l == 0 ? x : below;
+    // Noise stream 1 for the paper's single layer, 16 + l in a stack.
     run_phase(comm, opts,
-              unsupervised_phase(net.engine(), net.mutable_hidden(),
-                                 /*stream=*/1),
-              x, nullptr, sync_count);
-
-    tensor::MatrixF hidden;
-    net.mutable_hidden().forward(x, hidden);  // replicated, deterministic
-    train_head(net.sgd_head() != nullptr
-                   ? sgd_head_phase(*net.sgd_head())
-                   : bcpnn_head_phase(*net.bcpnn_head()),
-               hidden, net.config().classes, cfg.head_epochs, cfg.batch_size,
-               cfg.seed);
-  } else {
-    DeepBcpnn& deep = replica.deep();
-    const DeepBcpnnConfig& cfg = deep.config();
-    tensor::MatrixF current = x;
-    for (std::size_t l = 0; l < deep.depth(); ++l) {
-      run_phase(comm, opts,
-                unsupervised_phase(deep.engine(), deep.mutable_layer(l),
-                                   /*stream=*/16 + l),
-                current, nullptr, sync_count);
-      tensor::MatrixF next;
-      deep.mutable_layer(l).forward(current, next);
-      if (cfg.propagate_wta) {
-        tensor::wta_blocks(next, cfg.layers[l].mcus);
-      }
-      current = std::move(next);
+              unsupervised_phase(net.engine(), net.mutable_layer(l),
+                                 depth == 1 ? 1 : 16 + l),
+              input, nullptr, sync_count);
+    if (l + 1 < depth) {
+      tensor::MatrixF code;
+      net.propagate(l, input, code);
+      below = std::move(code);
     }
-    train_head(bcpnn_head_phase(deep.head()), deep.transform(x), cfg.classes,
-               cfg.head_epochs, cfg.batch_size, cfg.seed);
   }
+  train_head(net.sgd_head() != nullptr ? sgd_head_phase(*net.sgd_head())
+                                       : bcpnn_head_phase(*net.bcpnn_head()),
+             net.transform(x), cfg.classes, cfg.bcpnn.head_epochs,
+             cfg.bcpnn.batch_size, cfg.bcpnn.seed);
 
   // Schedule-agreement invariant over the new uint64 collective: a rank
   // that desynchronized its reduction schedule would have deadlocked or
@@ -451,27 +436,18 @@ void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
 /// Copy the trained state of `src` (a replica) into `dst` (the caller's
 /// compiled model with identical topology).
 void adopt_state(const Model& src, Model& dst) {
-  if (src.hidden_specs().size() == 1) {
-    const Network& from = src.network();
-    Network& to = dst.network();
-    to.mutable_hidden().set_state(from.hidden().traces(),
-                                  from.hidden().masks());
-    if (from.sgd_head() != nullptr) {
-      to.sgd_head()->set_state(from.sgd_head()->weights(),
-                               from.sgd_head()->bias());
-    } else {
-      to.bcpnn_head()->mutable_traces() = from.bcpnn_head()->traces();
-      to.bcpnn_head()->recompute_weights();
-    }
+  const Network& from = src.network();
+  Network& to = dst.network();
+  for (std::size_t l = 0; l < from.depth(); ++l) {
+    to.mutable_layer(l).set_state(from.layer(l).traces(),
+                                  from.layer(l).masks());
+  }
+  if (from.sgd_head() != nullptr) {
+    to.sgd_head()->set_state(from.sgd_head()->weights(),
+                             from.sgd_head()->bias());
   } else {
-    const DeepBcpnn& from = src.deep();
-    DeepBcpnn& to = dst.deep();
-    for (std::size_t l = 0; l < from.depth(); ++l) {
-      to.mutable_layer(l).set_state(from.layer(l).traces(),
-                                    from.layer(l).masks());
-    }
-    to.head().mutable_traces() = from.head().traces();
-    to.head().recompute_weights();
+    to.bcpnn_head()->mutable_traces() = from.bcpnn_head()->traces();
+    to.bcpnn_head()->recompute_weights();
   }
 }
 

@@ -9,8 +9,8 @@
 // limiting factor on communication" — is exactly what bench_scaling
 // measures with this trainer.
 //
-// DistributedTrainer trains *full* models (hidden BCPNN layer + BCPNN or
-// SGD read-out head, and deep:: stacks) and is rank-count invariant by
+// DistributedTrainer trains *full* models (every hidden BCPNN layer + BCPNN
+// or SGD read-out head) and is rank-count invariant by
 // construction: every global batch is partitioned into a fixed number of
 // *virtual shards* (independent of the rank count), each rank computes
 // the partial batch statistics of the virtual shards it owns, one

@@ -69,60 +69,42 @@ Model& Model::compile(const std::string& engine, std::uint64_t seed) {
   engine_name_ = engine;
   seed_ = seed;
 
-  if (hidden_.size() == 1) {
-    NetworkConfig config;
-    config.bcpnn.input_hypercolumns = input_hypercolumns_;
-    config.bcpnn.input_bins = input_bins_;
-    config.bcpnn.hcus = hidden_[0].hcus;
-    config.bcpnn.mcus = hidden_[0].mcus;
-    config.bcpnn.receptive_field = hidden_[0].receptive_field;
-    config.bcpnn.engine = engine;
-    config.bcpnn.seed = seed;
-    config.bcpnn.apply(options_);  // schedule overrides
-    config.classes = classes_;
-    config.head = head_;
-    network_ = std::make_unique<Network>(std::move(config));
-    return *this;
-  }
-
-  // The deep schedule only consumes a subset of the option keys; reject
-  // the rest instead of silently dropping a validated option.
-  for (const char* key :
-       {"alpha_supervised", "inverse_temperature", "k_beta", "noise_end",
-        "plasticity_swaps", "prune_cadence", "prune_density"}) {
-    if (options_.has(key)) {
-      throw std::invalid_argument(
-          std::string("Model: option '") + key +
-          "' is not supported for deep (multi-hidden-layer) models");
+  NetworkConfig config;
+  config.bcpnn.input_hypercolumns = input_hypercolumns_;
+  config.bcpnn.input_bins = input_bins_;
+  config.bcpnn.hcus = hidden_[0].hcus;
+  config.bcpnn.mcus = hidden_[0].mcus;
+  config.bcpnn.receptive_field = hidden_[0].receptive_field;
+  config.bcpnn.engine = engine;
+  config.bcpnn.seed = seed;
+  if (hidden_.size() > 1) {
+    // The deep schedule only consumes a subset of the option keys; reject
+    // the rest instead of silently dropping a validated option.
+    for (const char* key :
+         {"alpha_supervised", "inverse_temperature", "k_beta", "noise_end",
+          "plasticity_swaps", "prune_cadence", "prune_density"}) {
+      if (options_.has(key)) {
+        throw std::invalid_argument(
+            std::string("Model: option '") + key +
+            "' is not supported for deep (multi-hidden-layer) models");
+      }
     }
+    if (head_ == HeadType::kSgd) {
+      // The hybrid read-out is only wired for the paper's three-layer
+      // topology.
+      throw std::invalid_argument(
+          "Model: SGD head is only supported for single-hidden-layer "
+          "models");
+    }
+    // A deep stack's own schedule defaults.
+    config.bcpnn.epochs = 8;
+    config.bcpnn.head_epochs = 16;
+    config.stacked.assign(hidden_.begin() + 1, hidden_.end());
   }
-
-  DeepBcpnnConfig config;
-  config.input_hypercolumns = input_hypercolumns_;
-  config.input_bins = input_bins_;
-  config.layers.clear();
-  for (const auto& spec : hidden_) {
-    config.layers.push_back({spec.hcus, spec.mcus, spec.receptive_field});
-  }
+  config.bcpnn.apply(options_);  // schedule overrides
   config.classes = classes_;
-  config.engine = engine;
-  config.seed = seed;
-  config.alpha = static_cast<float>(options_.get_double("alpha", config.alpha));
-  config.epochs_per_layer = static_cast<std::size_t>(options_.get_double(
-      "epochs", static_cast<double>(config.epochs_per_layer)));
-  config.head_epochs = static_cast<std::size_t>(options_.get_double(
-      "head_epochs", static_cast<double>(config.head_epochs)));
-  config.batch_size = static_cast<std::size_t>(options_.get_double(
-      "batch_size", static_cast<double>(config.batch_size)));
-  config.noise_start = static_cast<float>(
-      options_.get_double("noise_start", config.noise_start));
-  if (head_ == HeadType::kSgd) {
-    // The deep variant always uses the BCPNN head; the hybrid read-out is
-    // only wired for the paper's three-layer topology.
-    throw std::invalid_argument(
-        "Model: SGD head is only supported for single-hidden-layer models");
-  }
-  deep_ = std::make_unique<DeepBcpnn>(std::move(config));
+  config.head = head_;
+  network_ = std::make_unique<Network>(std::move(config));
   return *this;
 }
 
@@ -135,22 +117,15 @@ std::string Model::name() const {
 
 namespace {
 
-/// Largest weight density across the model's components — the value the
-/// sparsify guardrail judges, since the densest matrix dominates the
+/// Largest weight density across the network's components — the value
+/// the sparsify guardrail judges, since the densest matrix dominates the
 /// sparse path's throughput.
-double max_component_density(const Network* network, const DeepBcpnn* deep) {
-  double density = 0.0;
-  if (network != nullptr) {
-    density = network->hidden().weight_density();
-    const double head_density = network->bcpnn_head() != nullptr
-                                    ? network->bcpnn_head()->weight_density()
-                                    : network->sgd_head()->weight_density();
-    density = std::max(density, head_density);
-  } else if (deep != nullptr) {
-    for (std::size_t l = 0; l < deep->depth(); ++l) {
-      density = std::max(density, deep->layer(l).weight_density());
-    }
-    density = std::max(density, deep->head().weight_density());
+double max_component_density(const Network& network) {
+  double density = network.bcpnn_head() != nullptr
+                       ? network.bcpnn_head()->weight_density()
+                       : network.sgd_head()->weight_density();
+  for (std::size_t l = 0; l < network.depth(); ++l) {
+    density = std::max(density, network.layer(l).weight_density());
   }
   return density;
 }
@@ -166,7 +141,7 @@ Model Model::sparsify() const {
     // Guardrail: at >= 25% density the CSR kernels measurably LOSE to
     // the dense GEMM path (BENCH_sparse.json) — proceed (the memory win
     // may still be the point) but say so. Prune first to go faster.
-    const double density = max_component_density(network_.get(), deep_.get());
+    const double density = max_component_density(*network_);
     if (sparsify_is_pessimization(density)) {
       SB_LOG_WARN() << "Model::sparsify: weight density "
                     << static_cast<int>(100.0 * density)
@@ -178,19 +153,13 @@ Model Model::sparsify() const {
     }
     // Fresh dense clone (the checkpoint round-trip already made it an
     // independent object); convert its components in place.
-    if (replica.network_) {
-      replica.network_->sparsify();
-    } else {
-      replica.deep_->sparsify();
-    }
+    replica.network_->sparsify();
   }
   return replica;
 }
 
 bool Model::sparse() const noexcept {
-  if (network_) return network_->sparse();
-  if (deep_) return deep_->sparse();
-  return false;
+  return network_ && network_->sparse();
 }
 
 Model Model::quantize(QuantOptions options) const {
@@ -199,19 +168,13 @@ Model Model::quantize(QuantOptions options) const {
   }
   Model replica = clone_model(*this);
   if (!replica.quantized()) {
-    if (replica.network_) {
-      replica.network_->quantize(options.block_size);
-    } else {
-      replica.deep_->quantize(options.block_size);
-    }
+    replica.network_->quantize(options.block_size);
   }
   return replica;
 }
 
 bool Model::quantized() const noexcept {
-  if (network_) return network_->quantized();
-  if (deep_) return deep_->quantized();
-  return false;
+  return network_ && network_->quantized();
 }
 
 void Model::fit(const tensor::MatrixF& x, const std::vector<int>& labels) {
@@ -224,11 +187,7 @@ void Model::fit(const tensor::MatrixF& x, const std::vector<int>& labels) {
     throw std::logic_error(
         "Model: fit() on a sparsified model (read-only inference form)");
   }
-  if (network_) {
-    network_->fit(x, labels);
-  } else {
-    deep_->fit(x, labels);
-  }
+  network_->fit(x, labels);
 }
 
 void Model::partial_fit(const tensor::MatrixF& x,
@@ -246,26 +205,22 @@ void Model::partial_fit(const tensor::MatrixF& x,
         "Model: partial_fit() on a sparsified model (read-only inference "
         "form)");
   }
-  if (deep_) {
-    throw std::logic_error(
-        "Model: partial_fit() on a deep stack (the layer-wise greedy "
-        "schedule has no incremental counterpart)");
-  }
   network_->partial_fit(x, labels);
 }
 
 bool Model::supports_partial_fit() const {
-  return network_ != nullptr && !sparse() && !quantized();
+  return network_ != nullptr && network_->depth() == 1 && !sparse() &&
+         !quantized();
 }
 
 std::vector<int> Model::predict(const tensor::MatrixF& x) {
   if (!compiled()) throw std::logic_error("Model: predict() before compile()");
-  return network_ ? network_->predict(x) : deep_->predict(x);
+  return network_->predict(x);
 }
 
 std::vector<double> Model::predict_scores(const tensor::MatrixF& x) {
   if (!compiled()) throw std::logic_error("Model: predict() before compile()");
-  return network_ ? network_->predict_scores(x) : deep_->predict_scores(x);
+  return network_->predict_scores(x);
 }
 
 double Model::evaluate(const tensor::MatrixF& x,
@@ -287,30 +242,16 @@ void Model::load(const std::string& path) {
 
 Network& Model::network() {
   if (!network_) {
-    throw std::logic_error("Model::network(): not a compiled 3-layer model");
+    throw std::logic_error("Model::network(): model is not compiled");
   }
   return *network_;
 }
 
 const Network& Model::network() const {
   if (!network_) {
-    throw std::logic_error("Model::network(): not a compiled 3-layer model");
+    throw std::logic_error("Model::network(): model is not compiled");
   }
   return *network_;
-}
-
-DeepBcpnn& Model::deep() {
-  if (!deep_) {
-    throw std::logic_error("Model::deep(): not a compiled deep model");
-  }
-  return *deep_;
-}
-
-const DeepBcpnn& Model::deep() const {
-  if (!deep_) {
-    throw std::logic_error("Model::deep(): not a compiled deep model");
-  }
-  return *deep_;
 }
 
 std::string Model::summary() const {

@@ -12,9 +12,10 @@
 //   model.fit(x_train, y_train);
 //   double acc = model.evaluate(x_test, y_test);
 //
-// One hidden() call builds the paper's three-layer network; several stack
-// a DeepBcpnn. All hyper-parameters have paper defaults and can be
-// overridden through set_option() before compile().
+// One hidden() call builds the paper's three-layer network; each further
+// call stacks another hidden layer on the winner-take-all code of the one
+// below (see Network). All hyper-parameters have paper defaults and can
+// be overridden through set_option() before compile().
 //
 // Model implements the streambrain::Estimator contract, so it is
 // interchangeable with the baselines in experiment drivers and can be
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "api/estimator.hpp"
-#include "core/deep.hpp"
 #include "core/head.hpp"
 #include "core/network.hpp"
 #include "util/config.hpp"
@@ -60,9 +60,11 @@ class Model final : public Estimator {
   /// Override schedule/learning options before compile(). Unknown keys
   /// are rejected with std::invalid_argument naming the key and the
   /// recognized set (see option_keys()). Keys alpha_supervised,
-  /// inverse_temperature, k_beta, noise_end, and plasticity_swaps apply
-  /// only to single-hidden-layer models; compile() rejects them for deep
-  /// stacks instead of silently dropping them.
+  /// inverse_temperature, k_beta, noise_end, plasticity_swaps,
+  /// prune_cadence, and prune_density apply only to single-hidden-layer
+  /// models; compile() rejects them for deep stacks instead of silently
+  /// dropping them. A deep stack defaults to 8 unsupervised epochs per
+  /// layer and 16 head epochs.
   Model& set_option(const std::string& key, double value);
 
   /// The recognized set of set_option() keys.
@@ -74,9 +76,7 @@ class Model final : public Estimator {
   /// on a second compile.
   Model& compile(const std::string& engine = "simd", std::uint64_t seed = 1);
 
-  [[nodiscard]] bool compiled() const noexcept {
-    return network_ != nullptr || deep_ != nullptr;
-  }
+  [[nodiscard]] bool compiled() const noexcept { return network_ != nullptr; }
 
   // --- Estimator contract -------------------------------------------------
 
@@ -162,21 +162,12 @@ class Model final : public Estimator {
   /// Human-readable layer summary (Keras's model.summary()).
   [[nodiscard]] std::string summary() const;
 
-  /// Access the underlying single-hidden-layer network (throws when the
-  /// model is deep or not compiled).
+  /// Access the underlying layer stack, at any depth (throws when the
+  /// model is not compiled).
   [[nodiscard]] Network& network();
   [[nodiscard]] const Network& network() const;
 
-  /// Access the underlying deep stack (throws when the model is shallow
-  /// or not compiled).
-  [[nodiscard]] DeepBcpnn& deep();
-  [[nodiscard]] const DeepBcpnn& deep() const;
-
-  struct HiddenSpec {
-    std::size_t hcus;
-    std::size_t mcus;
-    double receptive_field;
-  };
+  using HiddenSpec = LayerGeometry;
 
   [[nodiscard]] std::size_t input_hypercolumns() const noexcept {
     return input_hypercolumns_;
@@ -206,8 +197,7 @@ class Model final : public Estimator {
   std::string engine_name_;
   std::uint64_t seed_ = 0;
 
-  std::unique_ptr<Network> network_;   // depth == 1
-  std::unique_ptr<DeepBcpnn> deep_;    // depth > 1
+  std::unique_ptr<Network> network_;
 };
 
 }  // namespace streambrain::core

@@ -5,6 +5,7 @@
 
 #include "data/dataset.hpp"
 #include "parallel/engine_registry.hpp"
+#include "tensor/kernels.hpp"
 #include "util/timer.hpp"
 
 namespace streambrain::core {
@@ -13,27 +14,41 @@ Network::Network(NetworkConfig config)
     : config_(std::move(config)),
       engine_(parallel::EngineRegistry::instance().create(config_.bcpnn.engine)),
       rng_(config_.bcpnn.seed) {
-  config_.bcpnn.validate();
-  hidden_ = std::make_unique<BcpnnLayer>(config_.bcpnn, *engine_, rng_);
+  // Layer l reads the hypercolumn geometry of layer l-1's output. The
+  // layers draw their masks from rng_ bottom to top, before the head.
+  BcpnnConfig layer_config = config_.bcpnn;
+  const auto add_layer = [&] {
+    layer_config.validate();
+    layers_.push_back(
+        std::make_unique<BcpnnLayer>(layer_config, *engine_, rng_));
+  };
+  add_layer();
+  for (const LayerGeometry& geometry : config_.stacked) {
+    layer_config.input_hypercolumns = layer_config.hcus;
+    layer_config.input_bins = layer_config.mcus;
+    layer_config.hcus = geometry.hcus;
+    layer_config.mcus = geometry.mcus;
+    layer_config.receptive_field = geometry.receptive_field;
+    add_layer();
+  }
   if (config_.head == HeadType::kBcpnn) {
     bcpnn_head_ = std::make_unique<BcpnnClassifier>(
-        config_.bcpnn.hidden_units(), config_.bcpnn.hcus, config_.classes,
+        layer_config.hidden_units(), layer_config.hcus, config_.classes,
         *engine_, config_.bcpnn.alpha_supervised, config_.bcpnn.eps,
         config_.bcpnn.k_beta);
   } else {
     SgdHeadConfig sgd = config_.sgd;
     sgd.batch_size = config_.bcpnn.batch_size;
-    sgd_head_ = std::make_unique<SgdHead>(config_.bcpnn.hidden_units(),
+    sgd_head_ = std::make_unique<SgdHead>(layer_config.hidden_units(),
                                           config_.classes, sgd);
   }
 }
 
-FitReport Network::fit_unsupervised(const tensor::MatrixF& x) {
-  FitReport report;
-  const auto& cfg = config_.bcpnn;
+std::size_t Network::train_layer(std::size_t index, const tensor::MatrixF& x) {
+  BcpnnLayer& layer = *layers_[index];
+  const BcpnnConfig& cfg = layer.config();
   const std::size_t n = x.rows();
-
-  util::Stopwatch unsup_watch;
+  std::size_t swaps = 0;
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   tensor::MatrixF batch;
@@ -51,21 +66,39 @@ FitReport Network::fit_unsupervised(const tensor::MatrixF& x) {
       for (std::size_t r = start; r < end; ++r) {
         std::copy_n(x.row(order[r]), x.cols(), batch.row(r - start));
       }
-      hidden_->train_batch(batch, noise);
+      layer.train_batch(batch, noise);
     }
     EpochInfo info;
+    info.layer = index;
     info.epoch = epoch;
     info.noise_std = noise;
-    info.plasticity_swaps = hidden_->plasticity_step();
-    report.total_plasticity_swaps += info.plasticity_swaps;
+    info.plasticity_swaps = layer.plasticity_step();
+    swaps += info.plasticity_swaps;
     // In-training prune/rewire cadence: re-select the magnitude keep-mask
     // right after the structural-plasticity step, so a swapped-in
     // connection competes for survival on its fresh weights.
     if (cfg.prune_cadence > 0 && cfg.prune_density < 1.0 &&
         (epoch + 1) % cfg.prune_cadence == 0) {
-      hidden_->prune_to_density(cfg.prune_density);
+      layer.prune_to_density(cfg.prune_density);
     }
-    if (epoch_callback_) epoch_callback_(info, *hidden_);
+    if (epoch_callback_) epoch_callback_(info, layer);
+  }
+  return swaps;
+}
+
+FitReport Network::fit_unsupervised(const tensor::MatrixF& x) {
+  FitReport report;
+  util::Stopwatch unsup_watch;
+  // Greedy stack: train layer l on the frozen code of layer l-1.
+  tensor::MatrixF below;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const tensor::MatrixF& input = l == 0 ? x : below;
+    report.total_plasticity_swaps += train_layer(l, input);
+    if (l + 1 < layers_.size()) {
+      tensor::MatrixF code;
+      propagate(l, input, code);
+      below = std::move(code);
+    }
   }
   report.unsupervised_seconds = unsup_watch.seconds();
   return report;
@@ -76,7 +109,7 @@ FitReport Network::fit(const tensor::MatrixF& x,
   if (x.rows() != labels.size()) {
     throw std::invalid_argument("Network::fit: rows != labels");
   }
-  // Phase 1: unsupervised hidden layer; phase 2: supervised head on the
+  // Phase 1: unsupervised hidden layers; phase 2: supervised head on the
   // frozen representation.
   FitReport report = fit_unsupervised(x);
   util::Stopwatch head_watch;
@@ -135,6 +168,11 @@ double Network::fit_head(const tensor::MatrixF& x,
 
 void Network::partial_fit(const tensor::MatrixF& x,
                           const std::vector<int>& labels) {
+  if (layers_.size() > 1) {
+    throw std::logic_error(
+        "Network::partial_fit: a stack of hidden layers trains layer by "
+        "layer; the greedy schedule has no incremental counterpart");
+  }
   if (x.rows() != labels.size()) {
     throw std::invalid_argument("Network::partial_fit: rows != labels");
   }
@@ -142,7 +180,7 @@ void Network::partial_fit(const tensor::MatrixF& x,
   // Hidden step at the schedule's terminal noise: a streaming batch
   // arrives "after" the annealing window, so it trains the way the last
   // fit() epoch did.
-  hidden_->train_batch(x, config_.bcpnn.noise_end);
+  layers_.front()->train_batch(x, config_.bcpnn.noise_end);
   const tensor::MatrixF hidden_repr = transform(x);
   const tensor::MatrixF targets =
       data::one_hot_labels(labels, config_.classes);
@@ -153,9 +191,22 @@ void Network::partial_fit(const tensor::MatrixF& x,
   }
 }
 
+void Network::propagate(std::size_t index, const tensor::MatrixF& in,
+                        tensor::MatrixF& out) {
+  BcpnnLayer& layer = *layers_.at(index);
+  layer.forward(in, out);
+  tensor::wta_blocks(out, layer.config().mcus);
+}
+
 tensor::MatrixF Network::transform(const tensor::MatrixF& x) {
+  tensor::MatrixF below;
+  for (std::size_t l = 0; l + 1 < layers_.size(); ++l) {
+    tensor::MatrixF code;
+    propagate(l, l == 0 ? x : below, code);
+    below = std::move(code);
+  }
   tensor::MatrixF activations;
-  hidden_->forward(x, activations);
+  layers_.back()->forward(layers_.size() == 1 ? x : below, activations);
   return activations;
 }
 
@@ -174,7 +225,7 @@ std::vector<double> Network::predict_scores(const tensor::MatrixF& x) {
 }
 
 void Network::sparsify() {
-  hidden_->sparsify();
+  for (auto& layer : layers_) layer->sparsify();
   if (bcpnn_head_) {
     bcpnn_head_->sparsify();
   } else {
@@ -182,10 +233,10 @@ void Network::sparsify() {
   }
 }
 
-bool Network::sparse() const noexcept { return hidden_->sparse(); }
+bool Network::sparse() const noexcept { return layers_.front()->sparse(); }
 
 void Network::quantize(std::size_t block_size) {
-  hidden_->quantize(block_size);
+  for (auto& layer : layers_) layer->quantize(block_size);
   if (bcpnn_head_) {
     bcpnn_head_->quantize(block_size);
   } else {
@@ -193,6 +244,8 @@ void Network::quantize(std::size_t block_size) {
   }
 }
 
-bool Network::quantized() const noexcept { return hidden_->quantized(); }
+bool Network::quantized() const noexcept {
+  return layers_.front()->quantized();
+}
 
 }  // namespace streambrain::core

@@ -52,7 +52,7 @@ ExperimentResult run_higgs_experiment(const HiggsExperimentConfig& config) {
   result.test_accuracy =
       metrics::accuracy(network.predict(x_test), test.labels);
   result.test_auc = metrics::auc(network.predict_scores(x_test), test.labels);
-  result.final_masks = network.hidden().masks().all();
+  result.final_masks = network.layer(0).masks().all();
   return result;
 }
 

@@ -68,21 +68,15 @@ void prune_model(Model& model, double density) {
         "prune_model: model is already in the sparse form; prune before "
         "sparsify()");
   }
-  if (model.hidden_specs().size() == 1) {
-    Network& network = model.network();
-    network.mutable_hidden().prune_to_density(density);
-    if (BcpnnClassifier* head = network.bcpnn_head()) {
-      head->prune_to_density(density);
-    } else if (SgdHead* head = network.sgd_head()) {
-      head->prune_to_density(density);
-    }
-    return;
+  Network& network = model.network();
+  for (std::size_t l = 0; l < network.depth(); ++l) {
+    network.mutable_layer(l).prune_to_density(density);
   }
-  DeepBcpnn& deep = model.deep();
-  for (std::size_t l = 0; l < deep.depth(); ++l) {
-    deep.mutable_layer(l).prune_to_density(density);
+  if (BcpnnClassifier* head = network.bcpnn_head()) {
+    head->prune_to_density(density);
+  } else if (SgdHead* head = network.sgd_head()) {
+    head->prune_to_density(density);
   }
-  deep.head().prune_to_density(density);
 }
 
 }  // namespace streambrain::core

@@ -507,9 +507,11 @@ void read_sgd_section(std::istream& in, SgdHead& head,
   }
 }
 
-/// Hidden layer + head of a compiled three-layer network.
+/// Every hidden layer, bottom to top, then the head.
 void write_network_state(std::ostream& out, const Network& network) {
-  write_layer_section(out, network.hidden());
+  for (std::size_t l = 0; l < network.depth(); ++l) {
+    write_layer_section(out, network.layer(l));
+  }
   if (const BcpnnClassifier* head = network.bcpnn_head()) {
     write_classifier_section(out, *head);
   } else if (const SgdHead* head = network.sgd_head()) {
@@ -519,7 +521,9 @@ void write_network_state(std::ostream& out, const Network& network) {
 
 void read_network_state(std::istream& in, Network& network,
                         std::uint32_t version) {
-  read_layer_section(in, network.mutable_hidden(), version);
+  for (std::size_t l = 0; l < network.depth(); ++l) {
+    read_layer_section(in, network.mutable_layer(l), version);
+  }
   if (BcpnnClassifier* head = network.bcpnn_head()) {
     read_classifier_section(in, *head, version);
   } else if (SgdHead* head = network.sgd_head()) {
@@ -542,21 +546,6 @@ void load_layer(const std::string& path, BcpnnLayer& layer) {
   if (!file) throw std::runtime_error("load_layer: cannot open " + path);
   const std::uint32_t version = read_header(file);
   read_layer_section(file, layer, version);
-}
-
-void save_network(const std::string& path, const Network& network) {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("save_network: cannot open " + path);
-  write_header(file);
-  write_network_state(file, network);
-  if (!file) throw std::runtime_error("save_network: write failed");
-}
-
-void load_network(const std::string& path, Network& network) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("load_network: cannot open " + path);
-  const std::uint32_t version = read_header(file);
-  read_network_state(file, network, version);
 }
 
 void save_model(std::ostream& out, const Model& model) {
@@ -587,15 +576,7 @@ void save_model(std::ostream& out, const Model& model) {
     write_f64(out, model.options().get_double(key, 0.0));
   }
 
-  if (model.hidden_specs().size() == 1) {
-    write_network_state(out, model.network());
-  } else {
-    const DeepBcpnn& deep = model.deep();
-    for (std::size_t l = 0; l < deep.depth(); ++l) {
-      write_layer_section(out, deep.layer(l));
-    }
-    write_classifier_section(out, deep.head());
-  }
+  write_network_state(out, model.network());
   if (!out) throw std::runtime_error("save_model: write failed");
 }
 
@@ -669,15 +650,7 @@ void load_model(std::istream& in, Model& model) {
   }
   staging.compile(engine, seed);
 
-  if (depth == 1) {
-    read_network_state(in, staging.network(), version);
-  } else {
-    DeepBcpnn& deep = staging.deep();
-    for (std::uint32_t l = 0; l < depth; ++l) {
-      read_layer_section(in, deep.mutable_layer(l), version);
-    }
-    read_classifier_section(in, deep.head(), version);
-  }
+  read_network_state(in, staging.network(), version);
   model = std::move(staging);
 }
 

@@ -46,7 +46,6 @@
 #include "core/classifier.hpp"
 #include "core/layer.hpp"
 #include "core/model.hpp"
-#include "core/network.hpp"
 #include "tensor/weight_store.hpp"
 
 namespace streambrain::core {
@@ -57,16 +56,10 @@ namespace streambrain::core {
 void save_layer(const std::string& path, const BcpnnLayer& layer);
 void load_layer(const std::string& path, BcpnnLayer& layer);
 
-/// Save / load a full three-layer network (hidden layer + head).
-/// The network passed to load must have been constructed with the same
-/// NetworkConfig (geometry and head type are validated).
-void save_network(const std::string& path, const Network& network);
-void load_network(const std::string& path, Network& network);
-
 /// Save / load the full Model facade: a topology section (input geometry,
 /// hidden specs, classes, head, engine name, seed, set_option overrides)
 /// followed by the learned state of every layer and the head. Unlike
-/// load_network, load_model needs no pre-built object — it rebuilds the
+/// load_layer, load_model needs no pre-built object — it rebuilds the
 /// topology, compiles on the stored engine, and restores the weights, so
 /// `Model m; m.load(path);` reproduces the saved model bit-for-bit.
 /// save_model requires a compiled model; load_model an un-compiled one.

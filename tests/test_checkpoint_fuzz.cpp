@@ -224,21 +224,15 @@ std::string load_and_resave(const Fixture& fixture,
   sc::Model model;
   sc::load_model(in, model);
   tags.insert(sc::detail::kModelSectionTag);
-  if (model.hidden_specs().size() == 1) {
-    const sc::Network& network = model.network();
-    tags.insert(section_tag(Component::kLayer, weight_form(network.hidden())));
-    if (const sc::BcpnnClassifier* head = network.bcpnn_head()) {
-      tags.insert(section_tag(Component::kClassifier, weight_form(*head)));
-    } else {
-      tags.insert(
-          section_tag(Component::kSgdHead, weight_form(*network.sgd_head())));
-    }
+  const sc::Network& network = model.network();
+  for (std::size_t l = 0; l < network.depth(); ++l) {
+    tags.insert(section_tag(Component::kLayer, weight_form(network.layer(l))));
+  }
+  if (const sc::BcpnnClassifier* head = network.bcpnn_head()) {
+    tags.insert(section_tag(Component::kClassifier, weight_form(*head)));
   } else {
-    const sc::DeepBcpnn& deep = model.deep();
-    for (std::size_t l = 0; l < deep.depth(); ++l) {
-      tags.insert(section_tag(Component::kLayer, weight_form(deep.layer(l))));
-    }
-    tags.insert(section_tag(Component::kClassifier, weight_form(deep.head())));
+    tags.insert(
+        section_tag(Component::kSgdHead, weight_form(*network.sgd_head())));
   }
   return model_bytes(model);
 }

@@ -1,8 +1,9 @@
-// Tests for the stacked (multi-hidden-layer) BCPNN extension.
+// Tests for stacks of several hidden layers (core::Network at depth > 1).
 
 #include <gtest/gtest.h>
 
-#include "core/deep.hpp"
+#include "core/model.hpp"
+#include "core/network.hpp"
 #include "data/higgs.hpp"
 #include "encode/one_hot.hpp"
 #include "metrics/classification.hpp"
@@ -38,27 +39,33 @@ Data make_data(std::size_t train, std::size_t test) {
   return data;
 }
 
-sc::DeepBcpnnConfig small_deep() {
-  sc::DeepBcpnnConfig config;
-  config.input_hypercolumns = sd::kHiggsFeatures;
-  config.input_bins = 10;
-  config.layers = {{2, 40, 0.4}, {1, 40, 1.0}};
-  config.epochs_per_layer = 8;
-  config.head_epochs = 16;
-  config.seed = 5;
+sc::NetworkConfig small_deep() {
+  sc::NetworkConfig config;
+  config.bcpnn.input_hypercolumns = sd::kHiggsFeatures;
+  config.bcpnn.input_bins = 10;
+  config.bcpnn.hcus = 2;
+  config.bcpnn.mcus = 40;
+  config.bcpnn.receptive_field = 0.4;
+  config.stacked = {{1, 40, 1.0}};
+  config.bcpnn.epochs = 8;
+  config.bcpnn.head_epochs = 16;
+  config.bcpnn.seed = 5;
   return config;
 }
 
 }  // namespace
 
-TEST(DeepBcpnn, RejectsEmptyStack) {
+TEST(DeepStack, RejectsEmptyStackedLayer) {
   auto config = small_deep();
-  config.layers.clear();
-  EXPECT_THROW(sc::DeepBcpnn network(config), std::invalid_argument);
+  config.stacked = {{0, 40, 1.0}};
+  EXPECT_THROW(sc::Network network(config), std::invalid_argument);
+  sc::Model model;
+  model.input(28, 10).classifier(2);
+  EXPECT_THROW(model.compile(), std::logic_error);  // no hidden layer
 }
 
-TEST(DeepBcpnn, GeometryChainsAcrossLayers) {
-  sc::DeepBcpnn network(small_deep());
+TEST(DeepStack, GeometryChainsAcrossLayers) {
+  sc::Network network(small_deep());
   EXPECT_EQ(network.depth(), 2u);
   // Layer 0 consumes the encoded input.
   EXPECT_EQ(network.layer(0).input_units(), 280u);
@@ -68,9 +75,9 @@ TEST(DeepBcpnn, GeometryChainsAcrossLayers) {
   EXPECT_EQ(network.layer(1).hidden_units(), 40u);
 }
 
-TEST(DeepBcpnn, TransformOutputsTopLayerSimplex) {
+TEST(DeepStack, TransformOutputsTopLayerSimplex) {
   const auto data = make_data(300, 50);
-  sc::DeepBcpnn network(small_deep());
+  sc::Network network(small_deep());
   network.fit(data.x_train, data.y_train);
   const auto top = network.transform(data.x_test);
   ASSERT_EQ(top.rows(), 50u);
@@ -83,33 +90,52 @@ TEST(DeepBcpnn, TransformOutputsTopLayerSimplex) {
     }
     EXPECT_NEAR(mass, 1.0f, 1e-4f);
   }
+  // Below the top the code is one winner per hypercolumn.
+  st::MatrixF code;
+  network.propagate(0, data.x_test, code);
+  ASSERT_EQ(code.cols(), 80u);
+  for (std::size_t r = 0; r < code.rows(); ++r) {
+    for (std::size_t h = 0; h < 2; ++h) {
+      float mass = 0.0f;
+      for (std::size_t m = 0; m < 40; ++m) {
+        const float v = code(r, h * 40 + m);
+        EXPECT_TRUE(v == 0.0f || v == 1.0f);
+        mass += v;
+      }
+      EXPECT_EQ(mass, 1.0f);
+    }
+  }
 }
 
-TEST(DeepBcpnn, LearnsAboveChance) {
+TEST(DeepStack, LearnsAboveChance) {
   const auto data = make_data(2000, 400);
-  sc::DeepBcpnn network(small_deep());
-  network.fit(data.x_train, data.y_train);
-  const double accuracy =
-      sm::accuracy(network.predict(data.x_test), data.y_test);
-  const double auc =
-      sm::auc(network.predict_scores(data.x_test), data.y_test);
-  EXPECT_GT(accuracy, 0.55);
-  EXPECT_GT(auc, 0.58);
+  sc::Model model;
+  model.input(sd::kHiggsFeatures, 10)
+      .hidden(2, 40, 0.4)
+      .hidden(1, 40, 1.0)
+      .classifier(2)
+      .compile("simd", /*seed=*/5);
+  model.fit(data.x_train, data.y_train);
+  EXPECT_GT(model.evaluate(data.x_test, data.y_test), 0.55);
+  EXPECT_GT(sm::auc(model.predict_scores(data.x_test), data.y_test), 0.58);
 }
 
-TEST(DeepBcpnn, FitRejectsShapeMismatch) {
+TEST(DeepStack, FitRejectsShapeMismatch) {
   const auto data = make_data(50, 10);
-  sc::DeepBcpnn network(small_deep());
+  sc::Network network(small_deep());
   std::vector<int> short_labels(10, 0);
   EXPECT_THROW(network.fit(data.x_train, short_labels),
                std::invalid_argument);
 }
 
-TEST(DeepBcpnn, SingleLayerStackStillWorks) {
+TEST(DeepStack, SingleLayerStackStillWorks) {
   auto config = small_deep();
-  config.layers = {{1, 30, 0.4}};
+  config.bcpnn.hcus = 1;
+  config.bcpnn.mcus = 30;
+  config.stacked.clear();
   const auto data = make_data(800, 300);
-  sc::DeepBcpnn network(config);
+  sc::Network network(config);
   network.fit(data.x_train, data.y_train);
+  EXPECT_EQ(network.depth(), 1u);
   EXPECT_GT(sm::accuracy(network.predict(data.x_test), data.y_test), 0.55);
 }

@@ -18,7 +18,6 @@
 #include "core/distributed.hpp"
 #include "core/model.hpp"
 #include "core/network.hpp"
-#include "core/deep.hpp"
 #include "core/serialization.hpp"
 #include "core/sgd_head.hpp"
 #include "data/higgs.hpp"
@@ -102,24 +101,17 @@ void append_traces(std::vector<float>& out,
 /// Every learned float of the model, concatenated, for bitwise compares.
 std::vector<float> state_vector(const sc::Model& model) {
   std::vector<float> out;
-  if (model.hidden_specs().size() == 1) {
-    const sc::Network& net = model.network();
-    append_traces(out, net.hidden().traces());
-    append(out, net.hidden().weights());
-    append(out, net.hidden().bias());
-    if (net.sgd_head() != nullptr) {
-      append(out, net.sgd_head()->weights());
-      append(out, net.sgd_head()->bias());
-    } else {
-      append_traces(out, net.bcpnn_head()->traces());
-    }
+  const sc::Network& net = model.network();
+  for (std::size_t l = 0; l < net.depth(); ++l) {
+    append_traces(out, net.layer(l).traces());
+    append(out, net.layer(l).weights());
+    append(out, net.layer(l).bias());
+  }
+  if (net.sgd_head() != nullptr) {
+    append(out, net.sgd_head()->weights());
+    append(out, net.sgd_head()->bias());
   } else {
-    const sc::DeepBcpnn& deep = model.deep();
-    for (std::size_t l = 0; l < deep.depth(); ++l) {
-      append_traces(out, deep.layer(l).traces());
-      append(out, deep.layer(l).weights());
-    }
-    append_traces(out, deep.head().traces());
+    append_traces(out, net.bcpnn_head()->traces());
   }
   return out;
 }

@@ -1,11 +1,10 @@
 // Golden-regression tests: train one small fixed-seed model per head
 // type, and one two-hidden-layer stack, on the scalar kernel tier (strict
 // left-to-right accumulation, no libc exp/log on the model path — fully
-// deterministic across hosts) and
-// compare predictions, scores, accuracy, and log-loss against digests
-// committed under tests/golden/. Any drift — a kernel swap changing
-// numerics, a refactor reordering accumulation — fails loudly instead of
-// silently changing learned behavior.
+// deterministic across hosts) and compare predictions, scores, accuracy,
+// and log-loss against digests committed under tests/golden/. Any drift —
+// a kernel swap changing numerics, a refactor reordering accumulation —
+// fails loudly instead of silently changing learned behavior.
 //
 // The SIMD tiers are not pinned to these exact digests (FMA and lane
 // reassociation legitimately change rounding); their contract is the

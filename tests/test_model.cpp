@@ -125,9 +125,42 @@ TEST(Model, OptionsReachTheNetworkConfig) {
 TEST(Model, NetworkAccessorGuards) {
   sc::Model model;
   EXPECT_THROW((void)model.network(), std::logic_error);
-  model.input(28, 10).hidden(2, 10, 0.4).hidden(1, 10, 1.0).classifier(2);
+  model.input(28, 10).hidden(2, 10, 0.4).hidden(1, 12, 1.0).classifier(2);
   model.compile();
-  EXPECT_THROW((void)model.network(), std::logic_error);  // deep model
+  // A deep model's network holds every hidden layer, each reading the
+  // hypercolumn geometry of the one below, and a head over the top one.
+  const sc::Network& network = model.network();
+  ASSERT_EQ(network.depth(), 2u);
+  EXPECT_EQ(network.layer(0).input_units(), 280u);
+  EXPECT_EQ(network.layer(0).hidden_units(), 20u);  // 2 x 10
+  EXPECT_EQ(network.layer(1).config().input_hypercolumns, 2u);
+  EXPECT_EQ(network.layer(1).config().input_bins, 10u);
+  EXPECT_EQ(network.layer(1).hidden_units(), 12u);
+  ASSERT_NE(network.bcpnn_head(), nullptr);
+  EXPECT_EQ(network.bcpnn_head()->inputs(), 12u);
+}
+
+TEST(Model, DeepStackDefaultsToItsOwnSchedule) {
+  // With no epoch options a deep stack trains 8 unsupervised epochs per
+  // layer and 16 head epochs, not the single layer's 12 and 24.
+  sc::Model deep;
+  deep.input(28, 10).hidden(2, 10, 0.4).hidden(1, 10, 1.0).classifier(2);
+  deep.compile();
+  sc::Network& network = deep.network();
+  EXPECT_EQ(network.config().bcpnn.head_epochs, 16u);
+  std::vector<std::size_t> epochs(network.depth(), 0);
+  network.set_epoch_callback(
+      [&epochs](const sc::EpochInfo& info, const sc::BcpnnLayer&) {
+        ++epochs.at(info.layer);
+      });
+  const Encoded data = higgs_data(64, 1);
+  deep.fit(data.x_train, data.y_train);
+  EXPECT_EQ(epochs, (std::vector<std::size_t>{8, 8}));
+
+  sc::Model shallow;
+  shallow.input(28, 10).hidden(1, 10, 0.4).classifier(2).compile();
+  EXPECT_EQ(shallow.network().config().bcpnn.epochs, 12u);
+  EXPECT_EQ(shallow.network().config().bcpnn.head_epochs, 24u);
 }
 
 TEST(Model, SetOptionRejectsUnknownKeys) {

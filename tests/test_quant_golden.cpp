@@ -145,8 +145,8 @@ TEST(QuantGolden, QuantizedSupportBitIdenticalAcrossTiersOnTrainedWeights) {
   // 24-wide tail block per row).
   const FixtureData& data = fixture();
   sc::Model quant = trained_model(sc::HeadType::kBcpnn).quantize();
-  const auto& wt = quant.network().hidden().inference_weights().quant();
-  const auto& bias = quant.network().hidden().bias();
+  const auto& wt = quant.network().layer(0).inference_weights().quant();
+  const auto& bias = quant.network().layer(0).bias();
   ASSERT_EQ(wt.cols(), 280u);
 
   st::MatrixF ref;
@@ -205,7 +205,7 @@ TEST(QuantGolden, QuantizedCheckpointRoundTripsBitwiseBothHeads) {
     // The restored clone preserved the block size, not just the codes.
     if (head == sc::HeadType::kBcpnn) {
       EXPECT_EQ(
-          restored.network().hidden().inference_weights().quant().block_size(),
+          restored.network().layer(0).inference_weights().quant().block_size(),
           16u);
     }
   }
@@ -225,8 +225,8 @@ TEST(QuantGolden, PruneSparsifyQuantizeComposesAndRoundTrips) {
   ASSERT_FALSE(sparse.quantized());
 
   // Same index structure as the fp32 CSR, at ~0.1 density.
-  const auto& qcsr = quant.network().hidden().inference_weights().quant_csr();
-  const auto& csr = sparse.network().hidden().inference_weights().csr();
+  const auto& qcsr = quant.network().layer(0).inference_weights().quant_csr();
+  const auto& csr = sparse.network().layer(0).inference_weights().csr();
   EXPECT_EQ(qcsr.nnz(), csr.nnz());
   EXPECT_LE(qcsr.density(), 0.1 + 1e-9);
   EXPECT_LT(qcsr.memory_bytes(), csr.memory_bytes());
@@ -259,7 +259,7 @@ TEST(QuantGolden, QuantizedModelIsReadOnlyAndStateMachineHolds) {
   EXPECT_THROW(sc::prune_model(quant, 0.5), std::logic_error);
   // Order is prune -> sparsify -> quantize; the reverse composition
   // would quantize twice (once per scale granularity) and is rejected.
-  EXPECT_THROW(quant.network().mutable_hidden().sparsify(), std::logic_error);
+  EXPECT_THROW(quant.network().mutable_layer(0).sparsify(), std::logic_error);
   EXPECT_NE(quant.summary().find("quantized"), std::string::npos);
 
   // quantize() of an already-quantized model is an idempotent clone.
@@ -269,7 +269,7 @@ TEST(QuantGolden, QuantizedModelIsReadOnlyAndStateMachineHolds) {
 
   // Compactness: int8 codes + per-block scales land well under the fp32
   // weight matrix (and the traces are gone entirely).
-  const auto& q = quant.network().hidden().inference_weights().quant();
+  const auto& q = quant.network().layer(0).inference_weights().quant();
   const std::size_t dense_bytes = q.rows() * q.cols() * sizeof(float);
   EXPECT_LT(q.memory_bytes(), dense_bytes / 3);
 }
@@ -321,7 +321,7 @@ TEST(QuantGolden, SparsifyGuardrailPredicate) {
   const FixtureData& data = fixture();
   sc::Model dense = trained_model(sc::HeadType::kBcpnn);
   ASSERT_TRUE(sc::sparsify_is_pessimization(
-      dense.network().hidden().weight_density()));
+      dense.network().layer(0).weight_density()));
   sc::Model sparse = dense.sparsify();
   EXPECT_TRUE(sparse.sparse());
   EXPECT_EQ(sparse.predict(data.x_test), dense.predict(data.x_test));

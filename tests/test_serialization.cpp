@@ -127,52 +127,6 @@ TEST(Serialization, MissingFileRejected) {
                std::runtime_error);
 }
 
-namespace {
-
-/// Train a small network end to end; returns the trained network.
-std::unique_ptr<sc::Network> trained_network(sc::HeadType head) {
-  sc::NetworkConfig config;
-  config.bcpnn = layer_config();
-  config.head = head;
-  auto network = std::make_unique<sc::Network>(config);
-  sd::SyntheticHiggsGenerator generator;
-  const auto dataset = generator.generate(600);
-  streambrain::encode::OneHotEncoder encoder(10);
-  const auto x = encoder.fit_transform(dataset.features);
-  network->fit(x, dataset.labels);
-  return network;
-}
-
-}  // namespace
-
-class NetworkCheckpoint : public ::testing::TestWithParam<sc::HeadType> {};
-
-TEST_P(NetworkCheckpoint, PredictionsSurviveRoundTrip) {
-  const sc::HeadType head = GetParam();
-  auto trained = trained_network(head);
-  const auto x_test = encoded_events(200, 77);
-  const auto scores_before = trained->predict_scores(x_test);
-
-  const std::string path = "/tmp/streambrain_network.ckpt";
-  sc::save_network(path, *trained);
-
-  sc::NetworkConfig config;
-  config.bcpnn = layer_config();
-  config.head = head;
-  sc::Network restored(config);
-  sc::load_network(path, restored);
-  const auto scores_after = restored.predict_scores(x_test);
-  ASSERT_EQ(scores_before.size(), scores_after.size());
-  for (std::size_t i = 0; i < scores_before.size(); ++i) {
-    EXPECT_EQ(scores_before[i], scores_after[i]);  // bitwise
-  }
-  fs::remove(path);
-}
-
-INSTANTIATE_TEST_SUITE_P(BothHeads, NetworkCheckpoint,
-                         ::testing::Values(sc::HeadType::kBcpnn,
-                                           sc::HeadType::kSgd));
-
 TEST(Serialization, TrainingResumesFromCheckpoint) {
   // Save mid-training, restore into a fresh layer, continue training on
   // both — trajectories must stay identical when driven by the same data
@@ -203,19 +157,6 @@ TEST(Serialization, TrainingResumesFromCheckpoint) {
   for (std::size_t i = 0; i < a_original.size(); ++i) {
     EXPECT_EQ(a_original.data()[i], a_resumed.data()[i]);
   }
-  fs::remove(path);
-}
-
-TEST(Serialization, HeadTypeMismatchRejected) {
-  auto trained = trained_network(sc::HeadType::kBcpnn);
-  const std::string path = "/tmp/streambrain_headmismatch.ckpt";
-  sc::save_network(path, *trained);
-
-  sc::NetworkConfig config;
-  config.bcpnn = layer_config();
-  config.head = sc::HeadType::kSgd;  // wrong head type
-  sc::Network restored(config);
-  EXPECT_THROW(sc::load_network(path, restored), std::runtime_error);
   fs::remove(path);
 }
 
@@ -292,7 +233,7 @@ TEST(ModelCheckpointDeep, DeepRoundTripIsExact) {
 
   sc::Model restored;
   restored.load(path);
-  EXPECT_EQ(restored.deep().depth(), 2u);
+  EXPECT_EQ(restored.network().depth(), 2u);
   EXPECT_EQ(restored.predict(probe.x), model.predict(probe.x));
   EXPECT_EQ(restored.predict_scores(probe.x), model.predict_scores(probe.x));
   fs::remove(path);
@@ -306,14 +247,13 @@ TEST(ModelCheckpointGuards, LifecycleAndFormatErrors) {
   compiled.input(28, 10).hidden(1, 10, 0.4).classifier(2).compile("naive", 1);
   EXPECT_THROW(compiled.load("/tmp/never.sbrn"), std::logic_error);  // compiled
 
-  // A network-format file is not a model-format file: the topology
-  // section is missing and load() must reject it.
-  const auto train = encoded_labeled(200, 41);
-  sc::NetworkConfig config;
-  config.bcpnn = layer_config();
-  sc::Network network(config);
-  const std::string path = ::testing::TempDir() + "network_not_model.ckpt";
-  sc::save_network(path, network);
+  // A layer-format file is not a model-format file: the topology section
+  // is missing and load() must reject it.
+  auto engine = sp::EngineRegistry::instance().create("simd");
+  su::Rng rng(1);
+  const sc::BcpnnLayer layer(layer_config(), *engine, rng);
+  const std::string path = ::testing::TempDir() + "layer_not_model.ckpt";
+  sc::save_layer(path, layer);
   sc::Model wrong;
   EXPECT_THROW(wrong.load(path), std::runtime_error);
   fs::remove(path);

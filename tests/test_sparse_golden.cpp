@@ -123,8 +123,8 @@ TEST(SparseGolden, PrunedTrainingBcpnnHeadMatchesCommittedDigest) {
   sc::Model model = train_pruned_model(sc::HeadType::kBcpnn);
   // The cadence actually pruned: hidden density at (or just above, from
   // the receptive-field overlap) the configured keep fraction.
-  EXPECT_TRUE(model.network().mutable_hidden().pruned());
-  EXPECT_LE(model.network().hidden().weight_density(), 0.25 + 1e-9);
+  EXPECT_TRUE(model.network().mutable_layer(0).pruned());
+  EXPECT_LE(model.network().layer(0).weight_density(), 0.25 + 1e-9);
   check_against_golden("sparse_pruned_training_bcpnn", digest_of(model));
 }
 
@@ -157,7 +157,7 @@ TEST(SparseGolden, SparsifyIsBitIdenticalToMaskedDenseAndRoundTrips) {
     sc::Model sparse = dense.sparsify();
     ASSERT_TRUE(sparse.sparse());
     ASSERT_FALSE(dense.sparse()) << "sparsify must not mutate the original";
-    EXPECT_LE(sparse.network().hidden().inference_weights().csr().density(),
+    EXPECT_LE(sparse.network().layer(0).inference_weights().csr().density(),
               0.1 + 1e-9);
     EXPECT_EQ(sparse.predict(data.x_test), dense_labels)
         << sc::head_name(head);
@@ -219,14 +219,14 @@ TEST(SparseGolden, SparseModelIsReadOnlyAndCompact) {
   sc::Model sparse = dense.sparsify();
 
   EXPECT_THROW(sparse.fit(data.x_train, data.y_train), std::logic_error);
-  EXPECT_THROW(sparse.network().mutable_hidden().plasticity_step(),
+  EXPECT_THROW(sparse.network().mutable_layer(0).plasticity_step(),
                std::logic_error);
   EXPECT_THROW(sc::prune_model(sparse, 0.5), std::logic_error);
   EXPECT_NE(sparse.summary().find("sparse"), std::string::npos);
 
   // Compactness: the CSR weight payload is far below the dense matrix
   // (traces, which dominated the dense replica, are gone entirely).
-  const auto& csr = sparse.network().hidden().inference_weights().csr();
+  const auto& csr = sparse.network().layer(0).inference_weights().csr();
   const std::size_t dense_bytes = csr.rows() * csr.cols() * sizeof(float);
   EXPECT_LT(csr.memory_bytes(), dense_bytes / 2);
 }
