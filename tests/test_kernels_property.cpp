@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -667,8 +668,19 @@ st::MatrixF make_c(std::size_t m, std::size_t n, bool signed_zeros,
 
 }  // namespace
 
-TEST(KernelProperty, GemmZeroSkipIsBitIdenticalToBlockedAtEveryTier) {
+/// The zero-skipping GEMM sweep, one instance per dispatch tier. It is
+/// the costliest case of this suite, so CMakeLists.txt registers each
+/// tier as its own ctest entry and they run side by side.
+class GemmZeroSkipAtTier : public ::testing::TestWithParam<st::DispatchLevel> {
+};
+
+TEST_P(GemmZeroSkipAtTier, IsBitIdenticalToBlocked) {
+  const st::DispatchLevel level = GetParam();
+  if (st::kernel_set_for(level) == nullptr) {
+    GTEST_SKIP() << st::dispatch_level_name(level) << " does not run here";
+  }
   const DispatchGuard guard;
+  st::force_dispatch(level);
   const auto transposes = {st::Transpose::kNo, st::Transpose::kYes};
   std::uint64_t seed = 0;
   for (const std::size_t m : {0UL, 1UL, 33UL, 257UL}) {
@@ -696,36 +708,33 @@ TEST(KernelProperty, GemmZeroSkipIsBitIdenticalToBlockedAtEveryTier) {
             const st::MatrixF& b = b_stored[tb == st::Transpose::kYes];
             for (const auto& [alpha, c0] : alphas) {
               for (const float beta : {0.0f, 1.0f, 0.95f}) {
-                for (const st::DispatchLevel level : runnable_levels()) {
-                  st::force_dispatch(level);
-                  st::MatrixF expected = c0;
-                  st::gemm_blocked(ta, tb, alpha, a, b, beta, expected);
-                  st::MatrixF dispatched = c0;
-                  st::gemm(ta, tb, alpha, a, b, beta, dispatched);
-                  st::MatrixF skipping = c0;
-                  st::gemm_sparse_a(ta, tb, alpha, a, b, beta, skipping);
-                  const auto where = [&] {
-                    return ::testing::Message()
-                           << st::dispatch_level_name(level) << " m=" << m
-                           << " n=" << n << " pattern=" << pattern_name(pattern)
-                           << " trans_a=" << (ta == st::Transpose::kYes)
-                           << " trans_b=" << (tb == st::Transpose::kYes)
-                           << " alpha=" << alpha << " beta=" << beta;
-                  };
-                  ASSERT_TRUE(same_bits(expected, dispatched))
-                      << "gemm " << where();
-                  ASSERT_TRUE(same_bits(expected, skipping))
-                      << "gemm_sparse_a " << where();
-                  if (tb == st::Transpose::kNo) {
-                    st::GemmRows rows;
-                    if (rows.reset(ta, alpha, a, b, beta, c0)) {
-                      st::MatrixF by_row = c0;
-                      for (std::size_t i = m; i-- > 0;) {
-                        rows.row(i, by_row.row(i));
-                      }
-                      ASSERT_TRUE(same_bits(expected, by_row))
-                          << "GemmRows " << where();
+                st::MatrixF expected = c0;
+                st::gemm_blocked(ta, tb, alpha, a, b, beta, expected);
+                st::MatrixF dispatched = c0;
+                st::gemm(ta, tb, alpha, a, b, beta, dispatched);
+                st::MatrixF skipping = c0;
+                st::gemm_sparse_a(ta, tb, alpha, a, b, beta, skipping);
+                const auto where = [&] {
+                  return ::testing::Message()
+                         << st::dispatch_level_name(level) << " m=" << m
+                         << " n=" << n << " pattern=" << pattern_name(pattern)
+                         << " trans_a=" << (ta == st::Transpose::kYes)
+                         << " trans_b=" << (tb == st::Transpose::kYes)
+                         << " alpha=" << alpha << " beta=" << beta;
+                };
+                ASSERT_TRUE(same_bits(expected, dispatched))
+                    << "gemm " << where();
+                ASSERT_TRUE(same_bits(expected, skipping))
+                    << "gemm_sparse_a " << where();
+                if (tb == st::Transpose::kNo) {
+                  st::GemmRows rows;
+                  if (rows.reset(ta, alpha, a, b, beta, c0)) {
+                    st::MatrixF by_row = c0;
+                    for (std::size_t i = m; i-- > 0;) {
+                      rows.row(i, by_row.row(i));
                     }
+                    ASSERT_TRUE(same_bits(expected, by_row))
+                        << "GemmRows " << where();
                   }
                 }
               }
@@ -736,6 +745,14 @@ TEST(KernelProperty, GemmZeroSkipIsBitIdenticalToBlockedAtEveryTier) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelProperty, GemmZeroSkipAtTier,
+    ::testing::Values(st::DispatchLevel::kScalar, st::DispatchLevel::kSse42,
+                      st::DispatchLevel::kAvx2),
+    [](const ::testing::TestParamInfo<st::DispatchLevel>& info) {
+      return std::string(st::dispatch_level_name(info.param));
+    });
 
 TEST(KernelProperty, GemmZeroSkipIsBitIdenticalSerialAndOverThePool) {
   // A call from a pool worker runs serially (fan-out 1); from any other
