@@ -400,21 +400,14 @@ void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
 
   Network& net = replica.network();
   const NetworkConfig& cfg = net.config();
-  const std::size_t depth = net.depth();
-  tensor::MatrixF below;  // replicated, deterministic code of layer l-1
-  for (std::size_t l = 0; l < depth; ++l) {
-    const tensor::MatrixF& input = l == 0 ? x : below;
-    // Noise stream 1 for the paper's single layer, 16 + l in a stack.
+  // The codes between layers are replicated and deterministic. Noise
+  // stream 1 for the paper's single layer, 16 + l in a stack.
+  net.train_layers(x, [&](std::size_t l, const tensor::MatrixF& code) {
     run_phase(comm, opts,
               unsupervised_phase(net.engine(), net.mutable_layer(l),
-                                 depth == 1 ? 1 : 16 + l),
-              input, nullptr, sync_count);
-    if (l + 1 < depth) {
-      tensor::MatrixF code;
-      net.propagate(l, input, code);
-      below = std::move(code);
-    }
-  }
+                                 net.depth() == 1 ? 1 : 16 + l),
+              code, nullptr, sync_count);
+  });
   train_head(net.sgd_head() != nullptr ? sgd_head_phase(*net.sgd_head())
                                        : bcpnn_head_phase(*net.bcpnn_head()),
              net.transform(x), cfg.classes, cfg.bcpnn.head_epochs,

@@ -86,20 +86,26 @@ std::size_t Network::train_layer(std::size_t index, const tensor::MatrixF& x) {
   return swaps;
 }
 
+void Network::train_layers(const tensor::MatrixF& x,
+                           const LayerTrainer& train) {
+  tensor::MatrixF below;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const tensor::MatrixF& code = l == 0 ? x : below;
+    train(l, code);
+    if (l + 1 < layers_.size()) {
+      tensor::MatrixF next;
+      propagate(l, code, next);
+      below = std::move(next);
+    }
+  }
+}
+
 FitReport Network::fit_unsupervised(const tensor::MatrixF& x) {
   FitReport report;
   util::Stopwatch unsup_watch;
-  // Greedy stack: train layer l on the frozen code of layer l-1.
-  tensor::MatrixF below;
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const tensor::MatrixF& input = l == 0 ? x : below;
-    report.total_plasticity_swaps += train_layer(l, input);
-    if (l + 1 < layers_.size()) {
-      tensor::MatrixF code;
-      propagate(l, input, code);
-      below = std::move(code);
-    }
-  }
+  train_layers(x, [&](std::size_t l, const tensor::MatrixF& code) {
+    report.total_plasticity_swaps += train_layer(l, code);
+  });
   report.unsupervised_seconds = unsup_watch.seconds();
   return report;
 }

@@ -97,14 +97,17 @@ class Network {
   /// Used directly by the semi-supervised mode.
   FitReport fit_unsupervised(const tensor::MatrixF& x);
 
+  /// The greedy layer-wise schedule: calls `train(l, code)` for every
+  /// hidden layer, bottom to top. `code` is `x` for layer 0 and, above
+  /// it, the winner-take-all code of layer l-1 once train(l-1, ...) has
+  /// returned. fit_unsupervised() and the distributed trainer plug their
+  /// per-layer training in here.
+  using LayerTrainer =
+      std::function<void(std::size_t layer, const tensor::MatrixF& code)>;
+  void train_layers(const tensor::MatrixF& x, const LayerTrainer& train);
+
   /// Top hidden representation of a batch (deterministic forward).
   [[nodiscard]] tensor::MatrixF transform(const tensor::MatrixF& x);
-
-  /// The code layer `index` hands the layer above: its forward pass of
-  /// `in` (the code of the layer below), then winner-take-all in every
-  /// hypercolumn.
-  void propagate(std::size_t index, const tensor::MatrixF& in,
-                 tensor::MatrixF& out);
 
   [[nodiscard]] std::vector<int> predict(const tensor::MatrixF& x);
   /// P(class == 1) per row, for AUC.
@@ -158,6 +161,11 @@ class Network {
   /// The epoch loop of one hidden layer over its input code `x`; returns
   /// the plasticity swaps it made.
   std::size_t train_layer(std::size_t index, const tensor::MatrixF& x);
+
+  /// The code layer `index` hands the layer above: its forward pass of
+  /// `in`, then winner-take-all in every hypercolumn.
+  void propagate(std::size_t index, const tensor::MatrixF& in,
+                 tensor::MatrixF& out);
 
   NetworkConfig config_;
   std::unique_ptr<parallel::Engine> engine_;

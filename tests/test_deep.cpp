@@ -92,7 +92,10 @@ TEST(DeepStack, TransformOutputsTopLayerSimplex) {
   }
   // Below the top the code is one winner per hypercolumn.
   st::MatrixF code;
-  network.propagate(0, data.x_test, code);
+  network.train_layers(data.x_test,
+                       [&code](std::size_t l, const st::MatrixF& input) {
+                         if (l == 1) code = input;
+                       });
   ASSERT_EQ(code.cols(), 80u);
   for (std::size_t r = 0; r < code.rows(); ++r) {
     for (std::size_t h = 0; h < 2; ++h) {
