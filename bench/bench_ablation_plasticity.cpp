@@ -3,8 +3,7 @@
 // few connections on uninformative features (the phi angles); learned
 // masks migrate to the invariant-mass features. This bench compares
 //   (a) plasticity OFF (random mask frozen at initialization)
-//   (b) fixed swap budget (the paper's setting)
-//   (c) adaptive swap budget (the paper's §VII future-work proposal)
+//   (b) the fixed swap budget of the paper's setting
 // across receptive-field sizes, plus the MI captured by the final masks.
 
 #include <cstdio>
@@ -15,7 +14,7 @@ using namespace streambrain;
 
 namespace {
 
-enum class Mode { kFrozen, kFixed, kAdaptive };
+enum class Mode { kFrozen, kFixed };
 
 struct Outcome {
   double accuracy = 0.0;
@@ -39,7 +38,6 @@ Outcome run(Mode mode, double rf, const tensor::MatrixF& x_train,
   auto engine = parallel::EngineRegistry::instance().create(config.engine);
   util::Rng rng(config.seed);
   core::BcpnnLayer layer(config, *engine, rng);
-  core::AdaptivePlasticityController controller;
 
   Outcome outcome;
   tensor::MatrixF batch;
@@ -57,16 +55,7 @@ Outcome run(Mode mode, double rf, const tensor::MatrixF& x_train,
       }
       layer.train_batch(batch, noise);
     }
-    switch (mode) {
-      case Mode::kFrozen:
-        break;  // no plasticity
-      case Mode::kFixed:
-        outcome.total_swaps += layer.plasticity_step();
-        break;
-      case Mode::kAdaptive:
-        outcome.total_swaps += controller.step(layer).swaps;
-        break;
-    }
+    if (mode == Mode::kFixed) outcome.total_swaps += layer.plasticity_step();
   }
 
   // Supervised read-out probe.
@@ -81,8 +70,13 @@ Outcome run(Mode mode, double rf, const tensor::MatrixF& x_train,
   layer.forward(x_test, hidden_test);
   outcome.accuracy =
       metrics::accuracy(head.predict_labels(hidden_test), y_test);
-  outcome.mask_mi =
-      core::AdaptivePlasticityController::mask_mutual_information(layer);
+  // Total MI over the active connections of the final masks.
+  const auto mi = layer.mi_map();
+  for (std::size_t h = 0; h < mi.size(); ++h) {
+    for (std::size_t i = 0; i < mi[h].size(); ++i) {
+      if (layer.masks().active(h, i)) outcome.mask_mi += mi[h][i];
+    }
+  }
   return outcome;
 }
 
@@ -93,7 +87,7 @@ int main(int argc, char** argv) {
   const std::size_t events =
       static_cast<std::size_t>(args.get_int("events", 2000));
 
-  std::printf("=== Ablation: structural plasticity (frozen / fixed / adaptive) ===\n\n");
+  std::printf("=== Ablation: structural plasticity (frozen / fixed) ===\n\n");
 
   data::SyntheticHiggsGenerator generator;
   auto dataset = generator.generate(events);
@@ -109,12 +103,11 @@ int main(int argc, char** argv) {
   double frozen_small_rf = 0.0;
   double learned_small_rf = 0.0;
   for (const double rf : {0.15, 0.40}) {
-    for (const Mode mode : {Mode::kFrozen, Mode::kFixed, Mode::kAdaptive}) {
+    for (const Mode mode : {Mode::kFrozen, Mode::kFixed}) {
       const auto outcome = run(mode, rf, x_train, train.labels, x_test,
                                test.labels);
-      const char* name = mode == Mode::kFrozen   ? "frozen (no plasticity)"
-                         : mode == Mode::kFixed  ? "fixed budget (paper)"
-                                                 : "adaptive budget (SVII)";
+      const char* name = mode == Mode::kFrozen ? "frozen (no plasticity)"
+                                               : "fixed budget (paper)";
       table.add_row({util::Table::pct(rf, 0), name,
                      util::Table::pct(outcome.accuracy),
                      util::Table::num(outcome.mask_mi, 3),

@@ -28,7 +28,6 @@
 #include "serve/shard_pool.hpp"
 
 // --- Core BCPNN stack -------------------------------------------------------
-#include "core/adaptive_plasticity.hpp"
 #include "core/classifier.hpp"
 #include "core/distributed.hpp"
 #include "core/head.hpp"
@@ -43,6 +42,7 @@
 #include "core/serialization.hpp"
 #include "core/sgd_head.hpp"
 #include "core/traces.hpp"
+#include "core/weights.hpp"
 
 // --- Compute engines --------------------------------------------------------
 #include "parallel/engine.hpp"

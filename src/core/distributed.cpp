@@ -455,6 +455,15 @@ void validate_fit(const std::string& who, const Model& model,
     throw std::logic_error(who + ": model is a read-only inference form "
                                  "(quantized or sparsified)");
   }
+  // The trainer replays the unsupervised and head schedules without
+  // Network::fit's prune/rewire cadence; refuse it instead of training a
+  // different model than Model::fit would.
+  const BcpnnConfig& config = model.network().config().bcpnn;
+  if (config.prune_cadence > 0 && config.prune_density < 1.0) {
+    throw std::invalid_argument(
+        who + ": option 'prune_cadence' (with 'prune_density' < 1) is not "
+              "supported by distributed training");
+  }
   if (x.rows() != labels.size()) {
     throw std::invalid_argument(who + ": rows != labels");
   }

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <string>
 #include <tuple>
-#include <utility>
 
-#include "core/pruning.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace streambrain::core {
@@ -68,15 +65,14 @@ void add_normal_noise(util::Rng& rng, tensor::MatrixF& values,
 
 BcpnnLayer::BcpnnLayer(const BcpnnConfig& config, parallel::Engine& engine,
                        util::Rng& rng)
-    : config_(config),
+    : Weights(config.input_units(), config.hidden_units(), "BcpnnLayer"),
+      config_(config),
       engine_(&engine),
       rng_(rng.split()),
       traces_(config.input_units(), config.input_bins, config.hidden_units(),
               config.mcus),
       masks_(config.hcus, config.input_hypercolumns,
-             config.mask_cardinality(), rng),
-      weights_(config.input_units(), config.hidden_units(), 0.0f),
-      bias_(config.hidden_units(), 0.0f) {
+             config.mask_cardinality(), rng) {
   config_.validate();
   refresh_block_flags();
   recompute_weights();
@@ -87,10 +83,8 @@ void BcpnnLayer::forward(const tensor::MatrixF& x,
   if (x.cols() != input_units()) {
     throw std::invalid_argument("BcpnnLayer::forward: input width mismatch");
   }
-  if (store_) {
-    store_->support(x, bias_.data(), activations);
-  } else {
-    engine_->support(x, weights_, bias_.data(), activations);
+  if (!read_only_support(x, activations)) {
+    engine_->support(x, weights(), bias().data(), activations);
   }
   engine_->softmax_hcu(activations, config_.mcus, config_.inverse_temperature);
 }
@@ -102,7 +96,7 @@ void BcpnnLayer::forward_noisy(const tensor::MatrixF& x,
     return;
   }
   require_mutable("forward_noisy");
-  engine_->support(x, weights_, bias_.data(), activations);
+  engine_->support(x, weights(), bias().data(), activations);
   add_normal_noise(rng_, activations, noise_std);
   engine_->softmax_hcu(activations, config_.mcus, config_.inverse_temperature);
 }
@@ -136,15 +130,16 @@ void BcpnnLayer::train_batch(const tensor::MatrixF& x, float noise_std) {
   if (x.rows() == 0) return;
   forward_noisy(x, noise_scratch_, noise_std);
   traces_.learn(*engine_, x, noise_scratch_, config_.alpha, config_.eps,
-                config_.k_beta, weight_mask(), weights_, bias_.data());
+                config_.k_beta, weight_mask(), mutable_weights(),
+                mutable_bias().data());
 }
 
 void BcpnnLayer::recompute_weights() {
   require_mutable("recompute_weights");
   engine_->recompute_weights(traces_.pi().data(), traces_.pj().data(),
                              traces_.pij(), config_.eps, config_.k_beta,
-                             weights_, bias_.data());
-  weight_mask().apply(weights_);
+                             mutable_weights(), mutable_bias().data());
+  weight_mask().apply(mutable_weights());
 }
 
 parallel::WeightMask BcpnnLayer::weight_mask() const noexcept {
@@ -155,7 +150,7 @@ parallel::WeightMask BcpnnLayer::weight_mask() const noexcept {
   return {.block_rows = config_.input_bins,
           .block_cols = config_.mcus,
           .active = block_active_.data(),
-          .keep = prune_keep_.empty() ? nullptr : prune_keep_.data()};
+          .keep = keep()};
 }
 
 void BcpnnLayer::refresh_block_flags() {
@@ -167,84 +162,9 @@ void BcpnnLayer::refresh_block_flags() {
   }
 }
 
-std::size_t BcpnnLayer::prune_to_density(double density) {
-  require_mutable("prune_to_density");
-  prune_keep_ = magnitude_keep_mask(weights_.data(), weights_.size(), density);
-  std::size_t dropped = 0;
-  for (const std::uint8_t keep : prune_keep_) dropped += keep == 0;
-  weight_mask().apply(weights_);
-  return dropped;
-}
-
-void BcpnnLayer::clear_pruning() {
-  require_mutable("clear_pruning");
-  prune_keep_.clear();
-  prune_keep_.shrink_to_fit();
-  recompute_weights();
-}
-
-void BcpnnLayer::set_prune_mask(std::vector<std::uint8_t> mask) {
-  require_mutable("set_prune_mask");
-  if (!mask.empty() && mask.size() != weights_.size()) {
-    throw std::invalid_argument("BcpnnLayer::set_prune_mask: size mismatch");
-  }
-  prune_keep_ = std::move(mask);
-  weight_mask().apply(weights_);
-}
-
-double BcpnnLayer::weight_density() const noexcept {
-  if (store_) return store_->density();
-  return nonzero_density(weights_);
-}
-
-void BcpnnLayer::sparsify() {
-  if (store_) {
-    store_->sparsify();
-    return;
-  }
-  freeze(tensor::WeightStore::from_dense(weights_), std::move(bias_));
-}
-
-void BcpnnLayer::quantize(std::size_t block_size) {
-  if (store_) {
-    store_->quantize();
-    return;
-  }
-  freeze(tensor::WeightStore::quantize_dense(weights_, block_size),
-         std::move(bias_));
-}
-
-const tensor::WeightStore& BcpnnLayer::inference_weights() const {
-  if (!store_) {
-    throw std::logic_error("BcpnnLayer::inference_weights: layer is dense");
-  }
-  return *store_;
-}
-
-void BcpnnLayer::adopt(tensor::WeightStore store, std::vector<float> bias) {
-  if (store.rows() != hidden_units() || store.cols() != input_units() ||
-      bias.size() != hidden_units()) {
-    throw std::invalid_argument("BcpnnLayer::adopt: shape mismatch");
-  }
-  freeze(std::move(store), std::move(bias));
-}
-
-void BcpnnLayer::freeze(tensor::WeightStore store, std::vector<float> bias) {
-  store_ = std::move(store);
-  bias_ = std::move(bias);
-  weights_ = tensor::MatrixF();
+void BcpnnLayer::release_trainable_state() noexcept {
   noise_scratch_ = tensor::MatrixF();
   traces_.release();
-  prune_keep_.clear();
-  prune_keep_.shrink_to_fit();
-}
-
-void BcpnnLayer::require_mutable(const char* what) const {
-  if (store_) {
-    throw std::logic_error(std::string("BcpnnLayer::") + what +
-                           ": layer is in the read-only " +
-                           (quantized() ? "quantized" : "sparse") + " form");
-  }
 }
 
 std::size_t BcpnnLayer::plasticity_step() {

@@ -121,9 +121,7 @@ namespace {
 /// the sparsify guardrail judges, since the densest matrix dominates the
 /// sparse path's throughput.
 double max_component_density(const Network& network) {
-  double density = network.bcpnn_head() != nullptr
-                       ? network.bcpnn_head()->weight_density()
-                       : network.sgd_head()->weight_density();
+  double density = network.head().weight_density();
   for (std::size_t l = 0; l < network.depth(); ++l) {
     density = std::max(density, network.layer(l).weight_density());
   }

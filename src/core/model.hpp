@@ -128,7 +128,8 @@ class Model final : public Estimator {
   /// serve::ShardPool fits more shards per host. The clone predicts
   /// bit-identically (at scalar dispatch) to this model, serves through
   /// AsyncPredictor / ShardPool transparently, and
-  /// round-trips through save()/load() as a version-3 checkpoint.
+  /// round-trips through save()/load() (every save writes checkpoint
+  /// version 4; the sparse sections date from version 3).
   /// fit()/load() on the clone throw std::logic_error. Prune first
   /// (core::prune_model or the prune_density/prune_cadence options) —
   /// sparsifying an unpruned model mostly stores the dense matrix as CSR.

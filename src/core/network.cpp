@@ -232,22 +232,14 @@ std::vector<double> Network::predict_scores(const tensor::MatrixF& x) {
 
 void Network::sparsify() {
   for (auto& layer : layers_) layer->sparsify();
-  if (bcpnn_head_) {
-    bcpnn_head_->sparsify();
-  } else {
-    sgd_head_->sparsify();
-  }
+  head().sparsify();
 }
 
 bool Network::sparse() const noexcept { return layers_.front()->sparse(); }
 
 void Network::quantize(std::size_t block_size) {
   for (auto& layer : layers_) layer->quantize(block_size);
-  if (bcpnn_head_) {
-    bcpnn_head_->quantize(block_size);
-  } else {
-    sgd_head_->quantize(block_size);
-  }
+  head().quantize(block_size);
 }
 
 bool Network::quantized() const noexcept {

@@ -26,6 +26,7 @@
 #include "core/hyperparams.hpp"
 #include "core/layer.hpp"
 #include "core/sgd_head.hpp"
+#include "core/weights.hpp"
 #include "parallel/engine.hpp"
 #include "tensor/matrix.hpp"
 
@@ -132,20 +133,29 @@ class Network {
   double fit_head(const tensor::MatrixF& x, const std::vector<int>& labels);
 
   /// Convert the hidden layers + head to the compact read-only sparse
-  /// inference form (see BcpnnLayer::sparsify). Irreversible; training
+  /// inference form (see Weights::sparsify). Irreversible; training
   /// entry points throw std::logic_error afterwards.
   void sparsify();
 
   [[nodiscard]] bool sparse() const noexcept;
 
   /// Convert the hidden layers + head to the int8 read-only quantized form
-  /// (see BcpnnLayer::quantize) — composable after sparsify().
+  /// (see Weights::quantize) — composable after sparsify().
   void quantize(std::size_t block_size);
 
   [[nodiscard]] bool quantized() const noexcept;
 
-  /// Head access for checkpointing; exactly one is non-null depending on
-  /// the configured head type.
+  /// The head's weights, whichever head type is configured.
+  [[nodiscard]] Weights& head() noexcept {
+    return bcpnn_head_ ? static_cast<Weights&>(*bcpnn_head_) : *sgd_head_;
+  }
+  [[nodiscard]] const Weights& head() const noexcept {
+    return bcpnn_head_ ? static_cast<const Weights&>(*bcpnn_head_)
+                       : *sgd_head_;
+  }
+
+  /// The head by type, for its training state; exactly one is non-null
+  /// depending on the configured head type.
   [[nodiscard]] BcpnnClassifier* bcpnn_head() noexcept {
     return bcpnn_head_.get();
   }

@@ -15,32 +15,15 @@
 //     structural-plasticity step for the hidden layer and after each
 //     supervised epoch for the head, either type), so pruned-then-regrown
 //     connections can displace weaker survivors.
+// Both end in Weights::prune_to_density on every component.
 //
 // Pruning keeps the model dense in memory (zeros in place, masks pinned
 // across weight recomputation); Model::sparsify() is the step that
 // compacts the zeros away.
 
-#include <cstddef>
-#include <cstdint>
-#include <vector>
-
-#include "tensor/matrix.hpp"
-
 namespace streambrain::core {
 
 class Model;
-
-/// Keep-mask (1 = keep) over `n` weights retaining the
-/// ceil(density * n) entries with the largest |w|. Deterministic: ties
-/// at the threshold magnitude resolve by ascending index. density must
-/// be in (0, 1]; throws std::invalid_argument otherwise.
-[[nodiscard]] std::vector<std::uint8_t> magnitude_keep_mask(const float* w,
-                                                            std::size_t n,
-                                                            double density);
-
-/// Fraction of the entries of `weights` that are non-zero; 1.0 when
-/// empty. The weight_density() of a dense component.
-[[nodiscard]] double nonzero_density(const tensor::MatrixF& weights) noexcept;
 
 /// Prune every hidden layer and the head of a compiled model to the
 /// given keep density (magnitude-based, per component). The model stays

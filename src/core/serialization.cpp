@@ -355,20 +355,19 @@ WeightForm read_section_form(std::istream& in, Component component) {
 }
 
 /// The body every read-only section shares after its prefix.
-template <typename ComponentT>
-void write_frozen_body(std::ostream& out, const ComponentT& component) {
-  write_floats(out, component.bias().data(), component.bias().size());
-  write_store(out, component.inference_weights());
+void write_frozen_body(std::ostream& out, const Weights& weights) {
+  write_floats(out, weights.bias().data(), weights.bias().size());
+  write_store(out, weights.inference_weights());
 }
 
-/// Reads that body for a [rows x cols] W^T and hands it to the component.
-template <typename ComponentT>
-void read_frozen_body(std::istream& in, ComponentT& component, Form form,
-                      std::size_t rows, std::size_t cols,
+/// Reads that body, shape-checked against the component's W^T, and hands
+/// it to the component.
+void read_frozen_body(std::istream& in, Weights& weights, Form form,
                       std::uint32_t version) {
-  std::vector<float> bias(rows);
+  std::vector<float> bias(weights.outputs());
   read_floats(in, bias.data(), bias.size(), version);
-  component.adopt(read_store(in, form, rows, cols), std::move(bias));
+  weights.adopt(read_store(in, form, weights.outputs(), weights.inputs()),
+                std::move(bias));
 }
 
 void write_layer_section(std::ostream& out, const BcpnnLayer& layer) {
@@ -403,8 +402,7 @@ void read_layer_section(std::istream& in, BcpnnLayer& layer,
     throw std::runtime_error("checkpoint: layer geometry mismatch");
   }
   if (form) {
-    read_frozen_body(in, layer, *form, config.hidden_units(),
-                     config.input_units(), version);
+    read_frozen_body(in, layer, *form, version);
     return;
   }
   ProbabilityTraces traces(config.input_units(), config.input_bins,
@@ -438,20 +436,18 @@ void read_layer_section(std::istream& in, BcpnnLayer& layer,
 }
 
 /// Tag and class-count prefix of a head section.
-template <typename HeadT>
-WeightForm write_head_prefix(std::ostream& out, const HeadT& head,
+WeightForm write_head_prefix(std::ostream& out, const Weights& head,
                              Component component) {
   const WeightForm form = detail::weight_form(head);
   write_u32(out, detail::section_tag(component, form));
-  write_u32(out, checked_u32(head.classes(), "class"));
+  write_u32(out, checked_u32(head.outputs(), "class"));
   return form;
 }
 
-template <typename HeadT>
-WeightForm read_head_prefix(std::istream& in, const HeadT& head,
+WeightForm read_head_prefix(std::istream& in, const Weights& head,
                             Component component) {
   const WeightForm form = read_section_form(in, component);
-  if (read_u32(in) != head.classes()) {
+  if (read_u32(in) != head.outputs()) {
     throw std::runtime_error("checkpoint: class count mismatch");
   }
   return form;
@@ -470,7 +466,7 @@ void read_classifier_section(std::istream& in, BcpnnClassifier& head,
                              std::uint32_t version) {
   const WeightForm form = read_head_prefix(in, head, Component::kClassifier);
   if (form) {
-    read_frozen_body(in, head, *form, head.classes(), head.inputs(), version);
+    read_frozen_body(in, head, *form, version);
     return;
   }
   read_traces(in, head.mutable_traces(), version);
@@ -494,7 +490,7 @@ void read_sgd_section(std::istream& in, SgdHead& head,
                       std::uint32_t version) {
   const WeightForm form = read_head_prefix(in, head, Component::kSgdHead);
   if (form) {
-    read_frozen_body(in, head, *form, head.classes(), head.inputs(), version);
+    read_frozen_body(in, head, *form, version);
     return;
   }
   tensor::MatrixF weights(head.inputs(), head.classes());

@@ -46,6 +46,7 @@
 #include "core/classifier.hpp"
 #include "core/layer.hpp"
 #include "core/model.hpp"
+#include "core/weights.hpp"
 #include "tensor/weight_store.hpp"
 
 namespace streambrain::core {
@@ -138,10 +139,9 @@ static_assert(section_table_is_well_formed(),
               "{component, form}");
 
 /// The weight form a component is in (layer, classifier or SGD head).
-template <typename ComponentT>
-WeightForm weight_form(const ComponentT& component) {
-  if (!component.sparse() && !component.quantized()) return std::nullopt;
-  return component.inference_weights().form();
+inline WeightForm weight_form(const Weights& weights) {
+  if (!weights.sparse() && !weights.quantized()) return std::nullopt;
+  return weights.inference_weights().form();
 }
 
 /// Narrow a size to u32 for a checkpoint count field, throwing

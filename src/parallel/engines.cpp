@@ -136,8 +136,10 @@ class NaiveEngine final : public Engine {
 };
 
 /// SIMD engine: every primitive routes through the runtime-dispatched
-/// tensor::KernelSet (cache-blocked GEMM tiles over the ThreadPool,
-/// vectorized exp/log approximations). This is the analogue of
+/// tensor::KernelSet (cache-blocked GEMM tiles over the ThreadPool, and
+/// fast exp/log approximations). The exp, floored-log and softmax-exp
+/// loops do not vectorize (GCC reports control flow in the loop), so
+/// they run one lane at a time at every tier. This is the analogue of
 /// StreamBrain's hand-vectorized CPU backend; the actual instruction
 /// tier (scalar / sse42 / avx2) is decided once at startup by CPUID and
 /// the STREAMBRAIN_DISPATCH override.
@@ -274,7 +276,8 @@ void register_builtin_engines(EngineRegistry& registry) {
            std::string("runtime-dispatched KernelSet engine (") +
            kernels.name +
            " tier): blocked GEMM tiles over the ThreadPool, skipping "
-           "exact-zero inputs (bit-identical) + vectorized exp/log",
+           "exact-zero inputs (bit-identical) + fast exp/log (scalar "
+           "loops at every tier)",
        .simd_width = kernels.simd_width,
        .dispatch = kernels.name},
       [] { return std::make_unique<SimdEngine>(); });

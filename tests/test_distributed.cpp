@@ -510,6 +510,46 @@ TEST(Distributed, ValidatesOptionsAndInputs) {
   EXPECT_THROW(sc::fit_distributed(model, data.x_train, short_labels, {}),
                std::invalid_argument);
 
+  // The trainer replays no prune/rewire cadence, so fit() and fit_rank()
+  // refuse a model compiled with one, naming the option, instead of
+  // training a different model than Model::fit would.
+  const auto expect_prune_refused = [](const std::function<void()>& train,
+                                       const std::string& what) {
+    try {
+      train();
+      ADD_FAILURE() << what << ": a prune cadence was silently dropped";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("prune_cadence"),
+                std::string::npos)
+          << what << ": " << error.what();
+    }
+  };
+  for (const auto head : {sc::HeadType::kBcpnn, sc::HeadType::kSgd}) {
+    sc::Model pruned;
+    pruned.input(28, 10)
+        .hidden(1, 20, 0.4)
+        .classifier(2, head)
+        .set_option("epochs", 2)
+        .set_option("prune_density", 0.5)
+        .set_option("prune_cadence", 1)
+        .compile("simd", /*seed=*/11);
+    const std::string what = head == sc::HeadType::kSgd ? "sgd" : "bcpnn";
+    expect_prune_refused(
+        [&] {
+          sc::fit_distributed(pruned, data.x_train, data.y_train,
+                              {.ranks = 2});
+        },
+        what + " fit");
+    expect_prune_refused(
+        [&] {
+          scomm::run(1, [&](scomm::Communicator& comm) {
+            sc::DistributedTrainer().fit_rank(comm, pruned, data.x_train,
+                                              data.y_train);
+          });
+        },
+        what + " fit_rank");
+  }
+
   // Read-only inference forms are refused up front with Model::fit's
   // error, before replicas are cloned or a world is built — by fit() and
   // by fit_rank() alike.

@@ -1,12 +1,10 @@
-// Tests for the paper's extension features: semi-supervised training,
-// adaptive structural plasticity (future work, §VII), and the spiking
-// forward mode (§II).
+// Tests for the paper's extension features: semi-supervised training and
+// the spiking forward mode (§II).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/adaptive_plasticity.hpp"
 #include "core/network.hpp"
 #include "core/semi_supervised.hpp"
 #include "data/higgs.hpp"
@@ -122,73 +120,6 @@ TEST(SemiSupervised, RejectsShapeMismatch) {
   sc::Network network(small_network());
   EXPECT_THROW(sc::fit_semi_supervised(network, data.x_train, labels),
                std::invalid_argument);
-}
-
-// -------------------------------------------------- adaptive plasticity ----
-
-TEST(AdaptivePlasticity, BudgetStaysWithinBounds) {
-  sc::AdaptivePlasticityConfig config;
-  config.initial_swaps = 4;
-  config.min_swaps = 1;
-  config.max_swaps = 6;
-  sc::AdaptivePlasticityController controller(config);
-
-  auto net_config = small_network();
-  auto engine = sp::EngineRegistry::instance().create("simd");
-  su::Rng rng(7);
-  sc::BcpnnLayer layer(net_config.bcpnn, *engine, rng);
-  const auto data = encoded_higgs(300, 50, 33);
-
-  for (int epoch = 0; epoch < 8; ++epoch) {
-    layer.train_batch(data.x_train, 1.0f);
-    const auto record = controller.step(layer);
-    EXPECT_GE(controller.current_budget(), config.min_swaps);
-    EXPECT_LE(controller.current_budget(), config.max_swaps);
-    EXPECT_LE(record.swaps, record.budget);
-  }
-  EXPECT_EQ(controller.history().size(), 8u);
-}
-
-TEST(AdaptivePlasticity, BudgetShrinksAfterConvergence) {
-  // Feed the same batch until traces converge; MI gains vanish and the
-  // controller must throttle the budget down.
-  sc::AdaptivePlasticityConfig config;
-  config.initial_swaps = 6;
-  config.min_swaps = 0;
-  sc::AdaptivePlasticityController controller(config);
-
-  auto net_config = small_network();
-  net_config.bcpnn.mcus = 20;
-  auto engine = sp::EngineRegistry::instance().create("simd");
-  su::Rng rng(11);
-  sc::BcpnnLayer layer(net_config.bcpnn, *engine, rng);
-  const auto data = encoded_higgs(200, 50, 37);
-
-  for (int epoch = 0; epoch < 25; ++epoch) {
-    layer.train_batch(data.x_train, 0.2f);
-    controller.step(layer);
-  }
-  EXPECT_LT(controller.current_budget(), config.initial_swaps);
-}
-
-TEST(AdaptivePlasticity, MaskMiMatchesManualSum) {
-  auto net_config = small_network();
-  auto engine = sp::EngineRegistry::instance().create("simd");
-  su::Rng rng(13);
-  sc::BcpnnLayer layer(net_config.bcpnn, *engine, rng);
-  const auto data = encoded_higgs(200, 50, 41);
-  layer.train_batch(data.x_train, 1.0f);
-
-  const double total =
-      sc::AdaptivePlasticityController::mask_mutual_information(layer);
-  const auto mi = layer.mi_map();
-  double manual = 0.0;
-  for (std::size_t h = 0; h < mi.size(); ++h) {
-    for (std::size_t i = 0; i < mi[h].size(); ++i) {
-      if (layer.masks().active(h, i)) manual += mi[h][i];
-    }
-  }
-  EXPECT_NEAR(total, manual, 1e-9);
 }
 
 // ---------------------------------------------------------- spiking mode ----

@@ -3,7 +3,7 @@
 // scalar tier against committed digests under tests/golden/sparse_*.txt,
 // and (b) Model::sparsify() round-trips — the sparse clone must predict
 // BIT-identically (scalar tier) to the masked dense model it came from,
-// survive a v3 checkpoint save/load bitwise, and match its own committed
+// survive a v4 checkpoint save/load bitwise, and match its own committed
 // digest. Regenerate after an intentional behavior change with:
 //   STREAMBRAIN_UPDATE_GOLDEN=1 ./test_sparse_golden
 
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/classifier.hpp"
+#include "core/layer.hpp"
 #include "core/model.hpp"
 #include "core/pruning.hpp"
 #include "core/serialization.hpp"
@@ -25,6 +26,7 @@
 #include "parallel/engine_registry.hpp"
 #include "tensor/kernel_set.hpp"
 #include "tensor/weight_store.hpp"
+#include "util/rng.hpp"
 
 namespace sc = streambrain::core;
 namespace st = streambrain::tensor;
@@ -139,7 +141,7 @@ TEST(SparseGolden, PrunedTrainingSgdHeadMatchesCommittedDigest) {
 TEST(SparseGolden, SparsifyIsBitIdenticalToMaskedDenseAndRoundTrips) {
   // The acceptance contract of the subsystem: at scalar dispatch, the
   // sparse clone of a pruned model predicts BITWISE like the masked
-  // dense model, and the v3 sparse checkpoint reproduces it bitwise too.
+  // dense model, and the v4 sparse checkpoint reproduces it bitwise too.
   const ScopedDispatch pin(st::DispatchLevel::kScalar);
   const FixtureData& data = fixture();
   for (const sc::HeadType head : {sc::HeadType::kBcpnn, sc::HeadType::kSgd}) {
@@ -168,7 +170,7 @@ TEST(SparseGolden, SparsifyIsBitIdenticalToMaskedDenseAndRoundTrips) {
           << sc::head_name(head) << " row " << i;
     }
 
-    // v3 sparse checkpoint round-trip, through a stream (the ShardPool
+    // v4 sparse checkpoint round-trip, through a stream (the ShardPool
     // replica-cloning path) — bitwise again.
     std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
     sc::save_model(buffer, sparse);
@@ -197,7 +199,7 @@ TEST(SparseGolden, SparsifyRoundTripMatchesCommittedDigest) {
   sc::prune_model(dense, 0.1);
   sc::Model sparse = dense.sparsify();
   // Digest through a full save/load cycle so the committed file pins the
-  // v3 sparse wire format, not just the in-memory conversion.
+  // v4 sparse wire format, not just the in-memory conversion.
   std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
   sc::save_model(buffer, sparse);
   sc::Model restored;
@@ -263,9 +265,10 @@ TEST(SparseGolden, DeepStackSparsifiesBitIdentically) {
 }
 
 TEST(SparseGolden, FrozenHeadRejectsAWrongWidthStore) {
-  // sparsify() frees a head's weights and traces, so the width check of
-  // adopt() cannot read the input width from them: a store one input
-  // column too wide must still be rejected, by both head types.
+  // sparsify() frees a component's weights and traces, so the width check
+  // of adopt() cannot read the input width from them: a store one input
+  // column too wide must still be rejected, by both head types and by the
+  // hidden layer.
   constexpr std::size_t kInputs = 24;
   const st::MatrixF wide(kInputs + 1, 2, 0.5f);
   const st::MatrixF fits(kInputs, 2, 0.5f);
@@ -286,4 +289,32 @@ TEST(SparseGolden, FrozenHeadRejectsAWrongWidthStore) {
                std::invalid_argument);
   bcpnn.adopt(st::WeightStore::from_dense(fits), bias);
   EXPECT_EQ(bcpnn.inference_weights().cols(), kInputs);
+
+  // A layer of 4 input hypercolumns x 6 bins = kInputs units under 2 HCUs
+  // x 3 MCUs: its store is [6 hidden units x kInputs].
+  sc::BcpnnConfig config;
+  config.input_hypercolumns = 4;
+  config.input_bins = 6;
+  config.hcus = 2;
+  config.mcus = 3;
+  config.receptive_field = 0.5;
+  streambrain::util::Rng rng(5);
+  sc::BcpnnLayer layer(config, *engine, rng);
+  ASSERT_EQ(layer.input_units(), kInputs);
+  const std::vector<float> layer_bias(layer.hidden_units(), 0.0f);
+  layer.sparsify();
+  EXPECT_THROW(
+      layer.adopt(st::WeightStore::from_dense(
+                      st::MatrixF(kInputs + 1, layer.hidden_units(), 0.5f)),
+                  layer_bias),
+      std::invalid_argument);
+  EXPECT_THROW(layer.adopt(st::WeightStore::from_dense(st::MatrixF(
+                               kInputs, layer.hidden_units() + 1, 0.5f)),
+                           layer_bias),
+               std::invalid_argument);
+  layer.adopt(st::WeightStore::from_dense(
+                  st::MatrixF(kInputs, layer.hidden_units(), 0.5f)),
+              layer_bias);
+  EXPECT_EQ(layer.inference_weights().cols(), kInputs);
+  EXPECT_EQ(layer.inference_weights().rows(), layer.hidden_units());
 }
