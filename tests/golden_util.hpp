@@ -37,11 +37,13 @@ inline bool update_mode() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-inline void write_digest(const std::string& name, const Digest& digest) {
+inline void write_digest(const std::string& name, const Digest& digest,
+                         const std::string& tier = "scalar") {
   std::ofstream out(golden_path(name));
   ASSERT_TRUE(out.good()) << "cannot write " << golden_path(name);
   out.precision(12);
-  out << "# golden digest '" << name << "' — scalar-dispatch training;\n";
+  out << "# golden digest '" << name << "' — " << tier
+      << "-dispatch training;\n";
   out << "# regenerate with STREAMBRAIN_UPDATE_GOLDEN=1\n";
   out << "accuracy " << digest.accuracy << "\n";
   out << "log_loss " << digest.log_loss << "\n";

@@ -11,6 +11,11 @@
 // property suite (test_kernels_property.cpp) plus the tolerance check at
 // the end of each test here, which re-runs inference under the startup
 // dispatch tier and bounds its drift from the scalar-trained goldens.
+// GoldenModelAtTier pins each SIMD tier's own bits instead: a short
+// 1x300 fit per head, trained and scored at that tier, against a digest
+// of its own (tier_<tier>_<head>.txt). Those digests hold for one
+// compiler's vectorization of the kernel bodies (GCC 12); a kernel
+// change that keeps its tier's bits keeps them byte for byte.
 //
 // Regenerate after an intentional behavior change with:
 //   STREAMBRAIN_UPDATE_GOLDEN=1 ./test_golden_model
@@ -20,6 +25,7 @@
 #include <cmath>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/model.hpp"
@@ -110,20 +116,19 @@ Digest run_model(const Declare& declare) {
   return digest;
 }
 
-void check_against_golden(const std::string& name, const Declare& declare) {
-  Digest actual;
-  {
-    // Scalar tier: platform-stable ordered math for exact digests.
-    const ScopedDispatch pin(st::DispatchLevel::kScalar);
-    actual = run_model(declare);
-  }
+Digest run_at(st::DispatchLevel level, const Declare& declare) {
+  const ScopedDispatch pin(level);
+  return run_model(declare);
+}
 
+// Compares `actual`, trained at `level`, with the committed digest
+// `name` (rewrites it and skips the test in update mode).
+void expect_matches_golden(const std::string& name, st::DispatchLevel level,
+                           const Digest& actual, Digest& expected) {
   if (sg::update_mode()) {
-    sg::write_digest(name, actual);
+    sg::write_digest(name, actual, st::dispatch_level_name(level));
     GTEST_SKIP() << "regenerated " << sg::golden_path(name);
   }
-
-  Digest expected;
   ASSERT_TRUE(sg::read_digest(name, expected))
       << "missing golden digest " << sg::golden_path(name)
       << " — run with STREAMBRAIN_UPDATE_GOLDEN=1 to create it";
@@ -137,6 +142,16 @@ void check_against_golden(const std::string& name, const Declare& declare) {
   for (std::size_t i = 0; i < actual.scores.size(); ++i) {
     EXPECT_NEAR(actual.scores[i], expected.scores[i], 1e-8)
         << name << ": score drift at row " << i;
+  }
+}
+
+void check_against_golden(const std::string& name, const Declare& declare) {
+  // Scalar tier: platform-stable ordered math for exact digests.
+  const Digest actual = run_at(st::DispatchLevel::kScalar, declare);
+  Digest expected;
+  expect_matches_golden(name, st::DispatchLevel::kScalar, actual, expected);
+  if (::testing::Test::IsSkipped() || ::testing::Test::HasFatalFailure()) {
+    return;
   }
 
   // Secondary guard: training + inference under the startup dispatch
@@ -171,6 +186,37 @@ TEST(GoldenModel, SgdHeadMatchesCommittedDigest) {
 TEST(GoldenModel, DeepStackMatchesCommittedDigest) {
   check_against_golden("deep_stack", deep_stack());
 }
+
+using TierAndHead = std::tuple<st::DispatchLevel, sc::HeadType>;
+
+class GoldenModelAtTier : public ::testing::TestWithParam<TierAndHead> {};
+
+TEST_P(GoldenModelAtTier, MatchesCommittedDigest) {
+  const auto [level, head] = GetParam();
+  if (st::kernel_set_for(level) == nullptr) {
+    GTEST_SKIP() << st::dispatch_level_name(level) << " does not run here";
+  }
+  const std::string name =
+      std::string("tier_") + st::dispatch_level_name(level) +
+      (head == sc::HeadType::kSgd ? "_sgd_head" : "_bcpnn_head");
+  const Digest actual = run_at(level, [head](sc::Model& model) {
+    model.hidden(1, 300, 0.4).classifier(2, head).set_option("epochs", 2);
+  });
+  Digest expected;
+  expect_matches_golden(name, level, actual, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GoldenModel, GoldenModelAtTier,
+    ::testing::Combine(::testing::Values(st::DispatchLevel::kSse42,
+                                         st::DispatchLevel::kAvx2),
+                       ::testing::Values(sc::HeadType::kBcpnn,
+                                         sc::HeadType::kSgd)),
+    [](const ::testing::TestParamInfo<TierAndHead>& info) {
+      return std::string(st::dispatch_level_name(std::get<0>(info.param))) +
+             (std::get<1>(info.param) == sc::HeadType::kSgd ? "_sgd"
+                                                            : "_bcpnn");
+    });
 
 TEST(GoldenModel, UpdateModeIsOffInCommittedRuns) {
   // A committed tree must never run in regeneration mode by accident;
