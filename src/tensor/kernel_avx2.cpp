@@ -1,10 +1,12 @@
 // AVX2+FMA kernel tier. The shared bodies are compiled with
-// -mavx2 -mfma -fopenmp-simd (8 float lanes); the GEMM tile is replaced
-// by a hand-written micro-kernel with 4-row x 16-column register
-// blocking, which loads each B panel row once per 4 rows of A and keeps
-// 8 FMA accumulators live. The zero-skipping rows kernel is replaced
-// with it, so both keep the same FMA arithmetic. When the build lacks the
-// flags this TU degrades to a null tier.
+// -mavx2 -mfma -fopenmp-simd -fno-trapping-math (8 float lanes); the GEMM
+// tile is replaced by a hand-written micro-kernel with 4-row x 16-column
+// register blocking, which loads each B panel row once per 4 rows of A
+// and keeps 8 FMA accumulators live. A B of at most 4 columns (a
+// classifier head) puts 16 rows of A in lanes instead. The zero-skipping
+// rows kernel is replaced with the wide tile, so all keep the same FMA
+// arithmetic. When the build lacks the flags this TU degrades to a null
+// tier.
 
 #include "tensor/kernel_tiers.hpp"
 
@@ -203,13 +205,85 @@ inline void gemm_rows4(float alpha, const float* a, std::size_t lda,
   }
 }
 
+// C[16 x N] blocks for N <= 4 columns, rows in lanes: per k,
+// two gathers load A's column p for 16 rows (lane r reads a[r * lda + p]),
+// alpha scales them per lane, and one broadcast of B[p][j] per column
+// feeds one fmadd per 8 rows. Each lane thus runs gemm_row1's tail chain
+// acc = fma(alpha * a_ip, b_pj, acc) in the same ascending k, so C gets
+// the same bits. Returns the number of rows done (a multiple of 16); the
+// caller runs the rest. gemm_row1 runs every n < 8 as one scalar FMA
+// chain per element; up to N = 4 the 2 x N accumulators fit in registers.
+template <std::size_t N>
+std::size_t gemm_narrow_rows16(float alpha, const float* a, std::size_t lda,
+                               const float* b, std::size_t ldb, float* c,
+                               std::size_t ldc, std::size_t mr,
+                               std::size_t k) {
+  const __m256i offsets = _mm256_mullo_epi32(
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+      _mm256_set1_epi32(static_cast<int>(lda)));
+  const __m256 alpha_v = _mm256_set1_ps(alpha);
+  alignas(32) float column[16];
+  std::size_t i = 0;
+  for (; i + 16 <= mr; i += 16) {
+    const float* a_lo = a + i * lda;
+    const float* a_hi = a_lo + 8 * lda;
+    float* c_block = c + i * ldc;
+    __m256 lo[N];
+    __m256 hi[N];
+    for (std::size_t j = 0; j < N; ++j) {
+      for (std::size_t r = 0; r < 16; ++r) column[r] = c_block[r * ldc + j];
+      lo[j] = _mm256_load_ps(column);
+      hi[j] = _mm256_load_ps(column + 8);
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+      const __m256 av_lo =
+          _mm256_mul_ps(alpha_v, _mm256_i32gather_ps(a_lo + p, offsets, 4));
+      const __m256 av_hi =
+          _mm256_mul_ps(alpha_v, _mm256_i32gather_ps(a_hi + p, offsets, 4));
+      const float* b_row = b + p * ldb;
+      for (std::size_t j = 0; j < N; ++j) {
+        const __m256 bv = _mm256_broadcast_ss(b_row + j);
+        lo[j] = _mm256_fmadd_ps(av_lo, bv, lo[j]);
+        hi[j] = _mm256_fmadd_ps(av_hi, bv, hi[j]);
+      }
+    }
+    for (std::size_t j = 0; j < N; ++j) {
+      _mm256_store_ps(column, lo[j]);
+      _mm256_store_ps(column + 8, hi[j]);
+      for (std::size_t r = 0; r < 16; ++r) c_block[r * ldc + j] = column[r];
+    }
+  }
+  return i;
+}
+
+// Rows gemm_narrow_rows16 covers: none when n is too wide or when the
+// gather offsets 7 * lda would overflow their int32 lanes.
+std::size_t gemm_narrow(float alpha, const float* a, std::size_t lda,
+                        const float* b, std::size_t ldb, float* c,
+                        std::size_t ldc, std::size_t mr, std::size_t n,
+                        std::size_t k) {
+  if (lda > static_cast<std::size_t>(INT32_MAX) / 7) return 0;
+  switch (n) {
+    case 1:
+      return gemm_narrow_rows16<1>(alpha, a, lda, b, ldb, c, ldc, mr, k);
+    case 2:
+      return gemm_narrow_rows16<2>(alpha, a, lda, b, ldb, c, ldc, mr, k);
+    case 3:
+      return gemm_narrow_rows16<3>(alpha, a, lda, b, ldb, c, ldc, mr, k);
+    case 4:
+      return gemm_narrow_rows16<4>(alpha, a, lda, b, ldb, c, ldc, mr, k);
+    default:
+      return 0;
+  }
+}
+
 }  // namespace
 
 inline void k_gemm_block(float alpha, const float* a, std::size_t lda,
                          const float* b, std::size_t ldb, float* c,
                          std::size_t ldc, std::size_t mr, std::size_t n,
                          std::size_t k) {
-  std::size_t i = 0;
+  std::size_t i = gemm_narrow(alpha, a, lda, b, ldb, c, ldc, mr, n, k);
   for (; i + 4 <= mr; i += 4) {
     gemm_rows4(alpha, a + i * lda, lda, b, ldb, c + i * ldc, ldc, n, k);
   }

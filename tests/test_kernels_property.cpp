@@ -12,6 +12,8 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <tuple>
@@ -793,6 +795,224 @@ TEST(KernelProperty, GemmZeroSkipIsBitIdenticalSerialAndOverThePool) {
           << st::dispatch_level_name(level) << " pooled";
       ASSERT_TRUE(same_bits(expected, serial))
           << st::dispatch_level_name(level) << " serial";
+    }
+  }
+}
+
+// --- Vectorized loops vs their own scalar remainder, bit for bit ----------
+//
+// At a SIMD tier vexp, vlog_floored and softmax_block run their long
+// arrays through vector lanes, and n = 1 through the scalar remainder
+// loop of the same translation unit (same flags, not vectorized). The
+// two must agree bit for bit: that is what keeps each tier's training
+// bits when its loops vectorize. Across tiers the bits may differ (the
+// avx2 tier contracts the polynomials into FMAs).
+
+namespace {
+
+/// A fixed sample of `n` values drawn from [lo, hi], then the inputs
+/// where a lane could part from the scalar loop: signed zeros,
+/// denormals, infinities, NaN, the exp clamp edges and the log floor.
+std::vector<float> edge_sample(std::size_t n, float lo, float hi,
+                               std::uint64_t seed) {
+  su::Rng rng(seed);
+  std::vector<float> x = random_vector(n, rng, lo, hi);
+  const float edges[] = {0.0f,
+                         -0.0f,
+                         std::numeric_limits<float>::denorm_min(),
+                         -std::numeric_limits<float>::denorm_min(),
+                         1e-40f,
+                         -1e-40f,
+                         FLT_MIN,
+                         std::numeric_limits<float>::infinity(),
+                         -std::numeric_limits<float>::infinity(),
+                         std::numeric_limits<float>::quiet_NaN(),
+                         -std::numeric_limits<float>::quiet_NaN(),
+                         87.0f,
+                         -87.0f,
+                         88.0f,
+                         -88.0f,
+                         87.5f,
+                         -87.5f,
+                         88.5f,
+                         -88.5f,
+                         1e-30f,
+                         std::nextafter(1e-30f, 0.0f),
+                         std::nextafter(1e-30f, 1.0f),
+                         FLT_MAX,
+                         -FLT_MAX};
+  // Spread through the array so each lands in a different lane.
+  for (std::size_t e = 0; e < std::size(edges) && 3 * e < n; ++e) {
+    x[3 * e] = edges[e];
+  }
+  return x;
+}
+
+::testing::AssertionResult same_bits(const std::vector<float>& expected,
+                                     const std::vector<float>& actual) {
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto want = std::bit_cast<std::uint32_t>(expected[i]);
+    const auto got = std::bit_cast<std::uint32_t>(actual[i]);
+    if (want != got) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": expected bits " << want << ", got "
+             << got;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+constexpr float kLogFloor = 1e-30f;
+
+/// vexp and vlog_floored of `x` through the vector loop (one call) and
+/// through the scalar remainder (one n = 1 call per element).
+::testing::AssertionResult exp_log_lanes_match(const st::KernelSet& tier,
+                                               const float* x,
+                                               std::size_t n) {
+  std::vector<float> wide(n);
+  std::vector<float> narrow(n);
+  tier.vexp(x, wide.data(), n);
+  for (std::size_t i = 0; i < n; ++i) tier.vexp(x + i, &narrow[i], 1);
+  if (auto same = same_bits(narrow, wide); !same) return same << " (vexp)";
+  tier.vlog_floored(x, wide.data(), kLogFloor, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    tier.vlog_floored(x + i, &narrow[i], kLogFloor, 1);
+  }
+  if (auto same = same_bits(narrow, wide); !same) {
+    return same << " (vlog_floored)";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+}  // namespace
+
+TEST(KernelProperty, ExpAndLogLanesMatchTheScalarRemainderBitForBit) {
+  for (const st::DispatchLevel level : runnable_levels()) {
+    const st::KernelSet& tier = *st::kernel_set_for(level);
+    for (const std::size_t n : {4099UL, 3000UL, 37UL}) {
+      const auto exp_in = edge_sample(n, -100.0f, 100.0f, n + 1);
+      EXPECT_TRUE(exp_log_lanes_match(tier, exp_in.data(), n))
+          << tier.name << " n=" << n << " on [-100, 100]";
+      const auto log_in = edge_sample(n, 0.0f, 4.0f, n + 2);
+      EXPECT_TRUE(exp_log_lanes_match(tier, log_in.data(), n))
+          << tier.name << " n=" << n << " on [0, 4]";
+    }
+  }
+}
+
+TEST(KernelProperty, SoftmaxLanesMatchAnOrderedScalarSoftmaxBitForBit) {
+  for (const st::DispatchLevel level : runnable_levels()) {
+    const st::KernelSet& tier = *st::kernel_set_for(level);
+    for (const std::size_t n : {3000UL, 300UL, 37UL, 1UL}) {
+      for (const float inv_temp : {1.0f, 2.5f}) {
+        su::Rng rng(n * 13 + 5);
+        std::vector<float> values = random_vector(n, rng, -20.0f, 20.0f);
+        // Signed zeros, denormals and a term far enough below the max
+        // that its exp is clamped to zero.
+        const float edges[] = {0.0f, -0.0f, 1e-40f, -1e-40f, -1e30f};
+        for (std::size_t e = 0; e < std::size(edges) && 5 * e + 2 < n; ++e) {
+          values[5 * e + 2] = edges[e];
+        }
+        // The reference: the same max, each exp by an n = 1 vexp call,
+        // their sum in index order, then the one reciprocal.
+        const float max_v = tier.reduce_max(values.data(), n);
+        std::vector<float> expected(n);
+        float total = 0.0f;
+        for (std::size_t i = 0; i < n; ++i) {
+          const float arg = inv_temp * (values[i] - max_v);
+          tier.vexp(&arg, &expected[i], 1);
+          total += expected[i];
+        }
+        const float inv_total = 1.0f / total;
+        for (float& e : expected) e *= inv_total;
+        tier.softmax_block(values.data(), n, inv_temp);
+        EXPECT_TRUE(same_bits(expected, values))
+            << tier.name << " softmax n=" << n << " inv_temp=" << inv_temp;
+      }
+    }
+  }
+}
+
+// Every 2^32 float through each tier's vexp and vlog_floored, the vector
+// loop against the n = 1 remainder. About 10 s per kernel and tier, so
+// it is not part of tier-1; run it by hand after a kernel change, with
+// --gtest_also_run_disabled_tests --gtest_filter='*OnEveryFloat*'.
+TEST(KernelProperty, DISABLED_ExpAndLogLanesMatchOnEveryFloat) {
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  std::vector<float> x(kChunk);
+  for (const st::DispatchLevel level : runnable_levels()) {
+    const st::KernelSet& tier = *st::kernel_set_for(level);
+    for (std::uint64_t base = 0; base < (std::uint64_t{1} << 32);
+         base += kChunk) {
+      for (std::size_t i = 0; i < kChunk; ++i) {
+        x[i] = std::bit_cast<float>(static_cast<std::uint32_t>(base + i));
+      }
+      ASSERT_TRUE(exp_log_lanes_match(tier, x.data(), kChunk))
+          << tier.name << " chunk at bits " << base;
+    }
+  }
+}
+
+// --- Narrow GEMM: n <= 4 columns, bit for bit with a 16-column product ---
+//
+// The avx2 tier runs B of at most 4 columns with rows of A in lanes; at
+// 16 columns it runs its wide tile. Per C element both run the same FMA
+// chain in ascending k, so the first n columns of a product whose B is
+// zero-padded to 16 columns must equal the narrow product bit for bit,
+// at every tier, on both sides of every 256-deep K panel edge.
+TEST(KernelProperty, NarrowGemmMatchesAZeroPaddedSixteenColumnGemm) {
+  constexpr std::size_t kPadded = 16;
+  const DispatchGuard guard;
+  const auto transposes = {st::Transpose::kNo, st::Transpose::kYes};
+  for (const st::DispatchLevel level : runnable_levels()) {
+    st::force_dispatch(level);
+    std::uint64_t seed = 0;
+    for (const std::size_t k : {1UL, 255UL, 256UL, 257UL, 513UL, 3000UL}) {
+      for (const std::size_t m : {1UL, 7UL, 8UL, 15UL, 16UL, 17UL, 33UL}) {
+        su::Rng rng(++seed * 104729 + static_cast<std::uint64_t>(level));
+        const st::MatrixF op_a = make_op_a(Pattern::kDense, m, k, rng);
+        const st::MatrixF op_b16 = make_op_b(k, kPadded, rng);
+        const st::MatrixF c16 = make_c(m, kPadded, true, rng);
+        for (const std::size_t n : {1UL, 2UL, 3UL, 4UL}) {
+          // op(B) and C are the first n columns; the padding is zero.
+          st::MatrixF op_b(k, n, 0.0f);
+          st::MatrixF padded_b(k, kPadded, 0.0f);
+          for (std::size_t p = 0; p < k; ++p) {
+            for (std::size_t j = 0; j < n; ++j) {
+              op_b(p, j) = padded_b(p, j) = op_b16(p, j);
+            }
+          }
+          st::MatrixF c0(m, n, 0.0f);
+          for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t j = 0; j < n; ++j) c0(i, j) = c16(i, j);
+          }
+          for (const st::Transpose ta : transposes) {
+            const st::MatrixF a = stored(ta, op_a);
+            for (const st::Transpose tb : transposes) {
+              const st::MatrixF b = stored(tb, op_b);
+              const st::MatrixF b16 = stored(tb, padded_b);
+              for (const float beta : {0.0f, 0.5f, 1.0f}) {
+                st::MatrixF wide = c16;
+                st::gemm_blocked(ta, tb, 0.37f, a, b16, beta, wide);
+                st::MatrixF expected(m, n, 0.0f);
+                for (std::size_t i = 0; i < m; ++i) {
+                  for (std::size_t j = 0; j < n; ++j) {
+                    expected(i, j) = wide(i, j);
+                  }
+                }
+                st::MatrixF narrow = c0;
+                st::gemm_blocked(ta, tb, 0.37f, a, b, beta, narrow);
+                ASSERT_TRUE(same_bits(expected, narrow))
+                    << st::dispatch_level_name(level) << " m=" << m
+                    << " n=" << n << " k=" << k
+                    << " trans_a=" << (ta == st::Transpose::kYes)
+                    << " trans_b=" << (tb == st::Transpose::kYes)
+                    << " beta=" << beta;
+              }
+            }
+          }
+        }
+      }
     }
   }
 }
