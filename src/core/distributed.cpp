@@ -402,15 +402,16 @@ void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
   const NetworkConfig& cfg = net.config();
   // The codes between layers are replicated and deterministic. Noise
   // stream 1 for the paper's single layer, 16 + l in a stack.
-  net.train_layers(x, [&](std::size_t l, const tensor::MatrixF& code) {
-    run_phase(comm, opts,
-              unsupervised_phase(net.engine(), net.mutable_layer(l),
-                                 net.depth() == 1 ? 1 : 16 + l),
-              code, nullptr, sync_count);
-  });
+  const tensor::MatrixF below =
+      net.train_layers(x, [&](std::size_t l, const tensor::MatrixF& code) {
+        run_phase(comm, opts,
+                  unsupervised_phase(net.engine(), net.mutable_layer(l),
+                                     net.depth() == 1 ? 1 : 16 + l),
+                  code, nullptr, sync_count);
+      });
   train_head(net.sgd_head() != nullptr ? sgd_head_phase(*net.sgd_head())
                                        : bcpnn_head_phase(*net.bcpnn_head()),
-             net.transform(x), cfg.classes, cfg.bcpnn.head_epochs,
+             net.top_forward(x, below), cfg.classes, cfg.bcpnn.head_epochs,
              cfg.bcpnn.batch_size, cfg.bcpnn.seed);
 
   // Schedule-agreement invariant over the new uint64 collective: a rank

@@ -86,8 +86,8 @@ std::size_t Network::train_layer(std::size_t index, const tensor::MatrixF& x) {
   return swaps;
 }
 
-void Network::train_layers(const tensor::MatrixF& x,
-                           const LayerTrainer& train) {
+tensor::MatrixF Network::train_layers(const tensor::MatrixF& x,
+                                      const LayerTrainer& train) {
   tensor::MatrixF below;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const tensor::MatrixF& code = l == 0 ? x : below;
@@ -98,15 +98,23 @@ void Network::train_layers(const tensor::MatrixF& x,
       below = std::move(next);
     }
   }
+  return below;
+}
+
+tensor::MatrixF Network::train_hidden(const tensor::MatrixF& x,
+                                      FitReport& report) {
+  util::Stopwatch unsup_watch;
+  tensor::MatrixF below =
+      train_layers(x, [&](std::size_t l, const tensor::MatrixF& code) {
+        report.total_plasticity_swaps += train_layer(l, code);
+      });
+  report.unsupervised_seconds = unsup_watch.seconds();
+  return below;
 }
 
 FitReport Network::fit_unsupervised(const tensor::MatrixF& x) {
   FitReport report;
-  util::Stopwatch unsup_watch;
-  train_layers(x, [&](std::size_t l, const tensor::MatrixF& code) {
-    report.total_plasticity_swaps += train_layer(l, code);
-  });
-  report.unsupervised_seconds = unsup_watch.seconds();
+  train_hidden(x, report);
   return report;
 }
 
@@ -116,18 +124,23 @@ FitReport Network::fit(const tensor::MatrixF& x,
     throw std::invalid_argument("Network::fit: rows != labels");
   }
   // Phase 1: unsupervised hidden layers; phase 2: supervised head on the
-  // frozen representation.
-  FitReport report = fit_unsupervised(x);
+  // frozen representation, from the code phase 1 left below the top.
+  FitReport report;
+  const tensor::MatrixF below = train_hidden(x, report);
   util::Stopwatch head_watch;
-  fit_head(x, labels);
+  train_head(top_forward(x, below), labels);
   report.head_seconds = head_watch.seconds();
   return report;
 }
 
 double Network::fit_head(const tensor::MatrixF& x,
                          const std::vector<int>& labels) {
+  return train_head(transform(x), labels);
+}
+
+double Network::train_head(const tensor::MatrixF& hidden_repr,
+                           const std::vector<int>& labels) {
   const auto& cfg = config_.bcpnn;
-  const tensor::MatrixF hidden_repr = transform(x);
   const tensor::MatrixF targets =
       data::one_hot_labels(labels, config_.classes);
   double last_loss = 0.0;
@@ -211,6 +224,11 @@ tensor::MatrixF Network::transform(const tensor::MatrixF& x) {
     propagate(l, l == 0 ? x : below, code);
     below = std::move(code);
   }
+  return top_forward(x, below);
+}
+
+tensor::MatrixF Network::top_forward(const tensor::MatrixF& x,
+                                     const tensor::MatrixF& below) {
   tensor::MatrixF activations;
   layers_.back()->forward(layers_.size() == 1 ? x : below, activations);
   return activations;

@@ -101,14 +101,21 @@ class Network {
   /// The greedy layer-wise schedule: calls `train(l, code)` for every
   /// hidden layer, bottom to top. `code` is `x` for layer 0 and, above
   /// it, the winner-take-all code of layer l-1 once train(l-1, ...) has
-  /// returned. fit_unsupervised() and the distributed trainer plug their
-  /// per-layer training in here.
+  /// returned. fit() and the distributed trainer plug their per-layer
+  /// training in here. Returns the code the top layer trained on, for
+  /// top_forward(); at depth 1 that code is `x`, and the result is empty.
   using LayerTrainer =
       std::function<void(std::size_t layer, const tensor::MatrixF& code)>;
-  void train_layers(const tensor::MatrixF& x, const LayerTrainer& train);
+  tensor::MatrixF train_layers(const tensor::MatrixF& x,
+                               const LayerTrainer& train);
 
   /// Top hidden representation of a batch (deterministic forward).
   [[nodiscard]] tensor::MatrixF transform(const tensor::MatrixF& x);
+
+  /// transform(x) from the code below the top that train_layers(x, ...)
+  /// returned, so the layers under the top do not run again.
+  [[nodiscard]] tensor::MatrixF top_forward(const tensor::MatrixF& x,
+                                            const tensor::MatrixF& below);
 
   [[nodiscard]] std::vector<int> predict(const tensor::MatrixF& x);
   /// P(class == 1) per row, for AUC.
@@ -171,6 +178,14 @@ class Network {
   /// The epoch loop of one hidden layer over its input code `x`; returns
   /// the plasticity swaps it made.
   std::size_t train_layer(std::size_t index, const tensor::MatrixF& x);
+
+  /// fit()'s phase 1: train_layers with train_layer, timed into
+  /// `report`. Returns train_layers' code below the top.
+  tensor::MatrixF train_hidden(const tensor::MatrixF& x, FitReport& report);
+
+  /// The head's epochs over the top hidden representation.
+  double train_head(const tensor::MatrixF& hidden_repr,
+                    const std::vector<int>& labels);
 
   /// The code layer `index` hands the layer above: its forward pass of
   /// `in`, then winner-take-all in every hypercolumn.

@@ -8,10 +8,12 @@
 #include "encode/one_hot.hpp"
 #include "metrics/classification.hpp"
 #include "metrics/roc.hpp"
+#include "parallel/engine_registry.hpp"
 
 namespace sc = streambrain::core;
 namespace sd = streambrain::data;
 namespace sm = streambrain::metrics;
+namespace sp = streambrain::parallel;
 namespace st = streambrain::tensor;
 
 namespace {
@@ -53,7 +55,77 @@ sc::NetworkConfig small_deep() {
   return config;
 }
 
+/// The simd engine, counting the support products over exactly `rows`
+/// rows: with `rows` the training-set size, the forward passes a fit
+/// runs over the whole set (training batches are smaller).
+class RowCountingEngine final : public sp::Engine {
+ public:
+  RowCountingEngine(std::size_t rows, std::size_t& count)
+      : inner_(sp::EngineRegistry::instance().create("simd")),
+        rows_(rows),
+        count_(count) {}
+
+  [[nodiscard]] std::string name() const override { return "row_counting"; }
+  void support(const st::MatrixF& x, const st::MatrixF& w, const float* bias,
+               st::MatrixF& s) override {
+    count_ += x.rows() == rows_;
+    inner_->support(x, w, bias, s);
+  }
+  void softmax_hcu(st::MatrixF& s, std::size_t mcus_per_hcu,
+                   float inverse_temperature) override {
+    inner_->softmax_hcu(s, mcus_per_hcu, inverse_temperature);
+  }
+  void update_traces(const st::MatrixF& x, const st::MatrixF& a, float alpha,
+                     float* pi, float* pj, st::MatrixF& pij) override {
+    inner_->update_traces(x, a, alpha, pi, pj, pij);
+  }
+  void recompute_weights(const float* pi, const float* pj,
+                         const st::MatrixF& pij, float eps, float k_beta,
+                         st::MatrixF& w, float* bias) override {
+    inner_->recompute_weights(pi, pj, pij, eps, k_beta, w, bias);
+  }
+  void learn_batch(const st::MatrixF& x, const st::MatrixF& a, float alpha,
+                   float eps, float k_beta, const sp::WeightMask& mask,
+                   float* pi, float* pj, st::MatrixF& pij, st::MatrixF& w,
+                   float* bias) override {
+    inner_->learn_batch(x, a, alpha, eps, k_beta, mask, pi, pj, pij, w, bias);
+  }
+
+ private:
+  std::unique_ptr<sp::Engine> inner_;
+  std::size_t rows_;
+  std::size_t& count_;
+};
+
 }  // namespace
+
+TEST(DeepStack, FitRunsEachLayerOverTheTrainingSetOnce) {
+  // 301 rows: no training batch (64 rows) has the training set's size.
+  const auto data = make_data(301, 10);
+  std::size_t full_passes = 0;
+  sp::EngineRegistry::instance().register_engine(
+      {.name = "row_counting",
+       .description = "simd, counting full-set support products",
+       .simd_width = 1,
+       .dispatch = ""},
+      [&full_passes] {
+        return std::make_unique<RowCountingEngine>(301, full_passes);
+      });
+  // Unregisters even when the fit throws.
+  struct Unregister {
+    ~Unregister() {
+      sp::EngineRegistry::instance().unregister_engine("row_counting");
+    }
+  } const unregister;
+  auto config = small_deep();
+  config.bcpnn.engine = "row_counting";
+  config.bcpnn.epochs = 1;
+  config.bcpnn.head_epochs = 1;
+  sc::Network network(config);
+  network.fit(data.x_train, data.y_train);
+  // Layer 0's code for layer 1, then layer 1's activations for the head.
+  EXPECT_EQ(full_passes, 2u);
+}
 
 TEST(DeepStack, RejectsEmptyStackedLayer) {
   auto config = small_deep();
