@@ -137,9 +137,10 @@ class NaiveEngine final : public Engine {
 
 /// SIMD engine: every primitive routes through the runtime-dispatched
 /// tensor::KernelSet (cache-blocked GEMM tiles over the ThreadPool, and
-/// fast exp/log approximations). The exp, floored-log and softmax-exp
-/// loops do not vectorize (GCC reports control flow in the loop), so
-/// they run one lane at a time at every tier. This is the analogue of
+/// fast exp/log approximations). At the sse42 and avx2 tiers the exp,
+/// floored-log and softmax-exp loops run vector-wide with the bits of
+/// their scalar loop, and at avx2 the classifier head's narrow GEMM
+/// (n <= 4 columns) puts rows in lanes. This is the analogue of
 /// StreamBrain's hand-vectorized CPU backend; the actual instruction
 /// tier (scalar / sse42 / avx2) is decided once at startup by CPUID and
 /// the STREAMBRAIN_DISPATCH override.
@@ -276,8 +277,8 @@ void register_builtin_engines(EngineRegistry& registry) {
            std::string("runtime-dispatched KernelSet engine (") +
            kernels.name +
            " tier): blocked GEMM tiles over the ThreadPool, skipping "
-           "exact-zero inputs (bit-identical) + fast exp/log (scalar "
-           "loops at every tier)",
+           "exact-zero inputs (bit-identical) + fast exp/log (vector "
+           "loops at the SIMD tiers)",
        .simd_width = kernels.simd_width,
        .dispatch = kernels.name},
       [] { return std::make_unique<SimdEngine>(); });
