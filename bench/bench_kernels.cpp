@@ -152,13 +152,20 @@ int main(int argc, char** argv) {
   double gemm_best_speedup = 1.0;
 
   // --- GEMM through the public dispatched entry point -----------------
-  for (const std::size_t dim : {128UL, 256UL, 384UL}) {
-    const st::MatrixF a = random_matrix(dim, dim, rng);
-    const st::MatrixF b = random_matrix(dim, dim, rng);
-    st::MatrixF c(dim, dim, 0.0f);
-    const double flops = 2.0 * static_cast<double>(dim) * dim * dim;
-    const std::string shape = std::to_string(dim) + "x" + std::to_string(dim) +
-                              "x" + std::to_string(dim);
+  // Three square shapes, then the classifier head's forward at the
+  // paper's 1x3000 hidden layer: 256 rows x 3000 inputs into 2 classes.
+  struct GemmShape {
+    std::size_t m, k, n;
+  };
+  for (const GemmShape& dims : {GemmShape{128, 128, 128},
+                                GemmShape{256, 256, 256},
+                                GemmShape{384, 384, 384},
+                                GemmShape{256, 3000, 2}}) {
+    const st::MatrixF a = random_matrix(dims.m, dims.k, rng);
+    const st::MatrixF b = random_matrix(dims.k, dims.n, rng);
+    st::MatrixF c(dims.m, dims.n, 0.0f);
+    const double flops = 2.0 * static_cast<double>(dims.m) * dims.k * dims.n;
+    const std::string shape = shape_name(dims.m, dims.k, dims.n);
     double scalar_seconds = 0.0;
     for (const st::KernelSet* tier : tiers) {
       st::force_dispatch(tier->level);
