@@ -192,7 +192,8 @@ using TierAndHead = std::tuple<st::DispatchLevel, sc::HeadType>;
 class GoldenModelAtTier : public ::testing::TestWithParam<TierAndHead> {};
 
 TEST_P(GoldenModelAtTier, MatchesCommittedDigest) {
-  const auto [level, head] = GetParam();
+  const st::DispatchLevel level = std::get<0>(GetParam());
+  const sc::HeadType head = std::get<1>(GetParam());
   if (st::kernel_set_for(level) == nullptr) {
     GTEST_SKIP() << st::dispatch_level_name(level) << " does not run here";
   }

@@ -946,7 +946,8 @@ class LanesOnEveryFloat
 };
 
 TEST_P(LanesOnEveryFloat, DISABLED_MatchTheScalarRemainder) {
-  const auto [level, log] = GetParam();
+  const st::DispatchLevel level = std::get<0>(GetParam());
+  const bool log = std::get<1>(GetParam());
   const st::KernelSet* tier = st::kernel_set_for(level);
   if (tier == nullptr) {
     GTEST_SKIP() << st::dispatch_level_name(level) << " does not run here";
