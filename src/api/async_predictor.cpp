@@ -24,11 +24,6 @@ AsyncPredictorOptions validated(AsyncPredictorOptions options) {
   if (options.max_batch_rows == 0) {
     throw std::invalid_argument("AsyncPredictor: max_batch_rows must be > 0");
   }
-  if (options.min_batch_rows == 0 ||
-      options.min_batch_rows > options.max_batch_rows) {
-    throw std::invalid_argument(
-        "AsyncPredictor: min_batch_rows must be in [1, max_batch_rows]");
-  }
   if (options.queue_capacity == 0) {
     throw std::invalid_argument("AsyncPredictor: queue_capacity must be > 0");
   }
@@ -36,43 +31,6 @@ AsyncPredictorOptions validated(AsyncPredictorOptions options) {
 }
 
 }  // namespace
-
-// --- BatchJobPool -----------------------------------------------------------
-
-AsyncPredictor::BatchJobPool::BatchJobPool()
-    : core_(std::make_shared<Core>()) {}
-
-std::shared_ptr<AsyncPredictor::BatchJob>
-AsyncPredictor::BatchJobPool::acquire() {
-  std::unique_ptr<BatchJob> job;
-  {
-    const sb::MutexLock lock(core_->mutex);
-    if (!core_->free.empty()) {
-      job = std::move(core_->free.back());
-      core_->free.pop_back();
-    }
-  }
-  if (!job) job = std::make_unique<BatchJob>();
-  return std::shared_ptr<BatchJob>(job.release(), Recycler{core_});
-}
-
-void AsyncPredictor::BatchJobPool::Recycler::operator()(
-    BatchJob* job) const noexcept {
-  // Release the request references now (clients must not be pinned by an
-  // idle job) but keep the vector's capacity — that capacity is the
-  // point of the pool. The core outlives every recycler via shared
-  // ownership, so a closure destroyed after the AsyncPredictor is gone
-  // still has somewhere safe to return the job.
-  job->chunks.clear();
-  job->lease.reset();
-  try {
-    const sb::MutexLock lock(core->mutex);
-    core->free.emplace_back(job);
-    return;
-  } catch (...) {
-  }
-  delete job;
-}
 
 // --- AsyncPredictor ---------------------------------------------------------
 
@@ -86,11 +44,6 @@ AsyncPredictor::AsyncPredictor(std::shared_ptr<Estimator> model,
   // Batches lease a shard before entering the pool, so `shards` tasks can
   // be in flight at once — make sure the pool can actually run them all.
   parallel::global_pool().grow(shards_.size());
-  // Pre-warm one scratch per shard so steady-state batches never allocate
-  // a ShardScratch on the hot path.
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    scratch_pool_.release(std::make_unique<ShardScratch>());
-  }
   cache_.set_generation(shards_.generation());
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
@@ -193,15 +146,6 @@ std::vector<double> AsyncPredictor::predict_scores(const tensor::MatrixF& x) {
   return submit_scores(x).get();
 }
 
-void AsyncPredictor::flush() {
-  // Order matters: the flag must be visible before the wakeup. The
-  // queue interrupt is sticky (a counter under the queue mutex), so a
-  // dispatcher that is between waits — or about to start one — observes
-  // it on its next pop instead of sleeping through the notify.
-  flush_requested_.store(true, std::memory_order_release);
-  queue_.interrupt();
-}
-
 AsyncPredictorStats AsyncPredictor::stats() const {
   AsyncPredictorStats snapshot;
   {
@@ -220,18 +164,6 @@ AsyncPredictorStats AsyncPredictor::stats() const {
 
 std::uint64_t AsyncPredictor::swap_model(std::shared_ptr<Estimator> model) {
   const std::uint64_t generation = shards_.publish(std::move(model));
-  finish_swap(generation);
-  return generation;
-}
-
-std::uint64_t AsyncPredictor::swap_model(
-    std::vector<std::shared_ptr<Estimator>> replicas) {
-  const std::uint64_t generation = shards_.publish(std::move(replicas));
-  finish_swap(generation);
-  return generation;
-}
-
-void AsyncPredictor::finish_swap(std::uint64_t generation) {
   // Publish-then-bump ordering: between the pool swap and this epoch
   // clear, new-generation batches see the old cache generation and
   // simply miss / drop their inserts (stale_drops) — never a wrong
@@ -241,28 +173,26 @@ void AsyncPredictor::finish_swap(std::uint64_t generation) {
   cache_.set_generation(generation);
   const sb::MutexLock lock(stats_mutex_);
   stats_.model_swaps += 1;
+  return generation;
 }
 
 void AsyncPredictor::dispatcher_loop() {
   OpenBatch batch;
   for (;;) {
     // With an open batch, wait only until its deadline; otherwise block
-    // for the next request (close()/flush() interrupt the wait).
+    // for the next request (close() ends the wait).
     std::shared_ptr<serve::ServeRequest> request =
         batch.chunks.empty() ? queue_.pop() : queue_.pop_until(batch.deadline);
     if (request != nullptr) {
       absorb(request, batch);
       finish_chunk(*request);  // drop the guard chunk
     }
-    const bool flush_now = flush_requested_.exchange(false);
     if (!batch.chunks.empty()) {
-      if (flush_now || queue_.drained()) {
+      if (queue_.drained()) {
         dispatch(batch, CloseReason::kFlush);
       } else if (Clock::now() >= batch.deadline) {
         dispatch(batch, CloseReason::kDeadline);
-      } else if (options_.adaptive_batching &&
-                 batch.rows >= options_.min_batch_rows && queue_.empty() &&
-                 shards_.free_count() > 0) {
+      } else if (queue_.empty() && shards_.free_count() > 0) {
         // Work-conserving close: nothing else to coalesce with and a
         // shard is idle — waiting out the deadline would buy no batching
         // and cost pure latency. Under load the queue is non-empty and
@@ -367,9 +297,6 @@ void AsyncPredictor::run_batch(BatchJob& job) {
   // a hot swap can neither read the new model's scores nor poison its
   // cache.
   const std::uint64_t generation = job.lease->generation();
-  // Leased per batch, not indexed by shard: during a hot swap, shard s of
-  // the retired version and shard s of the new version run concurrently.
-  std::unique_ptr<ShardScratch> scratch;
   const std::vector<Chunk>& chunks = job.chunks;
 
   double model_seconds = 0.0;
@@ -388,20 +315,19 @@ void AsyncPredictor::run_batch(BatchJob& job) {
       model_seconds = seconds_between(model_start, model_end);
       model_rows = request.x.rows();
     } else {
-      scratch = scratch_pool_.acquire();
-      // (request, target row) pairs, in batch order — pooled scratch,
-      // reused across batches.
-      auto& rowrefs = scratch->rowrefs;
+      // (request, target row) pairs, in batch order — the job's pooled
+      // scratch, reused across batches.
+      auto& rowrefs = job.rowrefs;
       rowrefs.clear();
       for (const Chunk& chunk : chunks) {
         for (std::size_t r = chunk.begin; r < chunk.end; ++r) {
           rowrefs.emplace_back(chunk.request.get(), r);
         }
       }
-      tensor::MatrixF& input = scratch->input;
+      tensor::MatrixF& input = job.input;
       if (job.kind == serve::RequestKind::kScores && cache_.enabled()) {
         // Serve cached rows directly; run the model only on the misses.
-        auto& miss = scratch->miss;
+        auto& miss = job.miss;
         miss.clear();
         for (std::size_t i = 0; i < rowrefs.size(); ++i) {
           const auto& [request, row] = rowrefs[i];
@@ -463,8 +389,6 @@ void AsyncPredictor::run_batch(BatchJob& job) {
     const std::exception_ptr error = std::current_exception();
     for (const Chunk& chunk : chunks) chunk.request->fail(error);
   }
-  if (scratch) scratch_pool_.release(std::move(scratch));
-
   // Fulfill: settle every chunk (the final one per request fires its
   // promise and records end-to-end latency).
   for (const Chunk& chunk : chunks) finish_chunk(*chunk.request);

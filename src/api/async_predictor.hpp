@@ -5,9 +5,9 @@
 // rows into micro-batches and closes each batch when it fills, when the
 // oldest row has waited max_batch_delay (so a lone request is never
 // stranded — the deferred-flush hang is impossible by construction), or
-// — with adaptive batching — as soon as the queue is empty and a shard
-// sits idle (work-conserving: never hold rows for a coalescing partner
-// that is not coming while capacity goes unused);
+// as soon as the queue is empty and a shard sits idle (work-conserving:
+// never hold rows for a coalescing partner that is not coming while
+// capacity goes unused);
 // closed batches run concurrently on a pool of read-only model replicas
 // (serve::ShardPool) dispatched over parallel::ThreadPool.
 //
@@ -29,12 +29,11 @@
 //   - honest latency split: per-stage timing (close/dispatch/compute/
 //     fulfill) plus p50/p99 end-to-end percentiles.
 //
-// The hot path is allocation-lean by design: request objects recycle
-// through a serve::RequestPool, batch jobs and their chunk vectors
-// recycle through an internal pool, gather/scatter scratch is reused
-// per shard, a whole-request batch feeds the model its input matrix
-// zero-copy, and every wakeup (queue, shard pool, drain) is signaled
-// only when someone is actually waiting.
+// The hot path is allocation-lean by design: request objects and batch
+// jobs recycle through serve::Freelist, each job keeping its chunk
+// vector and gather/scatter scratch warm, a whole-request batch feeds
+// the model its input matrix zero-copy, and every wakeup (queue, shard
+// pool, drain) is signaled only when someone is actually waiting.
 //
 // Results are bit-identical to the serial path regardless of shard
 // count, batch splits, adaptive closes, or caching — every replica is a
@@ -56,7 +55,7 @@
 #include "serve/latency_histogram.hpp"
 #include "util/annotated_mutex.hpp"
 #include "util/thread_annotations.hpp"
-#include "serve/request_pool.hpp"
+#include "serve/freelist.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/score_cache.hpp"
 #include "serve/shard_pool.hpp"
@@ -71,21 +70,13 @@ struct AsyncPredictorOptions {
   /// Upper bound on rows per executed micro-batch.
   std::size_t max_batch_rows = 256;
   /// A batch closes when this much time has passed since its oldest row
-  /// was enqueued, even if it is not full — bounds tail latency.
+  /// was enqueued, even if it is not full — bounds tail latency. It
+  /// also closes early the moment the queue is empty and a shard is
+  /// idle: under load the queue stays non-empty, so batches still fill
+  /// to max_batch_rows; when traffic is light the deadline wait — pure
+  /// added latency with idle capacity — is skipped.
   std::chrono::steady_clock::duration max_batch_delay =
       std::chrono::milliseconds(2);
-  /// Adaptive micro-batching: additionally close the open batch (at >=
-  /// min_batch_rows) the moment the queue is empty and a shard is idle.
-  /// Under load the queue stays non-empty, so batches still fill to
-  /// max_batch_rows; when traffic is light the deadline wait — pure
-  /// added latency with idle capacity — is skipped. Off = fill-or-
-  /// deadline only (the pre-adaptive behavior).
-  bool adaptive_batching = true;
-  /// Smallest batch the adaptive close will dispatch early. Raise it
-  /// when per-batch dispatch cost should be amortized over more rows
-  /// even at some latency cost (cf. keeping per-shard work coarse
-  /// enough to pay for its coordination).
-  std::size_t min_batch_rows = 1;
   /// Bounded request-queue depth (requests, not rows).
   std::size_t queue_capacity = 1024;
   /// Full-queue behavior: block the submitter, or reject (submit throws).
@@ -103,14 +94,14 @@ struct AsyncPredictorOptions {
   std::size_t score_cache_rows = 0;
 };
 
-/// Why the dispatcher closed a micro-batch: filled to max_batch_rows /
-/// deadline expired / adaptive idle-close / flush, drain or shutdown.
-/// kCount is the number of reasons, not a reason.
+/// Why the dispatcher closed a micro-batch. kCount is the number of
+/// reasons, not a reason.
 enum class CloseReason : std::uint8_t {
-  kFull,
-  kDeadline,
-  kAdaptive,
-  kFlush,
+  kFull,      ///< filled to max_batch_rows (or the next request differs
+              ///< in kind or width)
+  kDeadline,  ///< its oldest row waited max_batch_delay
+  kAdaptive,  ///< idle close: the queue is empty and a shard is free
+  kFlush,     ///< the drain/shutdown close: the queue is closed and empty
   kCount
 };
 
@@ -209,9 +200,9 @@ class AsyncPredictor {
   explicit AsyncPredictor(std::shared_ptr<Estimator> model,
                           AsyncPredictorOptions options = {});
 
-  /// Drains: stops intake, flushes the open batch, completes every
-  /// accepted request, then joins the dispatcher. No future is ever
-  /// abandoned.
+  /// Drains: stops intake, closes the open batch (CloseReason::kFlush),
+  /// completes every accepted request, then joins the dispatcher. No
+  /// future is ever abandoned.
   ~AsyncPredictor();
 
   AsyncPredictor(const AsyncPredictor&) = delete;
@@ -232,12 +223,6 @@ class AsyncPredictor {
   [[nodiscard]] std::vector<int> predict(const tensor::MatrixF& x);
   [[nodiscard]] std::vector<double> predict_scores(const tensor::MatrixF& x);
 
-  /// Close the open batch now instead of waiting for fill/deadline.
-  /// Purely a latency hint — never required for progress. The request-
-  /// queue interrupt it rides on is sticky (a counter, not a bare
-  /// notify), so a dispatcher between waits can never sleep through it.
-  void flush();
-
   /// Zero-downtime hot swap: publish `model` as the new serving
   /// generation. Replica cloning (same contract as construction —
   /// checkpoint round-trip, preserving sparsified/quantized forms; with
@@ -251,11 +236,6 @@ class AsyncPredictor {
   /// request is rejected, dropped, or blocked by a swap. Returns the new
   /// generation. Thread-safe; concurrent swaps serialize in the pool.
   std::uint64_t swap_model(std::shared_ptr<Estimator> model)
-      EXCLUDES(stats_mutex_);
-
-  /// Hot swap with caller-built replicas (for estimators the checkpoint
-  /// round-trip cannot clone); must match shards().
-  std::uint64_t swap_model(std::vector<std::shared_ptr<Estimator>> replicas)
       EXCLUDES(stats_mutex_);
 
   /// Current serving generation (1 until the first swap_model()).
@@ -292,9 +272,9 @@ class AsyncPredictor {
     std::chrono::steady_clock::time_point oldest_enqueue{};
   };
 
-  /// A closed batch in flight to a shard. Pooled (with its chunk
-  /// vector's capacity) so the per-batch hot path allocates only the
-  /// shared_ptr control block and the thread-pool closure.
+  /// A closed batch in flight to a shard. Pooled (with the capacity of
+  /// its chunk vector and scratch) so the per-batch hot path allocates
+  /// only the shared_ptr control block and the thread-pool closure.
   struct BatchJob {
     std::vector<Chunk> chunks;
     serve::RequestKind kind = serve::RequestKind::kLabels;
@@ -308,65 +288,28 @@ class AsyncPredictor {
     bool zero_copy = false;
     std::optional<serve::ShardPool::Lease> lease;
     std::size_t shard = 0;
-  };
-
-  class BatchJobPool {
-   public:
-    BatchJobPool();
-    [[nodiscard]] std::shared_ptr<BatchJob> acquire();
-
-   private:
-    struct Core {
-      sb::Mutex mutex;
-      std::vector<std::unique_ptr<BatchJob>> free GUARDED_BY(mutex);
-    };
-    struct Recycler {
-      std::shared_ptr<Core> core;
-      void operator()(BatchJob* job) const noexcept;
-    };
-    std::shared_ptr<Core> core_;
-  };
-
-  /// Gather/scatter scratch, reused across batches. Leased exclusively
-  /// per running batch from ScratchPool — it must NOT be indexed by
-  /// shard id: across a hot swap, shard s of the retired version and
-  /// shard s of the new version execute concurrently.
-  struct ShardScratch {
+    /// Gather/scatter scratch of the split path. A job belongs to one
+    /// batch at a time — across a hot swap too, where shard s of the
+    /// retired version and shard s of the new one run at once — so its
+    /// scratch is never shared.
     std::vector<std::pair<serve::ServeRequest*, std::size_t>> rowrefs;
     std::vector<std::size_t> miss;
     tensor::MatrixF input;
-  };
 
-  /// Freelist of ShardScratch objects (capacity-warm buffers). Holds at
-  /// most one entry per concurrently executing batch — the shard count,
-  /// plus the brief doubling while versions overlap during a swap.
-  class ScratchPool {
-   public:
-    [[nodiscard]] std::unique_ptr<ShardScratch> acquire() EXCLUDES(mutex_) {
-      const sb::MutexLock lock(mutex_);
-      if (free_.empty()) return std::make_unique<ShardScratch>();
-      std::unique_ptr<ShardScratch> scratch = std::move(free_.back());
-      free_.pop_back();
-      return scratch;
+    void prepare() noexcept {}  // dispatch() sets every field
+    /// Drop the request references and the lease (an idle job must pin
+    /// neither clients nor a retired model version); keep the capacity
+    /// of every vector, which is the point of pooling the job.
+    void recycle() noexcept {
+      chunks.clear();
+      lease.reset();
     }
-    void release(std::unique_ptr<ShardScratch> scratch) EXCLUDES(mutex_) {
-      const sb::MutexLock lock(mutex_);
-      free_.push_back(std::move(scratch));
-    }
-
-   private:
-    sb::Mutex mutex_;
-    std::vector<std::unique_ptr<ShardScratch>> free_ GUARDED_BY(mutex_);
   };
 
   /// Shared submit path: admission control, stats, zero-row fast path,
   /// backpressure.
   void enqueue(const std::shared_ptr<serve::ServeRequest>& request)
       EXCLUDES(stats_mutex_);
-
-  /// Post-publish bookkeeping shared by both swap_model overloads: roll
-  /// the score cache's generation (epoch clear) and count the swap.
-  void finish_swap(std::uint64_t generation) EXCLUDES(stats_mutex_);
 
   /// Drop one chunk; when it was the request's last, record the
   /// end-to-end latency and release its admission-control rows. Every
@@ -390,14 +333,14 @@ class AsyncPredictor {
   serve::RequestQueue queue_;
   serve::ScoreCache cache_;
   serve::RequestPool request_pool_;
-  BatchJobPool batch_pool_;
-  ScratchPool scratch_pool_;
+  /// Live jobs are bounded by the shard leases, far below the default
+  /// cap.
+  serve::Freelist<BatchJob> batch_pool_;
 
   mutable sb::Mutex stats_mutex_;
   AsyncPredictorStats stats_ GUARDED_BY(stats_mutex_);
   serve::LatencyHistogram latency_;  // lock-free (atomic buckets)
 
-  std::atomic<bool> flush_requested_{false};
   std::atomic<std::size_t> inflight_rows_{0};
 
   /// Batches handed to the pool but not yet completed, plus the drain

@@ -124,29 +124,19 @@ std::shared_ptr<ServeRequest> RequestQueue::pop() {
 std::shared_ptr<ServeRequest> RequestQueue::pop_until(
     std::chrono::steady_clock::time_point deadline) {
   sb::MutexLock lock(mutex_);
-  if (items_.empty() && !closed_ && interrupts_ == 0) {
+  if (items_.empty() && !closed_) {
     ++pop_waiters_;
     if (deadline == std::chrono::steady_clock::time_point::max()) {
-      while (items_.empty() && !closed_ && interrupts_ == 0) {
-        not_empty_.wait(mutex_);
-      }
+      while (items_.empty() && !closed_) not_empty_.wait(mutex_);
     } else {
       bool timed_out = false;
-      while (items_.empty() && !closed_ && interrupts_ == 0 && !timed_out) {
+      while (items_.empty() && !closed_ && !timed_out) {
         timed_out = !not_empty_.wait_until(mutex_, deadline);
-      }
-      if (items_.empty() && !closed_ && interrupts_ == 0) {
-        --pop_waiters_;
-        return nullptr;  // timeout
       }
     }
     --pop_waiters_;
   }
-  if (interrupts_ > 0 && items_.empty()) {
-    --interrupts_;
-    return nullptr;
-  }
-  if (items_.empty()) return nullptr;  // closed and drained
+  if (items_.empty()) return nullptr;  // timed out, or closed and drained
   std::shared_ptr<ServeRequest> request = std::move(items_.front());
   items_.pop_front();
   // Only a kBlock submitter stalled on a full queue needs the signal.
@@ -154,14 +144,6 @@ std::shared_ptr<ServeRequest> RequestQueue::pop_until(
   lock.unlock();
   if (wake) not_full_.notify_one();
   return request;
-}
-
-void RequestQueue::interrupt() {
-  {
-    const sb::MutexLock lock(mutex_);
-    ++interrupts_;
-  }
-  not_empty_.notify_all();
 }
 
 void RequestQueue::close() {

@@ -25,6 +25,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "serve/freelist.hpp"
 #include "tensor/matrix.hpp"
 #include "util/annotated_mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -75,6 +76,11 @@ class ServeRequest {
   /// costs one promise-state allocation instead of a full construction.
   void prepare(RequestKind new_kind);
 
+  /// Drop the (possibly large) input matrix as the request returns to
+  /// its RequestPool — only the object and its result-vector capacity
+  /// are worth keeping warm.
+  void recycle() noexcept { x = tensor::MatrixF(); }
+
   /// Size the result vector matching `kind` to x.rows() if it is not
   /// already — called by the dispatcher before a batch that scatters
   /// into row ranges is handed to shard workers (the whole-request
@@ -121,8 +127,11 @@ class ServeRequest {
   std::atomic<bool> scores_consumed_{false};
 };
 
-/// Bounded MPMC queue of requests with close/interrupt support for
-/// clean shutdown and explicit flushes.
+/// Recycler of ServeRequest objects (see serve/freelist.hpp).
+using RequestPool = Freelist<ServeRequest>;
+
+/// Bounded MPMC queue of requests; close() stops intake and lets the
+/// queued requests drain, for a clean shutdown.
 class RequestQueue {
  public:
   RequestQueue(std::size_t capacity, OverflowPolicy policy);
@@ -131,17 +140,13 @@ class RequestQueue {
   /// until room under kBlock. Throws std::runtime_error after close().
   bool push(std::shared_ptr<ServeRequest> request) EXCLUDES(mutex_);
 
-  /// Dequeue, blocking until an item, an interrupt(), or close()-drained.
-  /// Returns nullptr in the latter two cases.
+  /// Dequeue, blocking until an item arrives or the queue is closed and
+  /// drained (then nullptr).
   [[nodiscard]] std::shared_ptr<ServeRequest> pop() EXCLUDES(mutex_);
 
-  /// Dequeue with a deadline; nullptr on timeout/interrupt/drained.
+  /// Dequeue with a deadline; nullptr on timeout or when drained.
   [[nodiscard]] std::shared_ptr<ServeRequest> pop_until(
       std::chrono::steady_clock::time_point deadline) EXCLUDES(mutex_);
-
-  /// Wake every blocked pop() once (each returns nullptr). Used by
-  /// flush(): the dispatcher re-evaluates its open batch immediately.
-  void interrupt() EXCLUDES(mutex_);
 
   /// Stop accepting pushes. Queued items still drain through pop().
   void close() EXCLUDES(mutex_);
@@ -161,7 +166,6 @@ class RequestQueue {
   sb::CondVar not_empty_;
   sb::CondVar not_full_;
   std::deque<std::shared_ptr<ServeRequest>> items_ GUARDED_BY(mutex_);
-  std::size_t interrupts_ GUARDED_BY(mutex_) = 0;
   std::uint64_t rejected_ GUARDED_BY(mutex_) = 0;
   bool closed_ GUARDED_BY(mutex_) = false;
   /// Waiter counts gate the per-push/per-pop notifies: with nobody

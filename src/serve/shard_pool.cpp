@@ -17,8 +17,8 @@ std::shared_ptr<Estimator> clone_estimator(
   }
   throw std::invalid_argument(
       "clone_estimator: '" + primary->name() +
-      "' cannot be replicated via the checkpoint round-trip; construct "
-      "the replicas yourself and use ShardPool's adopting constructor");
+      "' cannot be replicated via the checkpoint round-trip; serve it on "
+      "one shard");
 }
 
 namespace {
@@ -37,16 +37,6 @@ std::vector<std::shared_ptr<Estimator>> build_replicas(
     replicas.push_back(clone_estimator(replicas.front()));
   }
   return replicas;
-}
-
-void validate_replicas(
-    const std::vector<std::shared_ptr<Estimator>>& replicas) {
-  if (replicas.empty()) {
-    throw std::invalid_argument("ShardPool: no replicas");
-  }
-  for (const auto& replica : replicas) {
-    if (!replica) throw std::invalid_argument("ShardPool: null replica");
-  }
 }
 
 }  // namespace
@@ -70,17 +60,10 @@ std::shared_ptr<ShardPool::ModelVersion> ShardPool::make_version(
   return version;
 }
 
-ShardPool::ShardPool(std::shared_ptr<Estimator> primary, std::size_t shards) {
+ShardPool::ShardPool(std::shared_ptr<Estimator> primary, std::size_t shards)
+    : shard_count_(shards) {
   std::vector<std::shared_ptr<Estimator>> replicas =
       build_replicas(std::move(primary), shards);
-  shard_count_ = replicas.size();
-  const sb::MutexLock lock(mutex_);
-  current_ = make_version(1, std::move(replicas), live_gauge_);
-}
-
-ShardPool::ShardPool(std::vector<std::shared_ptr<Estimator>> replicas) {
-  validate_replicas(replicas);
-  shard_count_ = replicas.size();
   const sb::MutexLock lock(mutex_);
   current_ = make_version(1, std::move(replicas), live_gauge_);
 }
@@ -131,22 +114,8 @@ ShardPool::Lease ShardPool::acquire_shard(std::size_t shard) {
 }
 
 std::uint64_t ShardPool::publish(std::shared_ptr<Estimator> primary) {
-  return install(build_replicas(std::move(primary), shard_count_));
-}
-
-std::uint64_t ShardPool::publish(
-    std::vector<std::shared_ptr<Estimator>> replicas) {
-  validate_replicas(replicas);
-  if (replicas.size() != shard_count_) {
-    throw std::invalid_argument(
-        "ShardPool::publish: replica count must match the pool's fixed "
-        "shard count");
-  }
-  return install(std::move(replicas));
-}
-
-std::uint64_t ShardPool::install(
-    std::vector<std::shared_ptr<Estimator>> replicas) {
+  std::vector<std::shared_ptr<Estimator>> replicas =
+      build_replicas(std::move(primary), shard_count_);
   std::shared_ptr<ModelVersion> retired;
   std::uint64_t generation = 0;
   bool wake = false;

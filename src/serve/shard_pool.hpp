@@ -21,8 +21,8 @@
 //     pool rolls over the moment the swap lands);
 //   - a retired version is destroyed when its last lease drops — the
 //     lease's shared ownership of the version IS the grace period.
-// The replica count is fixed at construction; publish() preserves it
-// (per-shard serving scratch is sized once against it).
+// The replica count is fixed at construction: every publish() clones
+// one primary into that many replicas, exactly as the constructor does.
 
 #include <cstddef>
 #include <cstdint>
@@ -40,13 +40,8 @@ class ShardPool {
   /// Clone `primary` into `shards` independent replicas (generation 1).
   /// shards == 1 serves through `primary` directly (no clone); more
   /// shards require a core::Model (cloned in-memory via the checkpoint
-  /// round-trip) — for other estimator types, build the replicas
-  /// yourself and use the adopting constructor.
+  /// round-trip); other estimator types serve on one shard.
   ShardPool(std::shared_ptr<Estimator> primary, std::size_t shards);
-
-  /// Adopt pre-built replicas (for estimators that cannot checkpoint —
-  /// the caller asserts they are equivalent and thread-compatible).
-  explicit ShardPool(std::vector<std::shared_ptr<Estimator>> replicas);
 
   ShardPool(const ShardPool&) = delete;
   ShardPool& operator=(const ShardPool&) = delete;
@@ -121,11 +116,6 @@ class ShardPool {
   /// itself is one pointer exchange. Returns the new generation.
   std::uint64_t publish(std::shared_ptr<Estimator> primary) EXCLUDES(mutex_);
 
-  /// Publish pre-built replicas (adopting-constructor counterpart).
-  /// Must match the pool's fixed shard count.
-  std::uint64_t publish(std::vector<std::shared_ptr<Estimator>> replicas)
-      EXCLUDES(mutex_);
-
   /// Replicas of the current version not currently leased. A snapshot —
   /// but with a single acquiring thread (the batch dispatcher) a nonzero
   /// result guarantees its next acquire() will not block, which is what
@@ -148,16 +138,14 @@ class ShardPool {
 
  private:
   void release(ModelVersion& version, std::size_t shard) EXCLUDES(mutex_);
-  std::uint64_t install(std::vector<std::shared_ptr<Estimator>> replicas)
-      EXCLUDES(mutex_);
   [[nodiscard]] static std::shared_ptr<ModelVersion> make_version(
       std::uint64_t generation,
       std::vector<std::shared_ptr<Estimator>> replicas,
       const std::shared_ptr<std::atomic<std::uint64_t>>& gauge);
 
   /// Fixed at construction; every ModelVersion carries exactly this many
-  /// replicas (per-shard scratch in the serving layer is sized once).
-  std::size_t shard_count_ = 0;
+  /// replicas.
+  const std::size_t shard_count_;
   std::shared_ptr<std::atomic<std::uint64_t>> live_gauge_ =
       std::make_shared<std::atomic<std::uint64_t>>(0);
 
