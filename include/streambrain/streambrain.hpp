@@ -38,7 +38,6 @@
 #include "core/pipeline.hpp"
 #include "core/plasticity.hpp"
 #include "core/pruning.hpp"
-#include "core/semi_supervised.hpp"
 #include "core/serialization.hpp"
 #include "core/sgd_head.hpp"
 #include "core/traces.hpp"

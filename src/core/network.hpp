@@ -95,7 +95,6 @@ class Network {
   /// Phase 1 only: unsupervised training of every hidden layer on
   /// unlabeled rows (annealed noise + per-epoch structural plasticity),
   /// bottom to top, each on the winner-take-all code of the layer below.
-  /// Used directly by the semi-supervised mode.
   FitReport fit_unsupervised(const tensor::MatrixF& x);
 
   /// The greedy layer-wise schedule: calls `train(l, code)` for every

@@ -48,18 +48,4 @@ double average_precision(const std::vector<double>& scores,
   return ap;
 }
 
-double brier_score(const std::vector<double>& scores,
-                   const std::vector<int>& labels) {
-  if (scores.size() != labels.size()) {
-    throw std::invalid_argument("brier_score: size mismatch");
-  }
-  if (scores.empty()) return 0.0;
-  double total = 0.0;
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    const double error = scores[i] - static_cast<double>(labels[i]);
-    total += error * error;
-  }
-  return total / static_cast<double>(scores.size());
-}
-
 }  // namespace streambrain::metrics

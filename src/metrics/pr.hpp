@@ -25,9 +25,4 @@ std::vector<PrPoint> pr_curve(const std::vector<double>& scores,
 double average_precision(const std::vector<double>& scores,
                          const std::vector<int>& labels);
 
-/// Brier score: mean squared error of probabilistic predictions.
-/// 0 = perfect, 0.25 = constant 0.5 prediction on balanced data.
-double brier_score(const std::vector<double>& scores,
-                   const std::vector<int>& labels);
-
 }  // namespace streambrain::metrics

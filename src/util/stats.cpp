@@ -1,6 +1,5 @@
 #include "util/stats.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace streambrain::util {
@@ -11,68 +10,5 @@ double RunningStat::variance() const noexcept {
 }
 
 double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
-
-void RunningStat::merge(const RunningStat& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double mean(const std::vector<double>& values) noexcept {
-  if (values.empty()) return 0.0;
-  double sum = 0.0;
-  for (double v : values) sum += v;
-  return sum / static_cast<double>(values.size());
-}
-
-double stddev(const std::vector<double>& values) noexcept {
-  if (values.size() < 2) return 0.0;
-  RunningStat stat;
-  for (double v : values) stat.add(v);
-  return stat.stddev();
-}
-
-double median(std::vector<double> values) noexcept {
-  return quantile(std::move(values), 0.5);
-}
-
-double quantile(std::vector<double> values, double q) noexcept {
-  if (values.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-std::vector<double> quantile_cuts(std::vector<double> values,
-                                  std::size_t groups) noexcept {
-  std::vector<double> cuts;
-  if (groups < 2 || values.empty()) return cuts;
-  std::sort(values.begin(), values.end());
-  cuts.reserve(groups - 1);
-  for (std::size_t g = 1; g < groups; ++g) {
-    const double q = static_cast<double>(g) / static_cast<double>(groups);
-    const double pos = q * static_cast<double>(values.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, values.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    cuts.push_back(values[lo] * (1.0 - frac) + values[hi] * frac);
-  }
-  return cuts;
-}
 
 }  // namespace streambrain::util

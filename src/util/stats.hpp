@@ -1,9 +1,8 @@
 #pragma once
-// Numerically stable descriptive statistics (Welford online moments,
-// order statistics) used by the benchmark harness and tests.
+// Numerically stable online moments (Welford), used by the figure
+// benches.
 
 #include <cstddef>
-#include <vector>
 
 namespace streambrain::util {
 
@@ -26,9 +25,6 @@ class RunningStat {
   [[nodiscard]] double min() const noexcept { return min_; }
   [[nodiscard]] double max() const noexcept { return max_; }
 
-  /// Merge another accumulator (parallel reduction; Chan et al.).
-  void merge(const RunningStat& other) noexcept;
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
@@ -36,22 +32,5 @@ class RunningStat {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Arithmetic mean of a vector; 0 for empty input.
-double mean(const std::vector<double>& values) noexcept;
-
-/// Sample standard deviation (n-1 denominator); 0 for n < 2.
-double stddev(const std::vector<double>& values) noexcept;
-
-/// Median (copies and partially sorts the input).
-double median(std::vector<double> values) noexcept;
-
-/// Linear-interpolated quantile, q in [0,1] (type-7, same as NumPy default).
-double quantile(std::vector<double> values, double q) noexcept;
-
-/// All k-quantile cut points for `groups` equal-mass groups (e.g. groups=10
-/// returns the 9 deciles). Matches the paper's "compute the 10-quantiles".
-std::vector<double> quantile_cuts(std::vector<double> values,
-                                  std::size_t groups) noexcept;
 
 }  // namespace streambrain::util

@@ -1,6 +1,5 @@
 #include "viz/ascii.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -37,30 +36,6 @@ std::string render_mask_bar(const std::vector<bool>& mask) {
                    : 100.0 * static_cast<double>(active) /
                          static_cast<double>(mask.size());
   out << util::format("%.0f%%", coverage);
-  return out.str();
-}
-
-std::string render_heatmap(const std::vector<float>& values,
-                           std::size_t width, std::size_t height) {
-  if (values.size() != width * height) {
-    throw std::invalid_argument("render_heatmap: size mismatch");
-  }
-  static constexpr char kShades[] = {' ', '.', ':', '*', '#'};
-  const auto [min_it, max_it] =
-      std::minmax_element(values.begin(), values.end());
-  const float lo = values.empty() ? 0.0f : *min_it;
-  const float range = values.empty() ? 1.0f : *max_it - lo;
-  std::ostringstream out;
-  for (std::size_t y = 0; y < height; ++y) {
-    for (std::size_t x = 0; x < width; ++x) {
-      const float v = values[y * width + x];
-      int level =
-          range > 0.0f ? static_cast<int>(4.999f * (v - lo) / range) : 2;
-      level = std::clamp(level, 0, 4);
-      out << kShades[level];
-    }
-    out << '\n';
-  }
   return out.str();
 }
 

@@ -16,8 +16,4 @@ std::string render_mask_grid(const std::vector<bool>& mask, std::size_t width,
 /// active features are '#', silent '.', with a coverage percentage suffix.
 std::string render_mask_bar(const std::vector<bool>& mask);
 
-/// Render a float field as 5-level shade characters " .:*#".
-std::string render_heatmap(const std::vector<float>& values,
-                           std::size_t width, std::size_t height);
-
 }  // namespace streambrain::viz

@@ -168,13 +168,13 @@ TEST(HiggsGenerator, SignalHasHiggsLikeMbbPeak) {
   const auto dataset = generator.generate(20000);
   // m_bb (col 25): signal should be concentrated near 1.0 with smaller
   // spread than the combinatorial background.
-  std::vector<double> mbb_signal;
-  std::vector<double> mbb_background;
+  su::RunningStat mbb_signal;
+  su::RunningStat mbb_background;
   for (std::size_t r = 0; r < dataset.size(); ++r) {
     (dataset.labels[r] == 1 ? mbb_signal : mbb_background)
-        .push_back(dataset.features(r, 25));
+        .add(dataset.features(r, 25));
   }
-  EXPECT_LT(su::stddev(mbb_signal), su::stddev(mbb_background));
+  EXPECT_LT(mbb_signal.stddev(), mbb_background.stddev());
 }
 
 TEST(HiggsGenerator, SignalLeptonsAreHarder) {

@@ -1,21 +1,17 @@
-// Tests for the paper's extension features: semi-supervised training and
-// the spiking forward mode (§II).
+// Tests for the paper's spiking forward mode (§II).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/network.hpp"
-#include "core/semi_supervised.hpp"
 #include "data/higgs.hpp"
 #include "encode/one_hot.hpp"
-#include "metrics/classification.hpp"
 #include "parallel/engine_registry.hpp"
 #include "util/rng.hpp"
 
 namespace sc = streambrain::core;
 namespace sd = streambrain::data;
-namespace sm = streambrain::metrics;
 namespace sp = streambrain::parallel;
 namespace st = streambrain::tensor;
 namespace su = streambrain::util;
@@ -59,68 +55,6 @@ sc::NetworkConfig small_network() {
 }
 
 }  // namespace
-
-// ----------------------------------------------------- semi-supervised ----
-
-TEST(SemiSupervised, CountsLabeledAndUnlabeled) {
-  const auto data = encoded_higgs(400, 100, 21);
-  auto labels = data.y_train;
-  for (std::size_t i = 0; i < labels.size(); i += 2) {
-    labels[i] = sc::kUnlabeled;
-  }
-  sc::Network network(small_network());
-  const auto report = sc::fit_semi_supervised(network, data.x_train, labels);
-  EXPECT_EQ(report.labeled_examples + report.unlabeled_examples,
-            labels.size());
-  EXPECT_EQ(report.labeled_examples, labels.size() / 2);
-}
-
-TEST(SemiSupervised, LearnsFromFewLabels) {
-  const auto data = encoded_higgs(1500, 500, 23);
-  auto labels = data.y_train;
-  // Keep only 10% of labels.
-  su::Rng rng(5);
-  for (auto& label : labels) {
-    if (!rng.bernoulli(0.10)) label = sc::kUnlabeled;
-  }
-  sc::Network network(small_network());
-  sc::fit_semi_supervised(network, data.x_train, labels);
-  const double accuracy =
-      sm::accuracy(network.predict(data.x_test), data.y_test);
-  EXPECT_GT(accuracy, 0.55);  // well above chance from 150 labels
-}
-
-TEST(SemiSupervised, AllLabeledMatchesSupervisedProtocol) {
-  const auto data = encoded_higgs(600, 200, 27);
-  sc::Network semi(small_network());
-  const auto report =
-      sc::fit_semi_supervised(semi, data.x_train, data.y_train);
-  EXPECT_EQ(report.unlabeled_examples, 0u);
-  const double semi_accuracy =
-      sm::accuracy(semi.predict(data.x_test), data.y_test);
-
-  sc::Network supervised(small_network());
-  supervised.fit(data.x_train, data.y_train);
-  const double full_accuracy =
-      sm::accuracy(supervised.predict(data.x_test), data.y_test);
-  EXPECT_NEAR(semi_accuracy, full_accuracy, 0.06);
-}
-
-TEST(SemiSupervised, RejectsAllUnlabeled) {
-  const auto data = encoded_higgs(50, 10, 29);
-  std::vector<int> labels(data.y_train.size(), sc::kUnlabeled);
-  sc::Network network(small_network());
-  EXPECT_THROW(sc::fit_semi_supervised(network, data.x_train, labels),
-               std::invalid_argument);
-}
-
-TEST(SemiSupervised, RejectsShapeMismatch) {
-  const auto data = encoded_higgs(50, 10, 31);
-  std::vector<int> labels(10, 0);
-  sc::Network network(small_network());
-  EXPECT_THROW(sc::fit_semi_supervised(network, data.x_train, labels),
-               std::invalid_argument);
-}
 
 // ---------------------------------------------------------- spiking mode ----
 

@@ -1,4 +1,4 @@
-// Tests for precision-recall metrics and the Brier score.
+// Tests for precision-recall metrics.
 
 #include <gtest/gtest.h>
 
@@ -54,26 +54,4 @@ TEST(AveragePrecision, InvertedRankingNearZeroForRarePositives) {
   std::vector<double> scores = {0.9, 0.8, 0.7, 0.2, 0.1};
   std::vector<int> labels = {0, 0, 0, 1, 1};
   EXPECT_LT(sm::average_precision(scores, labels), 0.45);
-}
-
-TEST(Brier, PerfectAndWorst) {
-  EXPECT_DOUBLE_EQ(sm::brier_score({1.0, 0.0}, {1, 0}), 0.0);
-  EXPECT_DOUBLE_EQ(sm::brier_score({0.0, 1.0}, {1, 0}), 1.0);
-  EXPECT_DOUBLE_EQ(sm::brier_score({0.5, 0.5}, {1, 0}), 0.25);
-}
-
-TEST(Brier, RejectsSizeMismatch) {
-  EXPECT_THROW(sm::brier_score({0.5}, {1, 0}), std::invalid_argument);
-}
-
-TEST(Brier, CalibratedBeatsOverconfidentWhenWrongOften) {
-  su::Rng rng(11);
-  std::vector<int> labels(2000);
-  std::vector<double> calibrated(2000, 0.7);
-  std::vector<double> overconfident(2000, 0.99);
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    labels[i] = rng.bernoulli(0.7) ? 1 : 0;
-  }
-  EXPECT_LT(sm::brier_score(calibrated, labels),
-            sm::brier_score(overconfident, labels));
 }

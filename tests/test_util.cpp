@@ -168,74 +168,6 @@ TEST(RunningStat, BasicMoments) {
   EXPECT_EQ(stat.max(), 9.0);
 }
 
-TEST(RunningStat, MergeMatchesSequential) {
-  su::Rng rng(61);
-  su::RunningStat all;
-  su::RunningStat a;
-  su::RunningStat b;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.normal(3.0, 1.5);
-    all.add(v);
-    (i % 2 == 0 ? a : b).add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(RunningStat, MergeWithEmpty) {
-  su::RunningStat a;
-  a.add(1.0);
-  su::RunningStat empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
-}
-
-TEST(Stats, MeanAndStddev) {
-  EXPECT_DOUBLE_EQ(su::mean({1.0, 2.0, 3.0}), 2.0);
-  EXPECT_DOUBLE_EQ(su::mean({}), 0.0);
-  EXPECT_NEAR(su::stddev({2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}),
-              std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_DOUBLE_EQ(su::stddev({5.0}), 0.0);
-}
-
-TEST(Stats, MedianOddEven) {
-  EXPECT_DOUBLE_EQ(su::median({3.0, 1.0, 2.0}), 2.0);
-  EXPECT_DOUBLE_EQ(su::median({4.0, 1.0, 3.0, 2.0}), 2.5);
-}
-
-TEST(Stats, QuantileInterpolation) {
-  std::vector<double> values = {0.0, 1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(su::quantile(values, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(su::quantile(values, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(su::quantile(values, 0.5), 2.0);
-  EXPECT_DOUBLE_EQ(su::quantile(values, 0.25), 1.0);
-  EXPECT_DOUBLE_EQ(su::quantile(values, 0.1), 0.4);
-}
-
-TEST(Stats, QuantileCutsBalancedMass) {
-  su::Rng rng(67);
-  std::vector<double> values(10000);
-  for (auto& v : values) v = rng.normal();
-  const auto cuts = su::quantile_cuts(values, 10);
-  ASSERT_EQ(cuts.size(), 9u);
-  for (std::size_t i = 1; i < cuts.size(); ++i) {
-    EXPECT_LT(cuts[i - 1], cuts[i]);
-  }
-  // Each decile bucket should hold ~10% of the mass.
-  std::vector<int> counts(10, 0);
-  for (double v : values) {
-    std::size_t bin = 0;
-    while (bin < cuts.size() && v >= cuts[bin]) ++bin;
-    ++counts[bin];
-  }
-  for (int c : counts) EXPECT_NEAR(c, 1000, 60);
-}
-
 // ------------------------------------------------------------- string ----
 
 TEST(StringUtil, SplitKeepsEmptyFields) {

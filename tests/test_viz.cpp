@@ -153,17 +153,8 @@ TEST(Ascii, MaskBarShowsCoverage) {
   EXPECT_NE(bar.find("50%"), std::string::npos);
 }
 
-TEST(Ascii, HeatmapUsesShadeRamp) {
-  const std::vector<float> values = {0.0f, 0.25f, 0.5f, 0.75f, 1.0f, 1.0f};
-  const std::string map = sv::render_heatmap(values, 3, 2);
-  EXPECT_NE(map.find(' '), std::string::npos);   // min shade
-  EXPECT_NE(map.find('#'), std::string::npos);   // max shade
-  EXPECT_EQ(map.size(), 8u);                     // 6 cells + 2 newlines
-}
-
 TEST(Ascii, SizeMismatchThrows) {
   EXPECT_THROW(sv::render_mask_grid({true}, 2, 2), std::invalid_argument);
-  EXPECT_THROW(sv::render_heatmap({1.0f}, 2, 2), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ Catalyst ----
