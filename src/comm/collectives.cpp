@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include "comm/communicator.hpp"
+#include "comm/frame.hpp"
 #include "comm/transport_internal.hpp"
 #include "util/log.hpp"
 
@@ -73,12 +74,23 @@ std::string PoisonState::reason() const {
 // ---------------------------------------------------------------------------
 // Transport base
 
-Transport::Transport(int rank, int size, std::shared_ptr<PoisonState> poison)
-    : rank_(rank), size_(size), poison_(std::move(poison)) {}
+Transport::Transport(int rank, int size, std::shared_ptr<PoisonState> poison,
+                     int op_timeout_ms)
+    : rank_(rank),
+      size_(size),
+      poison_(std::move(poison)),
+      op_timeout_(op_timeout_ms) {}
 
 void Transport::send(int dest, int tag, const void* data, std::size_t bytes) {
   check_healthy();
   check_peer(dest, "send");
+  if (bytes > detail::kMaxFrameBytes) {
+    std::ostringstream msg;
+    msg << "send of " << bytes << " bytes to rank " << dest << " on rank "
+        << rank_ << " exceeds the frame bound of " << detail::kMaxFrameBytes
+        << " bytes";
+    throw CommError(rank_, msg.str());
+  }
   do_send(dest, tag, data, bytes);
 }
 
@@ -86,7 +98,29 @@ void Transport::recv(int source, int tag, void* data,
                      std::size_t expected_bytes) {
   check_healthy();
   check_peer(source, "recv");
-  do_recv(source, tag, data, expected_bytes);
+  const auto deadline = op_deadline();
+  for (;;) {
+    if (const auto payload = recv_slice(source, tag, expected_bytes)) {
+      if (expected_bytes > 0) std::memcpy(data, payload->data(), expected_bytes);
+      return;
+    }
+    check_healthy();
+    if (std::chrono::steady_clock::now() >= deadline) {
+      fail_timeout(source,
+                   "recv(source=" + std::to_string(source) +
+                       ", tag=" + std::to_string(tag) + ")",
+                   "peer dead or never sent");
+    }
+  }
+}
+
+void Transport::fail_timeout(int culprit, const std::string& op,
+                             const char* why) {
+  std::ostringstream msg;
+  msg << op << " timed out after " << op_timeout_.count() << " ms on rank "
+      << rank_ << " (" << why << ")";
+  poison(culprit, msg.str());
+  throw_poisoned();
 }
 
 void Transport::poison(int failed_rank, const std::string& reason) noexcept {

@@ -22,9 +22,11 @@
 // instead of hanging.
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -136,7 +138,9 @@ class Transport {
   /// Blocking send of `bytes` bytes to `dest` under `tag`. Sends to self
   /// are delivered locally. While blocked on a full wire buffer the
   /// transport keeps draining inbound traffic, so pairwise exchanges of
-  /// payloads larger than any buffer cannot deadlock.
+  /// payloads larger than any buffer cannot deadlock. A payload above the
+  /// 1 GiB frame bound throws CommError on every backend, before any byte
+  /// is written.
   void send(int dest, int tag, const void* data, std::size_t bytes);
 
   /// Blocking receive of the next (source, tag) frame. Throws a
@@ -176,13 +180,18 @@ class Transport {
   }
 
  protected:
-  Transport(int rank, int size, std::shared_ptr<PoisonState> poison);
+  Transport(int rank, int size, std::shared_ptr<PoisonState> poison,
+            int op_timeout_ms);
 
   /// Backend wire implementations behind the poison-checking wrappers.
   virtual void do_send(int dest, int tag, const void* data,
                        std::size_t bytes) = 0;
-  virtual void do_recv(int source, int tag, void* data,
-                       std::size_t expected_bytes) = 0;
+  /// The next (source, tag) payload, size-checked against
+  /// `expected_bytes`; when none has arrived, wait for traffic for at most
+  /// one poll slice and return nullopt if still none. recv() owns the
+  /// poison check and the deadline around it.
+  virtual std::optional<std::vector<unsigned char>> recv_slice(
+      int source, int tag, std::size_t expected_bytes) = 0;
   /// Propagate a poison claim beyond the local PoisonState (wake local
   /// waiters, set the shm segment word, send TCP poison frames).
   virtual void announce_poison(int failed_rank,
@@ -191,10 +200,18 @@ class Transport {
   void add_wire_bytes(std::uint64_t bytes) noexcept { wire_bytes_ += bytes; }
   void check_healthy() const;
   void check_peer(int peer, const char* op) const;
+  [[nodiscard]] std::chrono::steady_clock::time_point op_deadline() const {
+    return std::chrono::steady_clock::now() + op_timeout_;
+  }
+  /// Poison the world for a blocking `op` that outlived op_timeout and
+  /// throw; `culprit` is the rank blamed (-1 when unknown).
+  [[noreturn]] void fail_timeout(int culprit, const std::string& op,
+                                 const char* why);
 
   const int rank_;
   const int size_;
   const std::shared_ptr<PoisonState> poison_;
+  const std::chrono::milliseconds op_timeout_;
 
  private:
   std::uint64_t logical_bytes_ = 0;

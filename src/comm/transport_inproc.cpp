@@ -1,18 +1,14 @@
 // In-process backend: ranks are threads in one process, frames are
-// vectors pushed through mutex-guarded per-channel mailboxes. This is the
+// vectors posted into mutex-guarded per-rank inboxes. This is the
 // original simulated-MPI substrate refactored onto comm::Transport — the
 // reference the shm and tcp backends are conformance-tested against, and
 // the backend every comm::run() world uses.
 
 #include <chrono>
-#include <cstring>
-#include <deque>
-#include <map>
-#include <sstream>
-#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "comm/frame.hpp"
 #include "comm/transport_internal.hpp"
 #include "util/annotated_mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -20,7 +16,8 @@
 namespace streambrain::comm {
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using detail::Inbox;
+using detail::Payload;
 
 // Poll granularity for blocked waits: long enough to sleep the 1-core dev
 // box, short enough that poison/timeout is observed promptly.
@@ -28,6 +25,11 @@ constexpr std::chrono::milliseconds kWaitSlice{20};
 
 /// State shared by every rank of one in-process world.
 struct InprocState {
+  explicit InprocState(int world) {
+    inboxes.reserve(static_cast<std::size_t>(world));
+    for (int r = 0; r < world; ++r) inboxes.emplace_back(r);
+  }
+
   // Sense-reversing barrier: the last arriver flips `sense` and releases
   // the epoch; waiters wait for the flip, so back-to-back barriers cannot
   // release each other's waiters.
@@ -36,21 +38,19 @@ struct InprocState {
   int arrived GUARDED_BY(barrier_mutex) = 0;
   bool sense GUARDED_BY(barrier_mutex) = false;
 
-  // Mailboxes: FIFO per (source, dest, tag) channel, so receives match
-  // out of order across tags but in order within one.
+  // One inbox per rank; a send posts into the destination's and wakes
+  // every blocked receiver.
   sb::Mutex mail_mutex;
   sb::CondVar mail_cv;
-  std::map<std::tuple<int, int, int>, std::deque<std::vector<unsigned char>>>
-      mailboxes GUARDED_BY(mail_mutex);
+  std::vector<Inbox> inboxes GUARDED_BY(mail_mutex);
 };
 
 class InprocTransport final : public Transport {
  public:
   InprocTransport(int rank, int size, std::shared_ptr<PoisonState> poison,
                   std::shared_ptr<InprocState> state, int op_timeout_ms)
-      : Transport(rank, size, std::move(poison)),
-        state_(std::move(state)),
-        op_timeout_(op_timeout_ms) {}
+      : Transport(rank, size, std::move(poison), op_timeout_ms),
+        state_(std::move(state)) {}
 
   [[nodiscard]] Backend backend() const noexcept override {
     return Backend::kInProcess;
@@ -59,7 +59,7 @@ class InprocTransport final : public Transport {
   void barrier() override {
     check_healthy();
     if (size_ == 1) return;
-    const auto deadline = Clock::now() + op_timeout_;
+    const auto deadline = op_deadline();
     sb::MutexLock lock(state_->barrier_mutex);
     const bool epoch_sense = !state_->sense;
     ++state_->arrived;
@@ -75,13 +75,9 @@ class InprocTransport final : public Transport {
         throw_poisoned();
       }
       if (!state_->barrier_cv.wait_for(state_->barrier_mutex, kWaitSlice) &&
-          Clock::now() >= deadline) {
+          std::chrono::steady_clock::now() >= deadline) {
         lock.unlock();
-        std::ostringstream msg;
-        msg << "barrier timed out after " << op_timeout_.count()
-            << " ms on rank " << rank_ << " (a peer never arrived)";
-        poison(-1, msg.str());
-        throw_poisoned();
+        fail_timeout(-1, "barrier", "a peer never arrived");
       }
     }
   }
@@ -90,52 +86,28 @@ class InprocTransport final : public Transport {
   void do_send(int dest, int tag, const void* data,
                std::size_t bytes) override {
     const auto* begin = static_cast<const unsigned char*>(data);
+    Payload payload(begin, begin + bytes);
     {
       sb::MutexLock lock(state_->mail_mutex);
-      state_->mailboxes[{rank_, dest, tag}].emplace_back(begin, begin + bytes);
+      state_->inboxes[static_cast<std::size_t>(dest)].post(rank_, tag,
+                                                           std::move(payload));
       state_->mail_cv.notify_all();
     }
     if (dest != rank_) add_wire_bytes(bytes);
   }
 
-  void do_recv(int source, int tag, void* data,
-               std::size_t expected_bytes) override {
-    const auto deadline = Clock::now() + op_timeout_;
-    const std::tuple<int, int, int> key{source, rank_, tag};
+  std::optional<Payload> recv_slice(int source, int tag,
+                                    std::size_t expected_bytes) override {
     sb::MutexLock lock(state_->mail_mutex);
-    for (;;) {
-      auto it = state_->mailboxes.find(key);
-      if (it != state_->mailboxes.end() && !it->second.empty()) {
-        std::vector<unsigned char> payload = std::move(it->second.front());
-        it->second.pop_front();
-        if (it->second.empty()) state_->mailboxes.erase(it);
-        lock.unlock();
-        if (payload.size() != expected_bytes) {
-          std::ostringstream msg;
-          msg << "recv(source=" << source << ", tag=" << tag << ") on rank "
-              << rank_ << ": size mismatch: posted " << expected_bytes
-              << " bytes but the matched message carries " << payload.size()
-              << " bytes (send/recv count mismatch)";
-          throw CommError(rank_, msg.str());
-        }
-        if (expected_bytes > 0) std::memcpy(data, payload.data(), expected_bytes);
-        return;
-      }
-      if (poisoned()) {
-        lock.unlock();
-        throw_poisoned();
-      }
-      if (!state_->mail_cv.wait_for(state_->mail_mutex, kWaitSlice) &&
-          Clock::now() >= deadline) {
-        lock.unlock();
-        std::ostringstream msg;
-        msg << "recv(source=" << source << ", tag=" << tag << ") on rank "
-            << rank_ << " timed out after " << op_timeout_.count()
-            << " ms (peer never sent)";
-        poison(source, msg.str());
-        throw_poisoned();
-      }
+    Inbox& inbox = state_->inboxes[static_cast<std::size_t>(rank_)];
+    std::optional<Payload> payload = inbox.take(source, tag, expected_bytes);
+    // Checking poison under the lock pairs with announce_poison's notify,
+    // and a send notifies under it too, so no wake-up is lost.
+    if (!payload && !poisoned()) {
+      (void)state_->mail_cv.wait_for(state_->mail_mutex, kWaitSlice);
+      payload = inbox.take(source, tag, expected_bytes);
     }
+    return payload;
   }
 
   void announce_poison(int /*failed_rank*/,
@@ -155,7 +127,6 @@ class InprocTransport final : public Transport {
 
  private:
   std::shared_ptr<InprocState> state_;
-  std::chrono::milliseconds op_timeout_;
 };
 
 }  // namespace
@@ -166,7 +137,7 @@ namespace streambrain::comm::detail {
 std::vector<std::unique_ptr<Transport>> make_inproc_world(
     int world, const TransportOptions& base) {
   auto poison = std::make_shared<PoisonState>();
-  auto state = std::make_shared<InprocState>();
+  auto state = std::make_shared<InprocState>(world);
   std::vector<std::unique_ptr<Transport>> ranks;
   ranks.reserve(static_cast<std::size_t>(world));
   for (int r = 0; r < world; ++r) {

@@ -12,9 +12,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <deque>
-#include <map>
-#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,6 +21,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "comm/frame.hpp"
 #include "comm/transport_internal.hpp"
 
 namespace streambrain::comm {
@@ -34,15 +32,6 @@ using Clock = std::chrono::steady_clock;
 constexpr std::uint32_t kMagic = 0x5362436du;  // "SbCm"
 constexpr std::size_t kRingBytes = std::size_t{1} << 16;
 constexpr std::size_t kReasonBytes = 240;
-
-// Frame layout inside a ring: header then payload, both chunk-copied
-// through the ring modulo wrap.
-struct FrameHeader {
-  std::int32_t tag;
-  std::uint32_t reserved;
-  std::uint64_t size;
-};
-static_assert(sizeof(FrameHeader) == 16);
 
 struct alignas(64) ShmChannel {
   // Monotonic byte counters: producer owns head, consumer owns tail;
@@ -141,17 +130,18 @@ std::shared_ptr<Segment> create_segment(const std::string& session,
 std::shared_ptr<Segment> attach_segment(const std::string& session, int world,
                                         int connect_timeout_ms) {
   const std::string name = segment_name(session);
-  const std::size_t bytes = segment_bytes(world);
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(connect_timeout_ms);
   for (;;) {
     const int fd = ::shm_open(name.c_str(), O_RDWR, 0600);
     if (fd >= 0) {
       // Wait for the creator's ftruncate before mapping, or the first
-      // touch past the real size is a SIGBUS.
+      // touch past the real size is a SIGBUS. Map the creator's size, not
+      // ours: the world sizes are compared only once the header is up.
       struct stat st {};
       if (::fstat(fd, &st) == 0 &&
-          static_cast<std::size_t>(st.st_size) >= bytes) {
+          static_cast<std::size_t>(st.st_size) >= sizeof(ShmHeader)) {
+        const auto bytes = static_cast<std::size_t>(st.st_size);
         void* map =
             ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
         ::close(fd);
@@ -168,6 +158,13 @@ std::shared_ptr<Segment> attach_segment(const std::string& session, int world,
           }
           std::this_thread::yield();
         }
+        if (segment->header()->world != world) {
+          throw CommError(
+              -1, "shm segment " + name + " was created for a world of " +
+                      std::to_string(segment->header()->world) +
+                      " ranks, but this rank was launched with a world of " +
+                      std::to_string(world));
+        }
         return segment;
       }
       ::close(fd);
@@ -182,25 +179,15 @@ std::shared_ptr<Segment> attach_segment(const std::string& session, int world,
   }
 }
 
-/// Incremental parser for one inbound ring: consumes raw bytes, yields
-/// completed frames.
-struct ChannelParse {
-  bool have_header = false;
-  FrameHeader header{};
-  std::size_t header_got = 0;
-  std::vector<unsigned char> payload;
-  std::size_t payload_got = 0;
-};
-
-class ShmTransport final : public Transport {
+class ShmTransport final : public detail::FramedTransport {
  public:
   ShmTransport(const TransportOptions& options,
                std::shared_ptr<PoisonState> poison,
                std::shared_ptr<Segment> segment)
-      : Transport(options.rank, options.world, std::move(poison)),
+      : FramedTransport(options.rank, options.world, std::move(poison),
+                        options.op_timeout_ms),
         options_(options),
-        segment_(std::move(segment)),
-        parse_(static_cast<std::size_t>(options.world)) {}
+        segment_(std::move(segment)) {}
 
   [[nodiscard]] Backend backend() const noexcept override {
     return Backend::kShm;
@@ -253,70 +240,58 @@ class ShmTransport final : public Transport {
            my_sense) {
       sync_poison();
       if (Clock::now() >= deadline) {
-        std::ostringstream msg;
-        msg << "barrier timed out after " << options_.op_timeout_ms
-            << " ms on rank " << rank_ << " (a peer never arrived)";
-        poison(-1, msg.str());
-        throw_poisoned();
+        fail_timeout(-1, "barrier", "a peer never arrived");
       }
       backoff(spins);
     }
   }
 
  protected:
-  void do_send(int dest, int tag, const void* data,
-               std::size_t bytes) override {
-    if (dest == rank_) {
-      const auto* begin = static_cast<const unsigned char*>(data);
-      pending_[{rank_, tag}].emplace_back(begin, begin + bytes);
-      return;  // no wire crossed
-    }
-    FrameHeader header{tag, 0, static_cast<std::uint64_t>(bytes)};
+  /// Copy `bytes` into the rank_->dest ring, chunked past wrap, draining
+  /// inbound traffic whenever the ring is full — that is what makes the
+  /// collectives' send-then-recv schedules deadlock-free for payloads
+  /// larger than the ring.
+  void write_wire(int dest, const void* data, std::size_t bytes) override {
     ShmChannel* channel = segment_->channel(rank_, dest, size_);
-    write_blocking(channel, dest, &header, sizeof(header));
-    if (bytes > 0) write_blocking(channel, dest, data, bytes);
-    add_wire_bytes(sizeof(header) + bytes);
-  }
-
-  void do_recv(int source, int tag, void* data,
-               std::size_t expected_bytes) override {
+    const auto* src = static_cast<const unsigned char*>(data);
+    std::size_t written = 0;
     const auto deadline = op_deadline();
-    const std::pair<int, int> key{source, tag};
     int spins = 0;
-    for (;;) {
-      auto it = pending_.find(key);
-      if (it != pending_.end() && !it->second.empty()) {
-        std::vector<unsigned char> payload = std::move(it->second.front());
-        it->second.pop_front();
-        if (it->second.empty()) pending_.erase(it);
-        if (payload.size() != expected_bytes) {
-          std::ostringstream msg;
-          msg << "recv(source=" << source << ", tag=" << tag << ") on rank "
-              << rank_ << ": size mismatch: posted " << expected_bytes
-              << " bytes but the matched message carries " << payload.size()
-              << " bytes (send/recv count mismatch)";
-          throw CommError(rank_, msg.str());
+    while (written < bytes) {
+      const std::uint64_t head =
+          channel->head.load(std::memory_order_relaxed);
+      const std::uint64_t tail = channel->tail.load(std::memory_order_acquire);
+      const std::size_t space =
+          kRingBytes - static_cast<std::size_t>(head - tail);
+      if (space == 0) {
+        if (!drain_all()) {
+          sync_poison();
+          if (Clock::now() >= deadline) {
+            fail_timeout(dest, "send to rank " + std::to_string(dest),
+                         "peer not draining");
+          }
+          backoff(spins);
         }
-        if (expected_bytes > 0) {
-          std::memcpy(data, payload.data(), expected_bytes);
-        }
-        return;
-      }
-      if (drain_all()) {
-        spins = 0;
         continue;
       }
-      sync_poison();
-      if (Clock::now() >= deadline) {
-        std::ostringstream msg;
-        msg << "recv(source=" << source << ", tag=" << tag << ") on rank "
-            << rank_ << " timed out after " << options_.op_timeout_ms
-            << " ms (peer dead or never sent)";
-        poison(source, msg.str());
-        throw_poisoned();
-      }
-      backoff(spins);
+      spins = 0;
+      const std::size_t n = std::min(space, bytes - written);
+      const std::size_t at = static_cast<std::size_t>(head) % kRingBytes;
+      const std::size_t first = std::min(n, kRingBytes - at);
+      std::memcpy(channel->ring + at, src + written, first);
+      if (first < n) std::memcpy(channel->ring, src + written + first, n - first);
+      channel->head.store(head + n, std::memory_order_release);
+      written += n;
     }
+  }
+
+  void await_inbound(int /*source*/, int /*tag*/) override {
+    if (drain_all()) {
+      recv_spins_ = 0;
+      return;
+    }
+    sync_poison();
+    backoff(recv_spins_);
   }
 
   void announce_poison(int failed_rank,
@@ -334,10 +309,6 @@ class ShmTransport final : public Transport {
   }
 
  private:
-  [[nodiscard]] Clock::time_point op_deadline() const {
-    return Clock::now() + std::chrono::milliseconds(options_.op_timeout_ms);
-  }
-
   static void backoff(int& spins) {
     // The dev box is 1-core: get off the CPU fast so the peer can run.
     if (spins < 16) {
@@ -351,118 +322,46 @@ class ShmTransport final : public Transport {
   /// Observe a remote (or local) poison word; throws CommError if the
   /// world is dead.
   void sync_poison() {
-    const int word =
-        segment_->header()->poison_word.load(std::memory_order_acquire);
+    const ShmHeader* header = segment_->header();
+    const int word = header->poison_word.load(std::memory_order_acquire);
     if (word != 0) {
-      poison_->try_set(word - 2, segment_->header()->poison_reason);
+      poison_->try_set(word - 2,
+                       std::string(header->poison_reason,
+                                   ::strnlen(header->poison_reason,
+                                             kReasonBytes)));
     }
     if (poison_->poisoned()) throw_poisoned();
   }
 
-  /// Copy `bytes` into the src->dest ring, chunked past wrap, draining
-  /// inbound traffic whenever the ring is full — that is what makes the
-  /// collectives' send-then-recv schedules deadlock-free for payloads
-  /// larger than the ring.
-  void write_blocking(ShmChannel* channel, int dest, const void* data,
-                      std::size_t bytes) {
-    const auto* src = static_cast<const unsigned char*>(data);
-    std::size_t written = 0;
-    const auto deadline = op_deadline();
-    int spins = 0;
-    while (written < bytes) {
-      const std::uint64_t head =
-          channel->head.load(std::memory_order_relaxed);
-      const std::uint64_t tail = channel->tail.load(std::memory_order_acquire);
-      const std::size_t space =
-          kRingBytes - static_cast<std::size_t>(head - tail);
-      if (space == 0) {
-        if (!drain_all()) {
-          sync_poison();
-          if (Clock::now() >= deadline) {
-            std::ostringstream msg;
-            msg << "send to rank " << dest << " stalled for "
-                << options_.op_timeout_ms
-                << " ms on rank " << rank_ << " (peer not draining)";
-            poison(dest, msg.str());
-            throw_poisoned();
-          }
-          backoff(spins);
-        }
-        continue;
-      }
-      spins = 0;
-      const std::size_t n = std::min(space, bytes - written);
-      const std::size_t at = static_cast<std::size_t>(head) % kRingBytes;
-      const std::size_t first = std::min(n, kRingBytes - at);
-      std::memcpy(channel->ring + at, src + written, first);
-      if (first < n) std::memcpy(channel->ring, src + written + first, n - first);
-      channel->head.store(head + n, std::memory_order_release);
-      written += n;
-    }
-  }
-
-  /// Drain every inbound ring into the local pending queues. Returns true
-  /// when any byte moved.
+  /// Feed every inbound ring to its frame reader. Returns true when any
+  /// byte moved.
   bool drain_all() {
     bool progress = false;
     for (int src = 0; src < size_; ++src) {
       if (src == rank_) continue;
-      progress |= drain_channel(src);
+      ShmChannel* channel = segment_->channel(src, rank_, size_);
+      const std::uint64_t head = channel->head.load(std::memory_order_acquire);
+      std::uint64_t tail = channel->tail.load(std::memory_order_relaxed);
+      if (head == tail) continue;
+      // At most two contiguous spans (the second after wrap), each read
+      // straight into the frame under construction.
+      while (tail < head) {
+        const std::size_t at = static_cast<std::size_t>(tail) % kRingBytes;
+        const std::size_t n = std::min(static_cast<std::size_t>(head - tail),
+                                       kRingBytes - at);
+        receive(src, channel->ring + at, n);
+        tail += n;
+      }
+      channel->tail.store(tail, std::memory_order_release);
+      progress = true;
     }
     return progress;
   }
 
-  bool drain_channel(int src) {
-    ShmChannel* channel = segment_->channel(src, rank_, size_);
-    ChannelParse& parse = parse_[static_cast<std::size_t>(src)];
-    const std::uint64_t head = channel->head.load(std::memory_order_acquire);
-    std::uint64_t tail = channel->tail.load(std::memory_order_relaxed);
-    if (head == tail) return false;
-    while (tail < head) {
-      const std::size_t avail = static_cast<std::size_t>(head - tail);
-      const std::size_t at = static_cast<std::size_t>(tail) % kRingBytes;
-      if (!parse.have_header) {
-        const std::size_t want = sizeof(FrameHeader) - parse.header_got;
-        const std::size_t n = std::min({want, avail, kRingBytes - at});
-        std::memcpy(reinterpret_cast<unsigned char*>(&parse.header) +
-                        parse.header_got,
-                    channel->ring + at, n);
-        parse.header_got += n;
-        tail += n;
-        if (parse.header_got == sizeof(FrameHeader)) {
-          parse.have_header = true;
-          parse.payload.resize(
-              static_cast<std::size_t>(parse.header.size));
-          parse.payload_got = 0;
-          if (parse.header.size == 0) complete_frame(src, parse);
-        }
-      } else {
-        const std::size_t want = parse.payload.size() - parse.payload_got;
-        const std::size_t n = std::min({want, avail, kRingBytes - at});
-        std::memcpy(parse.payload.data() + parse.payload_got,
-                    channel->ring + at, n);
-        parse.payload_got += n;
-        tail += n;
-        if (parse.payload_got == parse.payload.size()) {
-          complete_frame(src, parse);
-        }
-      }
-    }
-    channel->tail.store(tail, std::memory_order_release);
-    return true;
-  }
-
-  void complete_frame(int src, ChannelParse& parse) {
-    pending_[{src, parse.header.tag}].push_back(std::move(parse.payload));
-    parse = ChannelParse{};
-  }
-
   TransportOptions options_;
   std::shared_ptr<Segment> segment_;
-  std::vector<ChannelParse> parse_;
-  std::map<std::pair<int, int>, std::deque<std::vector<unsigned char>>>
-      pending_;
   int local_sense_ = 0;
+  int recv_spins_ = 0;
 };
 
 }  // namespace

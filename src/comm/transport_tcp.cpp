@@ -17,9 +17,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <deque>
-#include <map>
-#include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -33,6 +31,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "comm/frame.hpp"
 #include "comm/transport_internal.hpp"
 
 namespace streambrain::comm {
@@ -40,16 +39,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr std::uint32_t kHelloMagic = 0x53624843u;  // "SbHC"
-constexpr std::uint32_t kData = 0;
-constexpr std::uint32_t kPoison = 1;
+using detail::FrameHeader;
 
-struct FrameHeader {
-  std::int32_t tag;     // kPoison frames carry the failed rank here
-  std::uint32_t kind;   // kData | kPoison
-  std::uint64_t size;   // payload bytes following the header
-};
-static_assert(sizeof(FrameHeader) == 16);
+constexpr std::uint32_t kHelloMagic = 0x53624843u;  // "SbHC"
 
 struct Hello {
   std::uint32_t magic;
@@ -85,17 +77,13 @@ int bind_listener(const char* host, int port, int backlog) {
   addr.sin_addr.s_addr =
       (host == nullptr || *host == '\0') ? htonl(INADDR_ANY)
                                          : ::inet_addr(host);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+  const bool bound =
+      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+  if (!bound || ::listen(fd, backlog) < 0) {
     const int err = errno;
     ::close(fd);
     errno = err;
-    throw_errno("bind(port " + std::to_string(port) + ")");
-  }
-  if (::listen(fd, backlog) < 0) {
-    const int err = errno;
-    ::close(fd);
-    errno = err;
-    throw_errno("listen");
+    throw_errno(bound ? "listen" : "bind(port " + std::to_string(port) + ")");
   }
   return fd;
 }
@@ -109,26 +97,17 @@ int bound_port(int fd) {
   return static_cast<int>(ntohs(addr.sin_port));
 }
 
-/// Incremental frame parser for one inbound socket.
-struct PeerParse {
-  bool have_header = false;
-  FrameHeader header{};
-  std::size_t header_got = 0;
-  std::vector<unsigned char> payload;
-  std::size_t payload_got = 0;
-};
-
 struct Peer {
   int fd = -1;
   bool closed = false;
-  PeerParse parse;
 };
 
-class TcpTransport final : public Transport {
+class TcpTransport final : public detail::FramedTransport {
  public:
   TcpTransport(const TransportOptions& options,
                std::shared_ptr<PoisonState> poison, int listen_fd)
-      : Transport(options.rank, options.world, std::move(poison)),
+      : FramedTransport(options.rank, options.world, std::move(poison),
+                        options.op_timeout_ms),
         options_(options),
         listen_fd_(listen_fd),
         peers_(static_cast<std::size_t>(options.world)) {}
@@ -180,67 +159,21 @@ class TcpTransport final : public Transport {
     for (int hop = 1; hop < size_; hop <<= 1) {
       const int to = (rank_ + hop) % size_;
       const int from = (rank_ - hop % size_ + size_) % size_;
-      do_send(to, detail::kBarrierTag, &token, 1);
-      do_recv(from, detail::kBarrierTag, &token, 1);
+      send(to, detail::kBarrierTag, &token, 1);
+      recv(from, detail::kBarrierTag, &token, 1);
     }
   }
 
  protected:
-  void do_send(int dest, int tag, const void* data,
-               std::size_t bytes) override {
-    if (dest == rank_) {
-      const auto* begin = static_cast<const unsigned char*>(data);
-      pending_[{rank_, tag}].emplace_back(begin, begin + bytes);
-      return;  // no wire crossed
+  void await_inbound(int source, int tag) override {
+    if (source != rank_ && peers_[static_cast<std::size_t>(source)].closed) {
+      poison(source, "rank " + std::to_string(source) +
+                         " closed its connection while rank " +
+                         std::to_string(rank_) + " was waiting to recv(tag=" +
+                         std::to_string(tag) + ") (peer process died?)");
+      throw_poisoned();
     }
-    const FrameHeader header{tag, kData, static_cast<std::uint64_t>(bytes)};
-    write_all(dest, &header, sizeof(header));
-    if (bytes > 0) write_all(dest, data, bytes);
-    add_wire_bytes(sizeof(header) + bytes);
-  }
-
-  void do_recv(int source, int tag, void* data,
-               std::size_t expected_bytes) override {
-    const auto deadline = op_deadline();
-    const std::pair<int, int> key{source, tag};
-    for (;;) {
-      auto it = pending_.find(key);
-      if (it != pending_.end() && !it->second.empty()) {
-        std::vector<unsigned char> payload = std::move(it->second.front());
-        it->second.pop_front();
-        if (it->second.empty()) pending_.erase(it);
-        if (payload.size() != expected_bytes) {
-          std::ostringstream msg;
-          msg << "recv(source=" << source << ", tag=" << tag << ") on rank "
-              << rank_ << ": size mismatch: posted " << expected_bytes
-              << " bytes but the matched message carries " << payload.size()
-              << " bytes (send/recv count mismatch)";
-          throw CommError(rank_, msg.str());
-        }
-        if (expected_bytes > 0) {
-          std::memcpy(data, payload.data(), expected_bytes);
-        }
-        return;
-      }
-      if (poison_->poisoned()) throw_poisoned();
-      if (source != rank_ && peers_[static_cast<std::size_t>(source)].closed) {
-        std::ostringstream msg;
-        msg << "rank " << source << " closed its connection while rank "
-            << rank_ << " was waiting to recv(tag=" << tag
-            << ") (peer process died?)";
-        poison(source, msg.str());
-        throw_poisoned();
-      }
-      progress(20);
-      if (Clock::now() >= deadline) {
-        std::ostringstream msg;
-        msg << "recv(source=" << source << ", tag=" << tag << ") on rank "
-            << rank_ << " timed out after " << options_.op_timeout_ms
-            << " ms (peer never sent)";
-        poison(source, msg.str());
-        throw_poisoned();
-      }
-    }
+    progress(20);
   }
 
   void announce_poison(int failed_rank,
@@ -248,7 +181,7 @@ class TcpTransport final : public Transport {
     // Best-effort, nonblocking: a dying rank must not hang trying to
     // report that the world is dead. Peers that miss the frame fall back
     // to EOF detection or their own op timeout.
-    const FrameHeader header{failed_rank, kPoison,
+    const FrameHeader header{failed_rank, detail::kPoisonFrame,
                              static_cast<std::uint64_t>(reason.size())};
     for (int peer = 0; peer < size_; ++peer) {
       if (peer == rank_) continue;
@@ -264,10 +197,6 @@ class TcpTransport final : public Transport {
   }
 
  private:
-  [[nodiscard]] Clock::time_point op_deadline() const {
-    return Clock::now() + std::chrono::milliseconds(options_.op_timeout_ms);
-  }
-
   void close_listener() {
     if (listen_fd_ >= 0) {
       ::close(listen_fd_);
@@ -326,17 +255,15 @@ class TcpTransport final : public Transport {
         found == nullptr) {
       throw CommError(-1, "getaddrinfo(" + host + ":" + port + ") failed");
     }
+    const std::unique_ptr<addrinfo, void (*)(addrinfo*)> owned(found,
+                                                               ::freeaddrinfo);
     std::chrono::milliseconds backoff{5};
     for (;;) {
       const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd < 0) {
-        ::freeaddrinfo(found);
-        throw_errno("socket");
-      }
+      if (fd < 0) throw_errno("socket");
       if (::connect(fd, found->ai_addr, found->ai_addrlen) == 0) {
-        ::freeaddrinfo(found);
-        const Hello hello{kHelloMagic, static_cast<std::uint32_t>(rank_)};
-        if (!send_exact(fd, &hello, sizeof(hello), deadline)) {
+        Hello hello{kHelloMagic, static_cast<std::uint32_t>(rank_)};
+        if (!handshake_exact(fd, &hello, sizeof(hello), true, deadline)) {
           ::close(fd);
           throw CommError(peer, "tcp handshake with rank " +
                                     std::to_string(peer) + " failed");
@@ -346,7 +273,6 @@ class TcpTransport final : public Transport {
       }
       ::close(fd);
       if (Clock::now() >= deadline) {
-        ::freeaddrinfo(found);
         throw CommError(
             peer, "rank " + std::to_string(rank_) + " could not connect to "
                       "rank " + std::to_string(peer) + " at " + host + ":" +
@@ -359,86 +285,66 @@ class TcpTransport final : public Transport {
     }
   }
 
+  /// Accept one higher rank and identify it by its hello. The socket is
+  /// nonblocking from the start, so the hello read polls against the deadline
+  /// and a connection that never speaks cannot hold establish().
   void accept_one(Clock::time_point deadline) {
-    for (;;) {
+    while (Clock::now() < deadline) {
       pollfd pfd{listen_fd_, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, 50);
-      if (ready > 0) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) {
-          if (errno == EINTR || errno == EAGAIN) continue;
-          throw_errno("accept");
-        }
-        Hello hello{};
-        if (!recv_exact(fd, &hello, sizeof(hello), deadline) ||
-            hello.magic != kHelloMagic ||
-            hello.rank >= static_cast<std::uint32_t>(size_)) {
-          ::close(fd);  // not one of ours
-          continue;
-        }
+      if (::poll(&pfd, 1, 50) <= 0) continue;
+      const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+      if (fd < 0) {
+        if (errno == EINTR || errno == EAGAIN) continue;
+        throw_errno("accept");
+      }
+      Hello hello{};
+      if (handshake_exact(fd, &hello, sizeof(hello), false, deadline) &&
+          hello.magic == kHelloMagic &&
+          hello.rank > static_cast<std::uint32_t>(rank_) &&
+          hello.rank < static_cast<std::uint32_t>(size_) &&
+          peers_[hello.rank].fd < 0) {
         peers_[hello.rank].fd = fd;
         return;
       }
-      if (Clock::now() >= deadline) {
-        throw CommError(-1, "rank " + std::to_string(rank_) +
-                                " timed out waiting for a peer to connect "
-                                "(not all ranks were launched?)");
-      }
+      ::close(fd);  // silent, not one of ours, or already connected
     }
+    throw CommError(-1, "rank " + std::to_string(rank_) +
+                            " timed out waiting for a peer to connect "
+                            "(not all ranks were launched?)");
   }
 
-  static bool send_exact(int fd, const void* data, std::size_t bytes,
-                         Clock::time_point deadline) {
-    const auto* src = static_cast<const unsigned char*>(data);
-    std::size_t done = 0;
-    while (done < bytes) {
-      const ssize_t n =
-          ::send(fd, src + done, bytes - done, MSG_NOSIGNAL);
+  /// Move exactly `bytes` over a handshake socket, sending when `out` and
+  /// receiving otherwise, polling through EAGAIN until `deadline`. False
+  /// on EOF, error or timeout.
+  static bool handshake_exact(int fd, void* data, std::size_t bytes, bool out,
+                              Clock::time_point deadline) {
+    auto* at = static_cast<unsigned char*>(data);
+    for (std::size_t done = 0; done < bytes;) {
+      const ssize_t n = out ? ::send(fd, at + done, bytes - done, MSG_NOSIGNAL)
+                            : ::recv(fd, at + done, bytes - done, 0);
       if (n > 0) {
         done += static_cast<std::size_t>(n);
         continue;
       }
-      if (n < 0 && (errno == EINTR || errno == EAGAIN)) {
-        if (Clock::now() >= deadline) return false;
-        pollfd pfd{fd, POLLOUT, 0};
-        (void)::poll(&pfd, 1, 20);
-        continue;
+      if (n == 0 || (errno != EINTR && errno != EAGAIN) ||
+          Clock::now() >= deadline) {
+        return false;
       }
-      return false;
+      pollfd pfd{fd, static_cast<short>(out ? POLLOUT : POLLIN), 0};
+      (void)::poll(&pfd, 1, 20);
     }
     return true;
   }
 
-  static bool recv_exact(int fd, void* data, std::size_t bytes,
-                         Clock::time_point deadline) {
-    auto* dst = static_cast<unsigned char*>(data);
-    std::size_t done = 0;
-    while (done < bytes) {
-      const ssize_t n = ::recv(fd, dst + done, bytes - done, 0);
-      if (n > 0) {
-        done += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EINTR || errno == EAGAIN)) {
-        if (Clock::now() >= deadline) return false;
-        pollfd pfd{fd, POLLIN, 0};
-        (void)::poll(&pfd, 1, 20);
-        continue;
-      }
-      return false;  // EOF or hard error
-    }
-    return true;
-  }
-
-  void write_all(int dest, const void* data, std::size_t bytes) {
+  void write_wire(int dest, const void* data, std::size_t bytes) override {
     Peer& peer = peers_[static_cast<std::size_t>(dest)];
-    if (peer.fd < 0 || peer.closed) {
-      std::ostringstream msg;
-      msg << "send to rank " << dest << " failed on rank " << rank_
-          << ": connection is closed (peer process died?)";
-      poison(dest, msg.str());
+    const auto fail = [&](const char* why) {
+      peer.closed = true;
+      poison(dest, "send to rank " + std::to_string(dest) + " failed on rank " +
+                       std::to_string(rank_) + ": " + why);
       throw_poisoned();
-    }
+    };
+    if (peer.fd < 0 || peer.closed) fail("connection is closed (peer died?)");
     const auto* src = static_cast<const unsigned char*>(data);
     std::size_t done = 0;
     const auto deadline = op_deadline();
@@ -454,29 +360,20 @@ class TcpTransport final : public Transport {
         // Socket buffer full: drain inbound while blocked so pairwise
         // exchanges of large payloads cannot deadlock.
         progress(0);
-        if (poison_->poisoned()) throw_poisoned();
+        check_healthy();
         if (Clock::now() >= deadline) {
-          std::ostringstream msg;
-          msg << "send to rank " << dest << " stalled for "
-              << options_.op_timeout_ms << " ms on rank " << rank_
-              << " (peer not draining)";
-          poison(dest, msg.str());
-          throw_poisoned();
+          fail_timeout(dest, "send to rank " + std::to_string(dest),
+                       "peer not draining");
         }
         pollfd pfd{peer.fd, POLLOUT, 0};
         (void)::poll(&pfd, 1, 20);
         continue;
       }
-      std::ostringstream msg;
-      msg << "send to rank " << dest << " failed on rank " << rank_ << ": "
-          << (n < 0 ? std::strerror(errno) : "connection closed");
-      peer.closed = true;
-      poison(dest, msg.str());
-      throw_poisoned();
+      fail(n < 0 ? std::strerror(errno) : "connection closed");
     }
   }
 
-  /// Drain readable sockets into the pending queues; waits up to
+  /// Feed readable sockets to their frame readers; waits up to
   /// `wait_ms` for something to arrive.
   void progress(int wait_ms) {
     std::vector<pollfd> pfds;
@@ -505,7 +402,7 @@ class TcpTransport final : public Transport {
     for (;;) {
       const ssize_t n = ::recv(peer.fd, buffer, sizeof(buffer), 0);
       if (n > 0) {
-        feed(src, buffer, static_cast<std::size_t>(n));
+        receive(src, buffer, static_cast<std::size_t>(n));
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
@@ -517,56 +414,10 @@ class TcpTransport final : public Transport {
     }
   }
 
-  void feed(int src, const unsigned char* data, std::size_t bytes) {
-    PeerParse& parse = peers_[static_cast<std::size_t>(src)].parse;
-    std::size_t at = 0;
-    while (at < bytes) {
-      if (!parse.have_header) {
-        const std::size_t want = sizeof(FrameHeader) - parse.header_got;
-        const std::size_t n = std::min(want, bytes - at);
-        std::memcpy(reinterpret_cast<unsigned char*>(&parse.header) +
-                        parse.header_got,
-                    data + at, n);
-        parse.header_got += n;
-        at += n;
-        if (parse.header_got == sizeof(FrameHeader)) {
-          parse.have_header = true;
-          parse.payload.resize(static_cast<std::size_t>(parse.header.size));
-          parse.payload_got = 0;
-          if (parse.header.size == 0) complete_frame(src, parse);
-        }
-      } else {
-        const std::size_t want = parse.payload.size() - parse.payload_got;
-        const std::size_t n = std::min(want, bytes - at);
-        std::memcpy(parse.payload.data() + parse.payload_got, data + at, n);
-        parse.payload_got += n;
-        at += n;
-        if (parse.payload_got == parse.payload.size()) {
-          complete_frame(src, parse);
-        }
-      }
-    }
-  }
-
-  void complete_frame(int src, PeerParse& parse) {
-    if (parse.header.kind == kPoison) {
-      const std::string reason(parse.payload.begin(), parse.payload.end());
-      // poison() re-broadcasts, so the claim survives even if the origin
-      // died before reaching every peer; duplicates are no-ops.
-      poison(parse.header.tag, reason);
-      parse = PeerParse{};
-      return;
-    }
-    pending_[{src, parse.header.tag}].push_back(std::move(parse.payload));
-    parse = PeerParse{};
-  }
-
   TransportOptions options_;
   int listen_fd_;
   std::vector<int> ports_;
   std::vector<Peer> peers_;
-  std::map<std::pair<int, int>, std::deque<std::vector<unsigned char>>>
-      pending_;
 };
 
 }  // namespace

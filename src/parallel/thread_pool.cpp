@@ -91,11 +91,6 @@ void ThreadPool::grow(std::size_t threads) {
   add_workers(threads);
 }
 
-std::size_t ThreadPool::queue_depth() const {
-  const sb::MutexLock lock(mutex_);
-  return queue_.size();
-}
-
 ThreadPool::~ThreadPool() {
   {
     const sb::MutexLock lock(mutex_);

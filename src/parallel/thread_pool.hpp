@@ -1,8 +1,9 @@
 #pragma once
 // Fixed-size worker pool with a shared task queue and one fan-out slot.
-// The queue (submit / post) carries the comm substrate's ranks and the
-// serving dispatcher's batches; the slot carries the compute fan-out of
-// the tensor drivers and the training step (parallel_for.hpp).
+// The queue (submit / post) carries the serving dispatcher's batches; the
+// slot carries the compute fan-out of the tensor drivers and the training
+// step (parallel_for.hpp). The comm ranks of a thread-mode world are not
+// pool tasks: comm::run_transport starts one std::thread per rank.
 
 #include <atomic>
 #include <cstddef>
@@ -73,10 +74,6 @@ class ThreadPool {
   /// already that large). Serving layers call this so a shard fan-out is
   /// never throttled below the shard count by a small default pool.
   void grow(std::size_t threads) EXCLUDES(mutex_);
-
-  /// Tasks queued but not yet started — a cheap saturation signal for
-  /// schedulers deciding whether to submit or run inline.
-  [[nodiscard]] std::size_t queue_depth() const EXCLUDES(mutex_);
 
   /// Block until every queued task has finished.
   void wait_idle() EXCLUDES(mutex_);

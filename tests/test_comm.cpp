@@ -1,8 +1,9 @@
 // Tests for the comm substrate: the barrier and allreduce over
 // threads-as-ranks, determinism, byte accounting, the transport's
-// point-to-point frames, world-poisoning fault semantics, the SB_COMM_*
-// environment contract, and real multi-process transports
-// (fork + shm / TCP).
+// point-to-point frames, the frame reader under seeded mutations,
+// world-poisoning fault semantics, the SB_COMM_* environment contract,
+// hostile TCP peers and mismatched shm worlds, and real multi-process
+// transports (fork + shm / TCP).
 
 #include <gtest/gtest.h>
 
@@ -12,13 +13,18 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <string>
+#include <thread>
 
 #include "comm/communicator.hpp"
+#include "comm/frame.hpp"
 #include "util/rng.hpp"
 
 // fork() inside a ThreadSanitizer'd gtest binary trips TSan's
@@ -33,6 +39,7 @@
 #endif
 
 namespace sc = streambrain::comm;
+namespace scd = streambrain::comm::detail;
 namespace su = streambrain::util;
 
 TEST(Comm, RunInvokesEveryRank) {
@@ -209,6 +216,198 @@ TEST(Comm, ManyBarriersDoNotDeadlock) {
   SUCCEED();
 }
 
+TEST(Comm, SendAboveTheFrameBoundIsRefusedBeforeReadingAByte) {
+  sc::run(2, [](sc::Communicator& comm) {
+    if (comm.rank() != 0) return;
+    // A null buffer: the size check must come before any byte is read.
+    EXPECT_THROW(comm.transport().send(1, 0, nullptr, scd::kMaxFrameBytes + 1),
+                 sc::CommError);
+  });
+}
+
+// --- The frame reader every inbound shm and TCP byte goes through ----------
+
+namespace {
+
+struct Frame {
+  scd::FrameHeader header;
+  scd::Payload payload;
+
+  bool operator==(const Frame& other) const {
+    return header.tag == other.header.tag &&
+           header.kind == other.header.kind &&
+           header.size == other.header.size && payload == other.payload;
+  }
+};
+
+/// Zero-length and small frames, one larger than the 64 KiB shm ring, and
+/// a poison frame, serialized back to back as the wire carries them.
+std::vector<Frame> sample_frames() {
+  su::Rng rng(25);
+  std::vector<Frame> frames;
+  const std::size_t sizes[] = {0, 3, 64 * 1024 + 1, 0, 17};
+  int tag = -3;
+  for (const std::size_t size : sizes) {
+    Frame frame{{tag++, scd::kDataFrame, size}, scd::Payload(size)};
+    for (auto& byte : frame.payload) byte = static_cast<unsigned char>(rng());
+    frames.push_back(std::move(frame));
+  }
+  const std::string reason = "rank 2 failed";
+  frames.push_back({{2, scd::kPoisonFrame, reason.size()},
+                    scd::Payload(reason.begin(), reason.end())});
+  return frames;
+}
+
+std::vector<unsigned char> encode(const std::vector<Frame>& frames) {
+  std::vector<unsigned char> stream;
+  for (const Frame& frame : frames) {
+    const auto* header = reinterpret_cast<const unsigned char*>(&frame.header);
+    stream.insert(stream.end(), header, header + sizeof(frame.header));
+    stream.insert(stream.end(), frame.payload.begin(), frame.payload.end());
+  }
+  return stream;
+}
+
+/// Feed `stream` to one reader in pieces that end at each of the ascending
+/// `cuts`, then the rest; returns the frames it completed.
+std::vector<Frame> decode(const std::vector<unsigned char>& stream,
+                          const std::vector<std::size_t>& cuts) {
+  scd::FrameReader reader;
+  std::vector<Frame> frames;
+  const auto sink = [&](const scd::FrameHeader& header, scd::Payload payload) {
+    frames.push_back({header, std::move(payload)});
+  };
+  std::size_t at = 0;
+  for (const std::size_t cut : cuts) {
+    reader.feed(stream.data() + at, cut - at, sink);
+    at = cut;
+  }
+  reader.feed(stream.data() + at, stream.size() - at, sink);
+  return frames;
+}
+
+std::vector<std::size_t> random_cuts(su::Rng& rng, std::size_t bytes,
+                                     std::size_t max_chunk) {
+  std::vector<std::size_t> cuts;
+  for (std::size_t at = 1 + rng.uniform_index(max_chunk); at < bytes;
+       at += 1 + rng.uniform_index(max_chunk)) {
+    cuts.push_back(at);
+  }
+  return cuts;
+}
+
+}  // namespace
+
+TEST(CommFrame, ValidStreamDecodesAtEverySplitAndChunking) {
+  const std::vector<Frame> frames = sample_frames();
+  const std::vector<unsigned char> stream = encode(frames);
+#ifdef STREAMBRAIN_TSAN_BUILD
+  // ThreadSanitizer instruments every copied byte, which stretches this
+  // quadratic sweep to 30 s. The reader is single-threaded, so under TSan
+  // the splits inside the large payload step by 61 bytes.
+  constexpr std::size_t kPayloadStep = 61;
+#else
+  constexpr std::size_t kPayloadStep = 1;
+#endif
+  const std::size_t large_begin = 2 * sizeof(scd::FrameHeader) +
+                                  frames[0].payload.size() +
+                                  frames[1].payload.size() +
+                                  sizeof(scd::FrameHeader);
+  const std::size_t large_end = large_begin + frames[2].payload.size();
+  for (std::size_t cut = 0; cut <= stream.size();
+       cut += cut > large_begin && cut + kPayloadStep < large_end
+                  ? kPayloadStep
+                  : 1) {
+    ASSERT_TRUE(decode(stream, {cut}) == frames) << "split at byte " << cut;
+  }
+  su::Rng rng(2025);
+  for (int trial = 0; trial < 64; ++trial) {
+    const std::size_t max_chunk = trial % 2 == 0 ? 7 : 9000;
+    ASSERT_TRUE(decode(stream, random_cuts(rng, stream.size(), max_chunk)) ==
+                frames)
+        << "trial " << trial;
+  }
+}
+
+TEST(CommFrame, HeaderAboveTheBoundOrOfUnknownKindIsRejected) {
+  // Only the 16 header bytes are fed: the reader must refuse before it
+  // allocates a payload (2^40 used to reach payload.resize() and throw
+  // std::bad_alloc).
+  const scd::FrameHeader bad[] = {
+      {0, scd::kDataFrame, scd::kMaxFrameBytes + 1},
+      {0, scd::kDataFrame, std::uint64_t{1} << 40},
+      {0, scd::kDataFrame, std::numeric_limits<std::uint64_t>::max()},
+      {0, scd::kPoisonFrame, scd::kMaxFrameBytes + 1},
+      {0, 2, 4},
+      {0, std::numeric_limits<std::uint32_t>::max(), 0},
+  };
+  for (const scd::FrameHeader& header : bad) {
+    scd::FrameReader reader;
+    const auto* bytes = reinterpret_cast<const unsigned char*>(&header);
+    int frames = 0;
+    try {
+      reader.feed(bytes, sizeof(header), [&](const auto&, auto) { ++frames; });
+      ADD_FAILURE() << "kind " << header.kind << ", size " << header.size
+                    << " was accepted";
+    } catch (const sc::CommError& error) {
+      EXPECT_NE(std::string(error.what()).find(std::to_string(header.size)),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(frames, 0);
+  }
+}
+
+TEST(CommFrame, MutatedStreamsYieldFramesOrCommError) {
+  // Truncations, byte stomps and bit-rot, half of them aimed at the frame
+  // headers, each fed in random chunks: the reader either completes
+  // frames (within the bound) or throws CommError — nothing else.
+  const std::vector<Frame> frames = sample_frames();
+  const std::vector<unsigned char> stream = encode(frames);
+  std::vector<std::size_t> headers;
+  for (std::size_t at = 0; const Frame& frame : frames) {
+    headers.push_back(at);
+    at += sizeof(frame.header) + frame.payload.size();
+  }
+  su::Rng rng(8);
+  const auto pick = [&] {
+    return rng.bernoulli(0.5)
+               ? headers[rng.uniform_index(headers.size())] +
+                     rng.uniform_index(sizeof(scd::FrameHeader))
+               : rng.uniform_index(stream.size());
+  };
+  int rejected = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::vector<unsigned char> mutated = stream;
+    const int edits = 1 + static_cast<int>(rng.uniform_index(4));
+    switch (trial % 3) {
+      case 0:
+        mutated.resize(rng.uniform_index(stream.size()));
+        break;
+      case 1:
+        for (int e = 0; e < edits; ++e) {
+          mutated[pick()] = static_cast<unsigned char>(rng());
+        }
+        break;
+      default:
+        for (int e = 0; e < edits; ++e) {
+          mutated[pick()] ^= static_cast<unsigned char>(1u << rng.uniform_index(8));
+        }
+        break;
+    }
+    try {
+      for (const Frame& frame : decode(mutated, random_cuts(rng, mutated.size(), 4096))) {
+        ASSERT_LE(frame.payload.size(), scd::kMaxFrameBytes);
+      }
+    } catch (const sc::CommError&) {
+      ++rejected;
+    } catch (const std::exception& error) {
+      FAIL() << "trial " << trial << " threw " << error.what();
+    }
+  }
+  EXPECT_GT(rejected, 0);  // the header mutations reached the checks
+}
+
 // --- Fault semantics: rank failures must never hang the world ---------------
 
 TEST(Comm, RankExceptionBeforeBarrierPoisonsWorldAndReturns) {
@@ -379,9 +578,7 @@ TEST(Comm, TcpPortsPastTheRangeAreRejected) {
   EXPECT_THROW((void)sc::connect(options), std::invalid_argument);
 }
 
-// --- Real multi-process transports (fork + shm / TCP) -----------------------
-
-#ifndef STREAMBRAIN_TSAN_BUILD
+// --- Hostile TCP peers and mismatched shm worlds ---------------------------
 
 namespace {
 
@@ -400,7 +597,140 @@ int pick_free_port() {
   return port;
 }
 
+/// A raw loopback client standing in for a rank: connects to `port`
+/// (retrying until the listener is up), writes `bytes`, then holds the
+/// socket open until destroyed or until `hold` has passed.
+class RawPeer {
+ public:
+  RawPeer(int port, std::vector<unsigned char> bytes,
+          std::chrono::milliseconds hold)
+      : thread_([this, port, bytes = std::move(bytes), hold] {
+          run(port, bytes, std::chrono::steady_clock::now() + hold);
+        }) {}
+  ~RawPeer() {
+    release_ = true;
+    thread_.join();
+  }
+  RawPeer(const RawPeer&) = delete;
+  RawPeer& operator=(const RawPeer&) = delete;
+
+ private:
+  void run(int port, const std::vector<unsigned char>& bytes,
+           std::chrono::steady_clock::time_point until) {
+    const auto live = [&] {
+      return !release_ && std::chrono::steady_clock::now() < until;
+    };
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    int fd = -1;
+    while (fd < 0 && live()) {
+      fd = ::socket(AF_INET, SOCK_STREAM, 0);
+      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+          0) {
+        ::close(fd);
+        fd = -1;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+    }
+    if (fd < 0) return;
+    if (!bytes.empty()) {
+      (void)::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    }
+    while (live()) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ::close(fd);
+  }
+
+  std::atomic<bool> release_{false};
+  std::thread thread_;
+};
+
+sc::TransportOptions tcp_rank0_of_two(int connect_timeout_ms) {
+  sc::TransportOptions options;
+  options.backend = sc::Backend::kTcp;
+  options.world = 2;
+  options.rank = 0;
+  options.ports = {pick_free_port(), pick_free_port()};
+  options.connect_timeout_ms = connect_timeout_ms;
+  options.op_timeout_ms = 10000;
+  return options;
+}
+
 }  // namespace
+
+TEST(Comm, TcpSilentConnectionCannotHoldEstablish) {
+  // A connection that never sends its hello used to hold rank 0 in a
+  // blocking read past connect_timeout, for as long as it stayed open.
+  const sc::TransportOptions options = tcp_rank0_of_two(500);
+  const RawPeer silent(options.ports[0], {}, std::chrono::seconds(4));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)sc::connect(options), sc::CommError);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(1500));
+}
+
+TEST(Comm, TcpOversizeFrameHeaderPoisonsInsteadOfAllocating) {
+  // The peer completes a valid hello as rank 1 ("SbHC" magic, then its
+  // rank), then sends a data header claiming 2^40 payload bytes.
+  const sc::TransportOptions options = tcp_rank0_of_two(10000);
+  const std::uint32_t hello[2] = {0x53624843u, 1};
+  const scd::FrameHeader header{0, scd::kDataFrame, std::uint64_t{1} << 40};
+  std::vector<unsigned char> bytes(sizeof(hello) + sizeof(header));
+  std::memcpy(bytes.data(), hello, sizeof(hello));
+  std::memcpy(bytes.data() + sizeof(hello), &header, sizeof(header));
+  const RawPeer peer(options.ports[0], bytes, std::chrono::seconds(10));
+
+  sc::Endpoint endpoint(options);
+  float value = 0.0f;
+  try {
+    endpoint.transport().recv(1, 0, &value, sizeof(value));
+    ADD_FAILURE() << "an oversize frame header was accepted";
+  } catch (const sc::CommError& error) {
+    EXPECT_EQ(error.failed_rank(), 1);
+    EXPECT_NE(std::string(error.what()).find("1099511627776"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_TRUE(endpoint.transport().poisoned());
+}
+
+TEST(Comm, ShmAttachRejectsAMismatchedWorld) {
+  // Rank 0 creates the segment for a world of 3; a rank launched with a
+  // world of 2 used to map it under its own (smaller) channel layout and
+  // attach, then fail later with a misleading op timeout.
+  sc::TransportOptions creator;
+  creator.backend = sc::Backend::kShm;
+  creator.world = 3;
+  creator.session = "sb_test_shm_world_" + std::to_string(::getpid());
+  creator.connect_timeout_ms = 800;
+  std::thread rank0([creator] {
+    try {
+      sc::Endpoint endpoint(creator);  // rank 2 never comes: times out
+    } catch (const sc::CommError&) {
+    }
+  });
+  sc::TransportOptions joiner = creator;
+  joiner.world = 2;
+  joiner.rank = 1;
+  joiner.connect_timeout_ms = 10000;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    sc::Endpoint endpoint(joiner);
+    ADD_FAILURE() << "a world-2 rank attached to a world-3 segment";
+  } catch (const sc::CommError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("world of 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("world of 2"), std::string::npos) << what;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(joiner.connect_timeout_ms));
+  rank0.join();
+}
+
+// --- Real multi-process transports (fork + shm / TCP) -----------------------
+
+#ifndef STREAMBRAIN_TSAN_BUILD
 
 TEST(Comm, ShmTwoProcessAllreduce) {
   sc::TransportOptions options;
