@@ -331,8 +331,8 @@ TEST(CommFrame, ValidStreamDecodesAtEverySplitAndChunking) {
 
 TEST(CommFrame, HeaderAboveTheBoundOrOfUnknownKindIsRejected) {
   // Only the 16 header bytes are fed: the reader must refuse before it
-  // allocates a payload (2^40 used to reach payload.resize() and throw
-  // std::bad_alloc).
+  // allocates a payload, so a size past RAM cannot surface as
+  // std::bad_alloc.
   const scd::FrameHeader bad[] = {
       {0, scd::kDataFrame, scd::kMaxFrameBytes + 1},
       {0, scd::kDataFrame, std::uint64_t{1} << 40},
@@ -660,8 +660,8 @@ sc::TransportOptions tcp_rank0_of_two(int connect_timeout_ms) {
 }  // namespace
 
 TEST(Comm, TcpSilentConnectionCannotHoldEstablish) {
-  // A connection that never sends its hello used to hold rank 0 in a
-  // blocking read past connect_timeout, for as long as it stayed open.
+  // A connection that never sends its hello must not hold rank 0 past
+  // connect_timeout, although it stays open for longer.
   const sc::TransportOptions options = tcp_rank0_of_two(500);
   const RawPeer silent(options.ports[0], {}, std::chrono::seconds(4));
   const auto start = std::chrono::steady_clock::now();
@@ -696,9 +696,9 @@ TEST(Comm, TcpOversizeFrameHeaderPoisonsInsteadOfAllocating) {
 }
 
 TEST(Comm, ShmAttachRejectsAMismatchedWorld) {
-  // Rank 0 creates the segment for a world of 3; a rank launched with a
-  // world of 2 used to map it under its own (smaller) channel layout and
-  // attach, then fail later with a misleading op timeout.
+  // Rank 0 creates the segment for a world of 3. A rank launched with a
+  // world of 2 must fail at attach, naming both sizes, rather than map
+  // the segment under its own channel layout.
   sc::TransportOptions creator;
   creator.backend = sc::Backend::kShm;
   creator.world = 3;
