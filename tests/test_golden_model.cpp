@@ -16,6 +16,9 @@
 // of its own (tier_<tier>_<head>.txt). Those digests hold for one
 // compiler's vectorization of the kernel bodies (GCC 12); a kernel
 // change that keeps its tier's bits keeps them byte for byte.
+// sgd_head_sparse_code trains the SGD head on an 8,000-event 1x300 code
+// of density about 0.17, so its head products skip zeros; the 700-event
+// codes are dense.
 //
 // Regenerate after an intentional behavior change with:
 //   STREAMBRAIN_UPDATE_GOLDEN=1 ./test_golden_model
@@ -32,6 +35,7 @@
 #include "data/higgs.hpp"
 #include "encode/one_hot.hpp"
 #include "golden_util.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/kernel_set.hpp"
 
 namespace sc = streambrain::core;
@@ -50,22 +54,31 @@ struct FixtureData {
   std::vector<int> y_test;
 };
 
+FixtureData make_fixture(std::size_t train_events) {
+  streambrain::data::SyntheticHiggsGenerator train_generator;
+  const auto train = train_generator.generate(train_events);
+  streambrain::data::HiggsGeneratorOptions opts;
+  opts.seed = 4242;
+  streambrain::data::SyntheticHiggsGenerator test_generator(opts);
+  const auto test = test_generator.generate(200);
+  streambrain::encode::OneHotEncoder encoder(10);
+  FixtureData out;
+  out.x_train = encoder.fit_transform(train.features);
+  out.y_train = train.labels;
+  out.x_test = encoder.transform(test.features);
+  out.y_test = test.labels;
+  return out;
+}
+
 const FixtureData& fixture() {
-  static const FixtureData data = [] {
-    streambrain::data::SyntheticHiggsGenerator train_generator;
-    const auto train = train_generator.generate(700);
-    streambrain::data::HiggsGeneratorOptions opts;
-    opts.seed = 4242;
-    streambrain::data::SyntheticHiggsGenerator test_generator(opts);
-    const auto test = test_generator.generate(200);
-    streambrain::encode::OneHotEncoder encoder(10);
-    FixtureData out;
-    out.x_train = encoder.fit_transform(train.features);
-    out.y_train = train.labels;
-    out.x_test = encoder.transform(test.features);
-    out.y_test = test.labels;
-    return out;
-  }();
+  static const FixtureData data = make_fixture(700);
+  return data;
+}
+
+/// Enough events that a 1x300 layer's trained code is mostly exact zeros
+/// (density about 0.17), so the SGD head's products skip zeros.
+const FixtureData& sparse_code_fixture() {
+  static const FixtureData data = make_fixture(8000);
   return data;
 }
 
@@ -101,6 +114,16 @@ Declare deep_stack() {
   };
 }
 
+/// The held-out digest of a model trained on `data`.
+Digest digest_of(sc::Model& model, const FixtureData& data) {
+  Digest digest;
+  digest.labels = model.predict(data.x_test);
+  digest.scores = model.predict_scores(data.x_test);
+  digest.accuracy = model.evaluate(data.x_test, data.y_test);
+  digest.log_loss = binary_log_loss(digest.scores, data.y_test);
+  return digest;
+}
+
 Digest run_model(const Declare& declare) {
   const FixtureData& data = fixture();
   sc::Model model;
@@ -108,12 +131,7 @@ Digest run_model(const Declare& declare) {
   declare(model);
   model.compile("simd", /*seed=*/7);
   model.fit(data.x_train, data.y_train);
-  Digest digest;
-  digest.labels = model.predict(data.x_test);
-  digest.scores = model.predict_scores(data.x_test);
-  digest.accuracy = model.evaluate(data.x_test, data.y_test);
-  digest.log_loss = binary_log_loss(digest.scores, data.y_test);
-  return digest;
+  return digest_of(model, data);
 }
 
 Digest run_at(st::DispatchLevel level, const Declare& declare) {
@@ -185,6 +203,30 @@ TEST(GoldenModel, SgdHeadMatchesCommittedDigest) {
 
 TEST(GoldenModel, DeepStackMatchesCommittedDigest) {
   check_against_golden("deep_stack", deep_stack());
+}
+
+// The 700-event shallow goldens train the head on a code of density 1.0,
+// so their head products never skip a zero. This one pins the head on a
+// code below tensor::kSparseDensityCrossover, and checks that it is.
+TEST(GoldenModel, SgdHeadOnASparseCodeMatchesCommittedDigest) {
+  const FixtureData& data = sparse_code_fixture();
+  const ScopedDispatch pin(st::DispatchLevel::kScalar);
+  sc::Model model;
+  model.input(28, 10)
+      .hidden(1, 300, 0.4)
+      .classifier(2, sc::HeadType::kSgd)
+      .set_option("epochs", 8)
+      .set_option("head_epochs", 4)
+      .compile("simd", /*seed=*/7);
+  model.fit(data.x_train, data.y_train);
+  const st::MatrixF code = model.network().transform(data.x_train);
+  std::size_t nonzeros = 0;
+  for (const float value : code) nonzeros += value != 0.0f;
+  EXPECT_LT(static_cast<double>(nonzeros) / static_cast<double>(code.size()),
+            st::kSparseDensityCrossover);
+  Digest expected;
+  expect_matches_golden("sgd_head_sparse_code", st::DispatchLevel::kScalar,
+                        digest_of(model, data), expected);
 }
 
 using TierAndHead = std::tuple<st::DispatchLevel, sc::HeadType>;
