@@ -5,6 +5,7 @@
 
 #include "data/dataset.hpp"
 #include "parallel/engine_registry.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/kernels.hpp"
 #include "util/timer.hpp"
 
@@ -147,8 +148,12 @@ double Network::train_head(const tensor::MatrixF& hidden_repr,
   const bool head_prune_cadence =
       cfg.prune_cadence > 0 && cfg.prune_density < 1.0;
   if (config_.head == HeadType::kSgd) {
+    // The code is the same every epoch: collect its nonzero lists once.
+    tensor::NonzeroRows code;
+    const tensor::NonzeroRows* nonzeros =
+        tensor::collect_sparse_rows(hidden_repr, code) ? &code : nullptr;
     for (std::size_t epoch = 0; epoch < cfg.head_epochs; ++epoch) {
-      last_loss = sgd_head_->train_epoch(hidden_repr, targets);
+      last_loss = sgd_head_->train_epoch(hidden_repr, nonzeros, targets);
       // Same prune/rewire cadence as the hidden layer (applied to either
       // head type): the mask pins pruned weights at zero between
       // re-selections.

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/head.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/kernels.hpp"
 
 namespace streambrain::core {
@@ -38,10 +37,43 @@ void SgdHead::predict(const tensor::MatrixF& features,
   tensor::softmax_blocks(probs, classes());
 }
 
+namespace {
+
+// The lists of rows[0, count) of `code`, in that order.
+void gather_rows(const tensor::NonzeroRows& code, const std::size_t* rows,
+                 std::size_t count, tensor::NonzeroRows& out) {
+  out.row_ptr.assign(1, 0);
+  out.col_idx.clear();
+  out.values.clear();
+  for (std::size_t r = 0; r < count; ++r) {
+    const std::uint64_t begin = code.row_ptr[rows[r]];
+    const std::uint64_t end = code.row_ptr[rows[r] + 1];
+    out.col_idx.insert(out.col_idx.end(), code.col_idx.begin() + begin,
+                       code.col_idx.begin() + end);
+    out.values.insert(out.values.end(), code.values.begin() + begin,
+                      code.values.begin() + end);
+    out.row_ptr.push_back(out.col_idx.size());
+  }
+}
+
+}  // namespace
+
 double SgdHead::train_epoch(const tensor::MatrixF& features,
                             const tensor::MatrixF& targets) {
+  tensor::NonzeroRows code;
+  return train_epoch(features,
+                     tensor::collect_sparse_rows(features, code) ? &code
+                                                                 : nullptr,
+                     targets);
+}
+
+double SgdHead::train_epoch(const tensor::MatrixF& features,
+                            const tensor::NonzeroRows* nonzeros,
+                            const tensor::MatrixF& targets) {
   require_mutable("train_epoch");
-  if (features.rows() != targets.rows() || targets.cols() != classes()) {
+  if (features.rows() != targets.rows() || targets.cols() != classes() ||
+      features.cols() != inputs() ||
+      (nonzeros != nullptr && nonzeros->rows() != features.rows())) {
     throw std::invalid_argument("SgdHead::train_epoch: shape mismatch");
   }
   const std::size_t n = features.rows();
@@ -49,6 +81,10 @@ double SgdHead::train_epoch(const tensor::MatrixF& features,
   std::iota(order.begin(), order.end(), 0);
   rng_.shuffle(order);
 
+  // A batch is its rows' nonzero lists (and, for the gradient, their
+  // transpose) when `nonzeros` is given, else a copy of its dense rows.
+  tensor::NonzeroRows batch_rows;
+  tensor::NonzeroRows batch_cols;
   tensor::MatrixF batch_x;
   tensor::MatrixF batch_t;
   tensor::MatrixF probs;
@@ -60,15 +96,30 @@ double SgdHead::train_epoch(const tensor::MatrixF& features,
   for (std::size_t start = 0; start < n; start += config_.batch_size) {
     const std::size_t end = std::min(start + config_.batch_size, n);
     const std::size_t b = end - start;
-    batch_x.resize(b, features.cols());
+    const std::size_t* rows = order.data() + start;
     batch_t.resize(b, classes());
     for (std::size_t r = 0; r < b; ++r) {
-      std::copy_n(features.row(order[start + r]), features.cols(),
-                  batch_x.row(r));
-      std::copy_n(targets.row(order[start + r]), classes(), batch_t.row(r));
+      std::copy_n(targets.row(rows[r]), classes(), batch_t.row(r));
+    }
+    if (nonzeros != nullptr) {
+      gather_rows(*nonzeros, rows, b, batch_rows);
+    } else {
+      batch_x.resize(b, features.cols());
+      for (std::size_t r = 0; r < b; ++r) {
+        std::copy_n(features.row(rows[r]), features.cols(), batch_x.row(r));
+      }
     }
 
-    predict(batch_x, probs);
+    // Forward: the softmax of X W + bias.
+    probs.resize(b, classes());
+    if (nonzeros != nullptr) {
+      tensor::gemm_nonzero_rows(1.0f, batch_rows, weights(), 0.0f, probs);
+    } else {
+      tensor::gemm_blocked(tensor::Transpose::kNo, tensor::Transpose::kNo,
+                           1.0f, batch_x, weights(), 0.0f, probs);
+    }
+    tensor::add_row_bias(probs, bias().data());
+    tensor::softmax_blocks(probs, classes());
 
     // Cross-entropy loss + softmax gradient (probs - targets).
     for (std::size_t r = 0; r < b; ++r) {
@@ -82,8 +133,14 @@ double SgdHead::train_epoch(const tensor::MatrixF& features,
     ++batches;
 
     // grad = X^T (probs - targets) / b  (+ L2)
-    tensor::gemm(tensor::Transpose::kYes, tensor::Transpose::kNo,
-                 1.0f / static_cast<float>(b), batch_x, probs, 0.0f, grad);
+    const float inv_b = 1.0f / static_cast<float>(b);
+    if (nonzeros != nullptr) {
+      tensor::transpose_nonzero_rows(batch_rows, inputs(), batch_cols);
+      tensor::gemm_nonzero_rows(inv_b, batch_cols, probs, 0.0f, grad);
+    } else {
+      tensor::gemm_blocked(tensor::Transpose::kYes, tensor::Transpose::kNo,
+                           inv_b, batch_x, probs, 0.0f, grad);
+    }
 
     const float lr = current_lr_;
     const float l2 = config_.l2;
@@ -93,7 +150,7 @@ double SgdHead::train_epoch(const tensor::MatrixF& features,
     // Bias gradient: column means of (probs - targets), then the same
     // fused momentum kernel as the weights (l2 = 0 for biases).
     tensor::col_sums(probs, bias_grad.data());
-    tensor::scale(1.0f / static_cast<float>(b), bias_grad.data(), classes());
+    tensor::scale(inv_b, bias_grad.data(), classes());
     tensor::momentum_update(mu, lr, 0.0f, bias_grad.data(),
                             mutable_bias().data(), bias_velocity_.data(),
                             classes());

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/weights.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/matrix.hpp"
 #include "util/rng.hpp"
 
@@ -32,6 +33,16 @@ class SgdHead final : public Weights {
   /// One epoch of minibatch SGD over (features, one-hot targets), in a
   /// deterministic shuffled order. Returns mean cross-entropy loss.
   double train_epoch(const tensor::MatrixF& features,
+                     const tensor::MatrixF& targets);
+
+  /// train_epoch for a caller that trains many epochs on one feature
+  /// matrix and collects its nonzero lists once: `nonzeros` holds them
+  /// when tensor::collect_sparse_rows(features) returned true, and is
+  /// nullptr when it returned false. Batches then multiply the lists of
+  /// their rows, or dense rows through tensor::gemm_blocked; the bits are
+  /// the same either way.
+  double train_epoch(const tensor::MatrixF& features,
+                     const tensor::NonzeroRows* nonzeros,
                      const tensor::MatrixF& targets);
 
   /// Class probabilities, [batch x classes].

@@ -104,95 +104,78 @@ void multiply_dense(const KernelSet& kernels, float alpha, const float* a,
   parallel::for_row_panels(m, kMinRowsPerTask, panel);
 }
 
-using detail::NonzeroRows;
-
 // Thread-local, so the buffers keep their capacity from call to call and
-// the zero-skipping path allocates nothing in steady state.
+// the zero-skipping path allocates nothing in steady state. The second
+// holds a transposed operand's stored rows.
 NonzeroRows& nonzero_scratch() {
   thread_local NonzeroRows rows;
   return rows;
 }
 
-// Fills `rows` with the nonzeros of op(A) (m x k). A counting pass runs
-// first and gives up, returning false, as soon as more than max_nnz
-// nonzeros have been seen, so a dense operand costs a fraction of one
-// compare pass over A.
-bool collect_nonzeros(Transpose trans, const MatrixF& a, std::size_t m,
-                      std::size_t k, std::size_t max_nnz, NonzeroRows& rows) {
+NonzeroRows& stored_rows_scratch() {
+  thread_local NonzeroRows rows;
+  return rows;
+}
+
+// Fills `rows` with the nonzeros of A (m x k). A counting pass runs first
+// and gives up, returning false, as soon as more than max_nnz nonzeros
+// have been seen, so a dense operand costs a fraction of one compare pass
+// over A.
+bool collect_nonzeros(const MatrixF& a, std::size_t max_nnz,
+                      NonzeroRows& rows) {
+  const std::size_t m = a.rows();
+  const std::size_t k = a.cols();
   if (k > std::numeric_limits<std::uint32_t>::max()) return false;
   auto& row_ptr = rows.row_ptr;
   row_ptr.assign(m + 1, 0);
   std::uint64_t nnz = 0;
-  if (trans == Transpose::kNo) {
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* a_row = a.row(i);
-      std::uint32_t count = 0;
-      for (std::size_t p = 0; p < k; ++p) count += a_row[p] != 0.0f;
-      nnz += count;
-      if (nnz > max_nnz) return false;
-      row_ptr[i + 1] = nnz;
-    }
-    // Branchless fill: every entry is written, only nonzeros advance.
-    rows.col_idx.resize(nnz + 1);
-    rows.values.resize(nnz + 1);
-    std::uint64_t pos = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* a_row = a.row(i);
-      for (std::size_t p = 0; p < k; ++p) {
-        rows.col_idx[pos] = static_cast<std::uint32_t>(p);
-        rows.values[pos] = a_row[p];
-        pos += a_row[p] != 0.0f;
-      }
-    }
-    return true;
-  }
-  // op(A) row i is stored column i: count per column, then place each
-  // stored row's nonzeros at their column's cursor (k ascends with the
-  // stored row). The row's nonzero positions are compacted branch-free
-  // first, so the scatter touches only the nonzeros.
-  for (std::size_t p = 0; p < k; ++p) {
-    const float* a_row = a.row(p);
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* a_row = a.row(i);
     std::uint32_t count = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::uint32_t nonzero = a_row[i] != 0.0f;
-      row_ptr[i + 1] += nonzero;
-      count += nonzero;
-    }
+    for (std::size_t p = 0; p < k; ++p) count += a_row[p] != 0.0f;
     nnz += count;
     if (nnz > max_nnz) return false;
+    row_ptr[i + 1] = nnz;
   }
-  for (std::size_t i = 0; i < m; ++i) row_ptr[i + 1] += row_ptr[i];
-  rows.col_idx.resize(nnz);
-  rows.values.resize(nnz);
-  rows.cursor.assign(row_ptr.begin(), row_ptr.end() - 1);
-  rows.positions.resize(m + 1);
-  for (std::size_t p = 0; p < k; ++p) {
-    const float* a_row = a.row(p);
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      rows.positions[count] = i;
-      count += a_row[i] != 0.0f;
-    }
-    for (std::size_t t = 0; t < count; ++t) {
-      const std::size_t i = rows.positions[t];
-      const std::uint64_t pos = rows.cursor[i]++;
+  // Branchless fill: every entry is written, only nonzeros advance.
+  rows.col_idx.resize(nnz + 1);
+  rows.values.resize(nnz + 1);
+  std::uint64_t pos = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* a_row = a.row(i);
+    for (std::size_t p = 0; p < k; ++p) {
       rows.col_idx[pos] = static_cast<std::uint32_t>(p);
-      rows.values[pos] = a_row[i];
+      rows.values[pos] = a_row[p];
+      pos += a_row[p] != 0.0f;
     }
   }
+  return true;
+}
+
+// The nonzeros of op(A): op(A) row i is stored column i, so for kYes the
+// stored rows' lists are collected and transposed.
+bool collect_nonzeros(Transpose trans, const MatrixF& a, std::size_t max_nnz,
+                      NonzeroRows& rows) {
+  if (trans == Transpose::kNo) return collect_nonzeros(a, max_nnz, rows);
+  NonzeroRows& stored = stored_rows_scratch();
+  if (a.rows() > std::numeric_limits<std::uint32_t>::max() ||
+      !collect_nonzeros(a, max_nnz, stored)) {
+    return false;
+  }
+  transpose_nonzero_rows(stored, a.cols(), rows);
   return true;
 }
 
 // Whether gemm takes the zero-skipping path: op(A) has nonzeros, strictly
 // fewer than the crossover density. Fills `rows` when it does.
 bool collect_sparse_operand(Transpose trans_a, const MatrixF& a,
-                            std::size_t m, std::size_t k, NonzeroRows& rows) {
-  if (m == 0 || k == 0) return false;
-  const auto total = static_cast<double>(m) * static_cast<double>(k);
+                            NonzeroRows& rows) {
+  if (a.size() == 0) return false;
   const auto max_nnz = static_cast<std::size_t>(
-      std::ceil(kSparseDensityCrossover * total) - 1.0);
-  return collect_nonzeros(trans_a, a, m, k, max_nnz, rows) &&
-         rows.row_ptr[m] != 0;
+      std::ceil(kSparseDensityCrossover * static_cast<double>(a.size())) -
+      1.0);
+  return collect_nonzeros(trans_a, a, max_nnz, rows) &&
+         rows.row_ptr.back() != 0;
 }
 
 // data[0, n) = beta * data with apply_beta's arithmetic; reports whether
@@ -212,18 +195,18 @@ bool scale_finds_negative_zero(float beta, float* data, std::size_t n) {
   return found != 0;
 }
 
-// C = alpha * op(A) * op(B) + beta * C from op(A)'s nonzero lists.
-void multiply_sparse(float alpha, const NonzeroRows& rows, Transpose trans_a,
-                     const MatrixF& a, Transpose trans_b, const MatrixF& b,
-                     float beta, MatrixF& c, std::size_t m, std::size_t n,
-                     std::size_t k) {
-  std::vector<float> b_storage;
-  const float* b_ptr = pack_b(trans_b, b, k, n, b_storage);
+// C = alpha * A * B + beta * C from A's nonzero lists (m x k), B packed
+// row-major (k x n). Where beta * C holds a -0.0, the product runs dense
+// over the A that dense_a(storage) returns, packed row-major.
+template <typename DenseA>
+void multiply_sparse(float alpha, const NonzeroRows& rows,
+                     const DenseA& dense_a, const float* b, float beta,
+                     MatrixF& c, std::size_t n, std::size_t k) {
+  const std::size_t m = rows.rows();
   const KernelSet& kernels = active_kernels();
   if (scale_finds_negative_zero(beta, c.data(), c.size())) {
     std::vector<float> a_storage;
-    multiply_dense(kernels, alpha, pack_a(trans_a, a, m, k, a_storage), b_ptr,
-                   c, m, n, k);
+    multiply_dense(kernels, alpha, dense_a(a_storage), b, c, m, n, k);
     return;
   }
   const std::uint64_t* row_ptr = rows.row_ptr.data();
@@ -240,9 +223,21 @@ void multiply_sparse(float alpha, const NonzeroRows& rows, Transpose trans_a,
     const std::size_t r0 = boundary(t);
     const std::size_t r1 = boundary(t + 1);
     kernels.gemm_sparse_rows(alpha, rows.values.data(), rows.col_idx.data(),
-                             row_ptr + r0, r1 - r0, b_ptr, n,
-                             c.data() + r0 * n, n, n);
+                             row_ptr + r0, r1 - r0, b, n, c.data() + r0 * n,
+                             n, n);
   });
+}
+
+// gemm's zero-skipping product, over op(A)'s nonzero lists.
+void multiply_sparse(float alpha, const NonzeroRows& rows, Transpose trans_a,
+                     const MatrixF& a, Transpose trans_b, const MatrixF& b,
+                     float beta, MatrixF& c, std::size_t n, std::size_t k) {
+  std::vector<float> b_storage;
+  const auto pack_op_a = [&](std::vector<float>& storage) {
+    return pack_a(trans_a, a, rows.rows(), k, storage);
+  };
+  multiply_sparse(alpha, rows, pack_op_a, pack_b(trans_b, b, k, n, b_storage),
+                  beta, c, n, k);
 }
 
 }  // namespace
@@ -282,22 +277,70 @@ void gemm_sparse_a(Transpose trans_a, Transpose trans_b, float alpha,
   const auto [m, n, k] = check_dims(trans_a, trans_b, a, b, c);
   NonzeroRows& rows = nonzero_scratch();
   if (m == 0 || n == 0 || k == 0 ||
-      !collect_nonzeros(trans_a, a, m, k, m * k, rows)) {
+      !collect_nonzeros(trans_a, a, m * k, rows)) {
     gemm_blocked(trans_a, trans_b, alpha, a, b, beta, c);
     return;
   }
-  multiply_sparse(alpha, rows, trans_a, a, trans_b, b, beta, c, m, n, k);
+  multiply_sparse(alpha, rows, trans_a, a, trans_b, b, beta, c, n, k);
 }
 
 void gemm(Transpose trans_a, Transpose trans_b, float alpha, const MatrixF& a,
           const MatrixF& b, float beta, MatrixF& c) {
   const auto [m, n, k] = check_dims(trans_a, trans_b, a, b, c);
   NonzeroRows& rows = nonzero_scratch();
-  if (n == 0 || !collect_sparse_operand(trans_a, a, m, k, rows)) {
+  if (n == 0 || !collect_sparse_operand(trans_a, a, rows)) {
     gemm_blocked(trans_a, trans_b, alpha, a, b, beta, c);
     return;
   }
-  multiply_sparse(alpha, rows, trans_a, a, trans_b, b, beta, c, m, n, k);
+  multiply_sparse(alpha, rows, trans_a, a, trans_b, b, beta, c, n, k);
+}
+
+bool collect_sparse_rows(const MatrixF& a, NonzeroRows& rows) {
+  return collect_sparse_operand(Transpose::kNo, a, rows);
+}
+
+void transpose_nonzero_rows(const NonzeroRows& a, std::size_t cols,
+                            NonzeroRows& out) {
+  const std::size_t m = a.rows();
+  const std::uint64_t nnz = m == 0 ? 0 : a.row_ptr[m];
+  // Each column's count goes two slots ahead, so after the prefix sum
+  // row_ptr[c + 1] is column c's first slot. The scatter advances it to
+  // column c's end, which is column c + 1's first slot, and the spare
+  // last slot is dropped.
+  auto& row_ptr = out.row_ptr;
+  row_ptr.assign(cols + 2, 0);
+  for (std::uint64_t q = 0; q < nnz; ++q) ++row_ptr[a.col_idx[q] + 2];
+  for (std::size_t c = 2; c < cols + 2; ++c) row_ptr[c] += row_ptr[c - 1];
+  out.col_idx.resize(nnz);
+  out.values.resize(nnz);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::uint64_t q = a.row_ptr[i]; q < a.row_ptr[i + 1]; ++q) {
+      const std::uint64_t pos = row_ptr[a.col_idx[q] + 1]++;
+      out.col_idx[pos] = static_cast<std::uint32_t>(i);
+      out.values[pos] = a.values[q];
+    }
+  }
+  row_ptr.pop_back();
+}
+
+void gemm_nonzero_rows(float alpha, const NonzeroRows& a, const MatrixF& b,
+                       float beta, MatrixF& c) {
+  const std::size_t k = b.rows();
+  const std::size_t n = b.cols();
+  if (c.rows() != a.rows() || c.cols() != n) {
+    throw std::invalid_argument("gemm_nonzero_rows: dimension mismatch");
+  }
+  if (c.size() == 0) return;
+  const auto densify = [&](std::vector<float>& storage) {
+    storage.assign(a.rows() * k, 0.0f);
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      for (std::uint64_t q = a.row_ptr[i]; q < a.row_ptr[i + 1]; ++q) {
+        storage[i * k + a.col_idx[q]] = a.values[q];
+      }
+    }
+    return static_cast<const float*>(storage.data());
+  };
+  multiply_sparse(alpha, a, densify, b.data(), beta, c, n, k);
 }
 
 bool GemmRows::reset(Transpose trans_a, float alpha, const MatrixF& a,
@@ -310,7 +353,7 @@ bool GemmRows::reset(Transpose trans_a, float alpha, const MatrixF& a,
   beta_ = beta;
   n_ = n;
   k_ = k;
-  return n != 0 && collect_sparse_operand(trans_a, a, m, k, nonzeros_);
+  return n != 0 && collect_sparse_operand(trans_a, a, nonzeros_);
 }
 
 void GemmRows::row(std::size_t i, float* c_row) const {

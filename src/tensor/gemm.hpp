@@ -15,6 +15,11 @@
 //
 // GemmRows runs gemm's zero-skipping path one row of C at a time, for the
 // BCPNN training step that fuses its weight recompute into the same pass.
+// gemm_nonzero_rows runs it on nonzero lists the caller already holds:
+// the SGD head collects its hidden code's lists once per fit
+// (collect_sparse_rows), and each batch gathers its rows' lists for the
+// forward product and transposes them (transpose_nonzero_rows) for the
+// weight gradient, instead of counting every batch's zeros twice.
 //
 // Zero-skip contract: skipping a zero entry of A drops terms that add
 // exactly zero, so gemm_sparse_a (and therefore gemm) is bit-identical to
@@ -69,20 +74,38 @@ inline constexpr double kSparseDensityCrossover = 0.25;
 void gemm(Transpose trans_a, Transpose trans_b, float alpha, const MatrixF& a,
           const MatrixF& b, float beta, MatrixF& c);
 
-namespace detail {
-
-/// The nonzero entries of op(A), row by row in ascending k (CSR layout).
+/// A matrix's nonzero entries, row by row in ascending column (CSR
+/// layout): row i holds (col_idx[q], values[q]) for q in [row_ptr[i],
+/// row_ptr[i + 1]). gemm collects them for its zero-skipping path; a
+/// caller that multiplies the same rows many times collects them once.
 struct NonzeroRows {
   std::vector<std::uint64_t> row_ptr;
   std::vector<std::uint32_t> col_idx;
   std::vector<float> values;
-  // trans_a = kYes only: each op(A) row's next free slot, and one
-  // stored row's nonzero positions.
-  std::vector<std::uint64_t> cursor;
-  std::vector<std::size_t> positions;
+
+  [[nodiscard]] std::size_t rows() const noexcept {
+    return row_ptr.empty() ? 0 : row_ptr.size() - 1;
+  }
 };
 
-}  // namespace detail
+/// gemm's choice for A (trans_a = kNo): returns true, with A's nonzero
+/// lists in `rows`, when A has nonzeros at a density below
+/// kSparseDensityCrossover; false otherwise. Its count gives up as soon
+/// as the crossover is passed, so a dense A costs a fraction of one
+/// compare pass.
+bool collect_sparse_rows(const MatrixF& a, NonzeroRows& rows);
+
+/// The nonzero lists of A^T (cols x a.rows()) from A's, by a counting
+/// scatter over A's entries only: each row of A^T lists A's rows in
+/// ascending order, the lists gemm collects for Transpose::kYes.
+void transpose_nonzero_rows(const NonzeroRows& a, std::size_t cols,
+                            NonzeroRows& out);
+
+/// C = alpha * A * B + beta * C with A [a.rows() x b.rows()] given by its
+/// nonzero lists: gemm's zero-skipping path, bit-identical to
+/// gemm_blocked over the dense A the lists describe when B is finite.
+void gemm_nonzero_rows(float alpha, const NonzeroRows& a, const MatrixF& b,
+                       float beta, MatrixF& c);
 
 /// gemm(trans_a, Transpose::kNo, alpha, a, b, beta, c) one row of C at a
 /// time, for a caller that fuses its own per-row work into the same pass
@@ -112,7 +135,7 @@ class GemmRows {
   float beta_ = 0.0f;
   std::size_t n_ = 0;
   std::size_t k_ = 0;
-  detail::NonzeroRows nonzeros_;
+  NonzeroRows nonzeros_;
 };
 
 /// Convenience: C = A * B with fresh output.

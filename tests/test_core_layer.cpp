@@ -8,6 +8,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/classifier.hpp"
@@ -16,7 +19,9 @@
 #include "data/dataset.hpp"
 #include "parallel/engine_registry.hpp"
 #include "parallel/thread_pool.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/kernel_set.hpp"
+#include "tensor/kernels.hpp"
 #include "util/rng.hpp"
 
 namespace sc = streambrain::core;
@@ -684,4 +689,130 @@ TEST(SgdHead, RejectsShapeMismatch) {
   st::MatrixF x(2, 4);
   st::MatrixF bad(3, 2);
   EXPECT_THROW(head.train_epoch(x, bad), std::invalid_argument);
+}
+
+namespace {
+
+/// One epoch of SgdHead::train_epoch written out over dense batch copies
+/// and tensor::gemm_blocked: the head's zero-skipping batches must match
+/// it bit for bit. `rng` replays the head's shuffle stream.
+void reference_epoch(sc::SgdHead& head, su::Rng& rng, const st::MatrixF& x,
+                     const st::MatrixF& targets) {
+  const std::size_t n = x.rows();
+  const std::size_t classes = head.classes();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  rng.shuffle(order);
+  st::MatrixF grad(head.inputs(), classes);
+  std::vector<float> bias_grad(classes);
+  for (std::size_t start = 0; start < n; start += head.config().batch_size) {
+    const std::size_t b = std::min(head.config().batch_size, n - start);
+    st::MatrixF batch_x(b, x.cols());
+    for (std::size_t r = 0; r < b; ++r) {
+      std::copy_n(x.row(order[start + r]), x.cols(), batch_x.row(r));
+    }
+    st::MatrixF probs(b, classes);
+    st::gemm_blocked(st::Transpose::kNo, st::Transpose::kNo, 1.0f, batch_x,
+                     head.weights(), 0.0f, probs);
+    st::add_row_bias(probs, head.bias().data());
+    st::softmax_blocks(probs, classes);
+    for (std::size_t r = 0; r < b; ++r) {
+      for (std::size_t c = 0; c < classes; ++c) {
+        probs(r, c) -= targets(order[start + r], c);
+      }
+    }
+    const float inv_b = 1.0f / static_cast<float>(b);
+    st::gemm_blocked(st::Transpose::kYes, st::Transpose::kNo, inv_b, batch_x,
+                     probs, 0.0f, grad);
+    st::col_sums(probs, bias_grad.data());
+    st::scale(inv_b, bias_grad.data(), classes);
+    head.apply_gradient(grad, bias_grad);
+  }
+  head.end_epoch();
+}
+
+/// A fresh head and an Rng at the point of the head's stream where its
+/// first shuffle draws.
+struct ReferenceHead {
+  ReferenceHead(std::size_t inputs, std::size_t classes,
+                const sc::SgdHeadConfig& config)
+      : head(inputs, classes, config), rng(config.seed) {
+    for (std::size_t i = 0; i < inputs * classes; ++i) {
+      (void)rng.normal(0.0, 0.01);
+    }
+  }
+  sc::SgdHead head;
+  su::Rng rng;
+};
+
+::testing::AssertionResult same_head(const sc::SgdHead& expected,
+                                     const sc::SgdHead& actual) {
+  const auto weights =
+      same_bits(expected.weights().data(), actual.weights().data(),
+                expected.weights().size(), "weights");
+  if (!weights) return weights;
+  return same_bits(expected.bias().data(), actual.bias().data(),
+                   expected.classes(), "bias");
+}
+
+}  // namespace
+
+TEST(SgdHead, NonzeroListEpochsAreBitIdenticalToDenseBatches) {
+  // 150 rows in batches of 32 leave a final batch of 22. Rows 3 and 40
+  // are all zero, and one entry of row 5 is -0.0, which the nonzero lists
+  // drop and the dense batches multiply.
+  constexpr std::size_t kRows = 150;
+  constexpr std::size_t kInputs = 40;
+  constexpr std::size_t kClasses = 2;
+  constexpr std::size_t kEpochs = 3;
+  sc::SgdHeadConfig config;
+  config.batch_size = 32;
+  config.learning_rate = 0.5f;
+  const DispatchGuard guard;
+  for (const double density : {0.2, 0.6}) {
+    su::Rng rng(static_cast<std::uint64_t>(density * 10));
+    st::MatrixF code(kRows, kInputs, 0.0f);
+    st::MatrixF targets(kRows, kClasses, 0.0f);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      targets(r, rng.uniform_index(kClasses)) = 1.0f;
+      if (r == 3 || r == 40) continue;
+      for (float& value : std::span(code.row(r), kInputs)) {
+        if (rng.uniform() < density) {
+          value = static_cast<float>(rng.uniform(0.01, 1.0));
+        }
+      }
+    }
+    std::size_t zero_input = 0;
+    while (code(5, zero_input) != 0.0f) ++zero_input;
+    code(5, zero_input) = -0.0f;
+
+    st::NonzeroRows lists;
+    const bool sparse = st::collect_sparse_rows(code, lists);
+    ASSERT_EQ(sparse, density < st::kSparseDensityCrossover);
+    for (const st::DispatchLevel level :
+         {st::DispatchLevel::kScalar, st::DispatchLevel::kSse42,
+          st::DispatchLevel::kAvx2}) {
+      if (st::kernel_set_for(level) == nullptr) continue;
+      st::force_dispatch(level);
+      const std::string where = std::string(st::dispatch_level_name(level)) +
+                                " at density " + std::to_string(density);
+
+      // Network::train_head's form: lists collected once, many epochs.
+      ReferenceHead reference(kInputs, kClasses, config);
+      sc::SgdHead head(kInputs, kClasses, config);
+      for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
+        reference_epoch(reference.head, reference.rng, code, targets);
+        head.train_epoch(code, sparse ? &lists : nullptr, targets);
+        EXPECT_TRUE(same_head(reference.head, head))
+            << where << ", epoch " << epoch;
+      }
+
+      // partial_fit's and OnlineTrainer's form: one call that collects.
+      ReferenceHead one_call(kInputs, kClasses, config);
+      sc::SgdHead streamed(kInputs, kClasses, config);
+      reference_epoch(one_call.head, one_call.rng, code, targets);
+      streamed.train_epoch(code, targets);
+      EXPECT_TRUE(same_head(one_call.head, streamed)) << where << ", one call";
+    }
+  }
 }

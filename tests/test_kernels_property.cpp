@@ -699,6 +699,9 @@ TEST_P(GemmZeroSkipAtTier, IsBitIdenticalToBlocked) {
       const st::MatrixF op_a = make_op_a(pattern, m, k, rng);
       const st::MatrixF a_stored[] = {stored(st::Transpose::kNo, op_a),
                                       stored(st::Transpose::kYes, op_a)};
+      // What nonzero lists describe: op(A) with its -0.0 entries as +0.0.
+      st::MatrixF op_a_listed = op_a;
+      for (float& v : op_a_listed) v = v == 0.0f ? 0.0f : v;
       for (const std::size_t n : {1UL, 7UL, 15UL, 17UL, 300UL, 3000UL}) {
         const st::MatrixF op_b = make_op_b(k, n, rng);
         const st::MatrixF b_stored[] = {stored(st::Transpose::kNo, op_b),
@@ -731,6 +734,30 @@ TEST_P(GemmZeroSkipAtTier, IsBitIdenticalToBlocked) {
                 ASSERT_TRUE(same_bits(expected, skipping))
                     << "gemm_sparse_a " << where();
                 if (tb == st::Transpose::kNo) {
+                  // gemm_nonzero_rows as the SGD head runs it: A's lists
+                  // for kNo, the stored rows' lists transposed for kYes.
+                  st::NonzeroRows lists;
+                  if (st::collect_sparse_rows(a, lists)) {
+                    st::NonzeroRows op_lists;
+                    if (ta == st::Transpose::kYes) {
+                      st::transpose_nonzero_rows(lists, m, op_lists);
+                    }
+                    st::MatrixF listed = c0;
+                    st::gemm_nonzero_rows(
+                        alpha, ta == st::Transpose::kYes ? op_lists : lists,
+                        b, beta, listed);
+                    // The -0.0 fallback (alpha 0.37 seeds C with signed
+                    // zeros) runs dense over the matrix the lists
+                    // describe, whose -0.0 entries are +0.0.
+                    st::MatrixF listed_expected = expected;
+                    if (alpha != 1.0f && beta != 0.0f) {
+                      listed_expected = c0;
+                      st::gemm_blocked(st::Transpose::kNo, tb, alpha,
+                                       op_a_listed, b, beta, listed_expected);
+                    }
+                    ASSERT_TRUE(same_bits(listed_expected, listed))
+                        << "gemm_nonzero_rows " << where();
+                  }
                   st::GemmRows rows;
                   if (rows.reset(ta, alpha, a, b, beta, c0)) {
                     st::MatrixF by_row = c0;
