@@ -36,7 +36,19 @@ inline float fast_exp(float x) noexcept {
   constexpr float kLog2E = 1.442695040888963f;
   constexpr float kLn2Hi = 0.693145751953125f;
   constexpr float kLn2Lo = 1.428606765330187e-06f;
-  const float kf = std::nearbyint(x * kLog2E);
+  // k = x * log2(e) rounded to nearest even, without a libm call: on the
+  // clamped range |x * log2(e)| < 2^22, so the sum with 1.5 * 2^23 lies
+  // in [2^23, 2^24), where floats are the integers and the add rounds as
+  // nearbyint does in the default rounding mode; the subtract is exact.
+  // The + 0.0f keeps the product rounded on its own where the compiler
+  // contracts a multiply and an add into an FMA: the contracted form
+  // fma(x, log2(e), 0) rounds the same product, while a contracted
+  // fma(x, log2(e), 1.5 * 2^23) would round the exact product to an
+  // integer, which differs from nearbyint of the rounded product at some
+  // inputs whose product lies near a half-integer.
+  constexpr float kRoundShift = 12582912.0f;
+  const float scaled = x * kLog2E + 0.0f;
+  const float kf = (scaled + kRoundShift) - kRoundShift;
   const int k = static_cast<int>(kf);
   const float r = (x - kf * kLn2Hi) - kf * kLn2Lo;
 
