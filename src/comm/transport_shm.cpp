@@ -127,8 +127,26 @@ std::shared_ptr<Segment> create_segment(const std::string& session,
   return segment;
 }
 
-std::shared_ptr<Segment> attach_segment(const std::string& session, int world,
-                                        int connect_timeout_ms) {
+// Claims the segment's poison word for `failed_rank` and publishes
+// `reason` with it; once a first writer holds the claim, later reasons are
+// dropped.
+void poison_segment(ShmHeader* header, int failed_rank,
+                    const std::string& reason) noexcept {
+  int expected = 0;
+  if (header->poison_claim.compare_exchange_strong(
+          expected, 1, std::memory_order_acq_rel)) {
+    const std::size_t n = std::min(reason.size(), kReasonBytes - 1);
+    std::memcpy(header->poison_reason, reason.data(), n);
+    header->poison_reason[n] = '\0';
+    header->poison_word.store(failed_rank + 2, std::memory_order_release);
+  }
+}
+
+// Maps the segment rank 0 created. A world-size mismatch poisons the
+// segment before it throws, so the ranks waiting for this one to attach
+// fail with its reason instead of at their connect timeout.
+std::shared_ptr<Segment> attach_segment(const std::string& session, int rank,
+                                        int world, int connect_timeout_ms) {
   const std::string name = segment_name(session);
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(connect_timeout_ms);
@@ -159,11 +177,13 @@ std::shared_ptr<Segment> attach_segment(const std::string& session, int world,
           std::this_thread::yield();
         }
         if (segment->header()->world != world) {
-          throw CommError(
-              -1, "shm segment " + name + " was created for a world of " +
-                      std::to_string(segment->header()->world) +
-                      " ranks, but this rank was launched with a world of " +
-                      std::to_string(world));
+          const std::string reason =
+              "rank " + std::to_string(rank) + " was launched with a world of " +
+              std::to_string(world) + " ranks, but shm segment " + name +
+              " was created for a world of " +
+              std::to_string(segment->header()->world);
+          poison_segment(segment->header(), rank, reason);
+          throw CommError(-1, reason);
         }
         return segment;
       }
@@ -199,7 +219,7 @@ class ShmTransport final : public detail::FramedTransport {
       if (rank_ == 0) {
         segment_ = create_segment(options_.session, size_);
       } else {
-        segment_ = attach_segment(options_.session, size_,
+        segment_ = attach_segment(options_.session, rank_, size_,
                                   options_.connect_timeout_ms);
       }
       ShmHeader* header = segment_->header();
@@ -208,8 +228,10 @@ class ShmTransport final : public detail::FramedTransport {
           Clock::now() +
           std::chrono::milliseconds(options_.connect_timeout_ms);
       while (header->attached.load(std::memory_order_acquire) < size_) {
-        if (Clock::now() >= deadline) {
+        if (header->poison_word.load(std::memory_order_acquire) != 0 ||
+            Clock::now() >= deadline) {
           if (rank_ == 0) ::shm_unlink(segment_->name().c_str());
+          sync_poison();
           throw CommError(
               -1, "timed out waiting for all " + std::to_string(size_) +
                       " ranks to attach shm segment " + segment_->name());
@@ -297,15 +319,7 @@ class ShmTransport final : public detail::FramedTransport {
   void announce_poison(int failed_rank,
                        const std::string& reason) noexcept override {
     if (segment_ == nullptr) return;  // failed before establish()
-    ShmHeader* header = segment_->header();
-    int expected = 0;
-    if (header->poison_claim.compare_exchange_strong(
-            expected, 1, std::memory_order_acq_rel)) {
-      const std::size_t n = std::min(reason.size(), kReasonBytes - 1);
-      std::memcpy(header->poison_reason, reason.data(), n);
-      header->poison_reason[n] = '\0';
-      header->poison_word.store(failed_rank + 2, std::memory_order_release);
-    }
+    poison_segment(segment_->header(), failed_rank, reason);
   }
 
  private:

@@ -698,22 +698,29 @@ TEST(Comm, TcpOversizeFrameHeaderPoisonsInsteadOfAllocating) {
 TEST(Comm, ShmAttachRejectsAMismatchedWorld) {
   // Rank 0 creates the segment for a world of 3. A rank launched with a
   // world of 2 must fail at attach, naming both sizes, rather than map
-  // the segment under its own channel layout.
+  // the segment under its own channel layout. It poisons the segment
+  // first, so rank 0 fails with that reason long before its own connect
+  // timeout instead of waiting it out.
   sc::TransportOptions creator;
   creator.backend = sc::Backend::kShm;
   creator.world = 3;
   creator.session = "sb_test_shm_world_" + std::to_string(::getpid());
-  creator.connect_timeout_ms = 800;
-  std::thread rank0([creator] {
+  creator.connect_timeout_ms = 10000;
+  std::string creator_error;
+  std::chrono::steady_clock::duration creator_wait{};
+  std::thread rank0([&] {
+    const auto start = std::chrono::steady_clock::now();
     try {
-      sc::Endpoint endpoint(creator);  // rank 2 never comes: times out
-    } catch (const sc::CommError&) {
+      sc::Endpoint endpoint(creator);
+      creator_error = "rank 0 established a world with a mismatched rank";
+    } catch (const sc::CommError& error) {
+      creator_error = error.what();
     }
+    creator_wait = std::chrono::steady_clock::now() - start;
   });
   sc::TransportOptions joiner = creator;
   joiner.world = 2;
   joiner.rank = 1;
-  joiner.connect_timeout_ms = 10000;
   const auto start = std::chrono::steady_clock::now();
   try {
     sc::Endpoint endpoint(joiner);
@@ -726,6 +733,12 @@ TEST(Comm, ShmAttachRejectsAMismatchedWorld) {
   EXPECT_LT(std::chrono::steady_clock::now() - start,
             std::chrono::milliseconds(joiner.connect_timeout_ms));
   rank0.join();
+  EXPECT_NE(creator_error.find("world of 3"), std::string::npos)
+      << creator_error;
+  EXPECT_NE(creator_error.find("world of 2"), std::string::npos)
+      << creator_error;
+  EXPECT_LT(creator_wait,
+            std::chrono::milliseconds(creator.connect_timeout_ms / 2));
 }
 
 // --- Real multi-process transports (fork + shm / TCP) -----------------------
