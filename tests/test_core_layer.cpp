@@ -689,6 +689,13 @@ TEST(SgdHead, RejectsShapeMismatch) {
   st::MatrixF x(2, 4);
   st::MatrixF bad(3, 2);
   EXPECT_THROW(head.train_epoch(x, bad), std::invalid_argument);
+  st::MatrixF targets(2, 2);
+  EXPECT_THROW(head.train_epoch(st::MatrixF(2, 5), targets),
+               std::invalid_argument);
+  // Nonzero lists of another row count than the features.
+  st::NonzeroRows lists;
+  lists.row_ptr.assign(4, 0);
+  EXPECT_THROW(head.train_epoch(x, &lists, targets), std::invalid_argument);
 }
 
 namespace {
