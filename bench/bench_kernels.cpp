@@ -10,6 +10,12 @@
 // density from 0.05 to 0.5 through gemm_sparse_a, which is where
 // tensor::kSparseDensityCrossover comes from.
 //
+// The paired rows time two ways to the same bits at every tier: the
+// simd engine's support_masked against its support on the one-hot
+// input of a 1 x 3000 and a 1 x 300 layer whose receptive field keeps
+// 12 of the 28 input hypercolumns, and the multi-block softmax_blocks
+// against one call per block.
+//
 // The JSON header names the build (git sha at configure time, compiler,
 // build type), the host's cores and dispatch tier, and the statistic:
 // every time is the median of --reps timed calls after one warmup, with
@@ -112,6 +118,24 @@ std::string shape_name(std::size_t m, std::size_t k, std::size_t n) {
   return std::to_string(m) + "x" + std::to_string(k) + "x" + std::to_string(n);
 }
 
+/// Two entry points to the same bits on one shape and tier.
+struct PairResult {
+  std::string kernel;   ///< the timed entry point
+  std::string against;  ///< the entry point it replaces
+  std::string shape;
+  std::string tier;
+  Timing time;
+  Timing against_time;
+};
+
+void print_pair(const PairResult& r) {
+  std::printf("  %-14s vs %-16s %-14s %-7s %8.3f ms  vs %8.3f ms  %5.2fx\n",
+              r.kernel.c_str(), r.against.c_str(), r.shape.c_str(),
+              r.tier.c_str(), r.time.median * 1e3,
+              r.against_time.median * 1e3,
+              r.against_time.median / r.time.median);
+}
+
 void print_skip(const SkipResult& r) {
   std::printf("  %-7s %-13s %-14s d=%.2f %-7s dense %8.3f ms  skip %8.3f ms"
               "  %5.2fx\n",
@@ -206,7 +230,7 @@ int main(int argc, char** argv) {
                                  {"dot", 2.0},
                                  {"reduce_sum", 1.0},
                                  {"vexp", 1.0},
-                                 {"softmax_block", 4.0}};
+                                 {"softmax_blocks", 4.0}};
     for (int which = 0; which < 5; ++which) {
       const Timing timing = time_call(reps * 4, [&] {
         switch (which) {
@@ -224,7 +248,7 @@ int main(int argc, char** argv) {
             break;
           case 4:
             std::copy_n(xs.data(), kN, scratch.data());
-            tier->softmax_block(scratch.data(), kN, 1.0f);
+            tier->softmax_blocks(scratch.data(), 1, kN, 1, kN, 1.0f);
             break;
         }
       });
@@ -305,6 +329,59 @@ int main(int argc, char** argv) {
   }
   st::force_dispatch(original);
 
+  // --- The masked support and the multi-block softmax -------------------
+  std::printf("\npaired (same bits):\n");
+  std::vector<PairResult> pairs;
+  auto engine = parallel::EngineRegistry::instance().create("simd");
+  constexpr std::size_t kInputHypercolumns = 28;
+  constexpr std::size_t kActiveHypercolumns = 12;
+  for (const auto& [batch, outputs] :
+       {std::pair<std::size_t, std::size_t>{256, 3000}, {64, 300}}) {
+    // One HCU listening to the first 12 of 28 input hypercolumns; the
+    // silenced blocks of W hold +0.0, as the layer keeps them.
+    std::vector<std::uint8_t> active(kInputHypercolumns, 0);
+    std::fill_n(active.begin(), kActiveHypercolumns, 1);
+    const parallel::WeightMask mask{
+        .block_rows = 10, .block_cols = outputs, .active = active.data()};
+    st::MatrixF w = random_matrix(280, outputs, rng);
+    mask.apply(w);
+    const std::vector<float> bias(outputs, 0.25f);
+    const st::MatrixF x = one_hot_batch(batch, rng);
+    st::MatrixF s(batch, outputs, 0.0f);
+    for (const st::KernelSet* tier : tiers) {
+      st::force_dispatch(tier->level);
+      const Timing masked = time_call(reps, [&] {
+        engine->support_masked(x, w, bias.data(), mask, s);
+      });
+      const Timing plain =
+          time_call(reps, [&] { engine->support(x, w, bias.data(), s); });
+      pairs.push_back({"support_masked", "support",
+                       shape_name(batch, 280, outputs), tier->name, masked,
+                       plain});
+      print_pair(pairs.back());
+    }
+  }
+  st::force_dispatch(original);
+  for (const auto& [rows, n] : {std::pair<std::size_t, std::size_t>{256, 3000},
+                                {64, 300},
+                                {64, 2}}) {
+    st::MatrixF values = random_matrix(rows, n, rng);
+    const std::string shape = std::to_string(rows) + "x" + std::to_string(n);
+    for (const st::KernelSet* tier : tiers) {
+      const Timing blocked = time_call(reps * 4, [&] {
+        tier->softmax_blocks(values.data(), rows, n, 1, n, 1.0f);
+      });
+      const Timing one_by_one = time_call(reps * 4, [&] {
+        for (std::size_t r = 0; r < rows; ++r) {
+          tier->softmax_blocks(values.row(r), 1, n, 1, n, 1.0f);
+        }
+      });
+      pairs.push_back({"softmax_blocks", "one block a call", shape,
+                       tier->name, blocked, one_by_one});
+      print_pair(pairs.back());
+    }
+  }
+
   // --- JSON report ------------------------------------------------------
   std::ofstream out(out_path);
   out << "{\n";
@@ -352,6 +429,20 @@ int main(int argc, char** argv) {
         << ", \"skip_mad_seconds\": " << r.skipping.mad
         << ", \"speedup_vs_dense\": " << r.dense.median / r.skipping.median
         << "}" << (i + 1 < skips.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n";
+  out << "  \"paired_results\": [\n";
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const PairResult& r = pairs[i];
+    out << "    {\"kernel\": \"" << r.kernel << "\", \"against\": \""
+        << r.against << "\", \"shape\": \"" << r.shape
+        << "\", \"tier\": \"" << r.tier
+        << "\", \"seconds\": " << r.time.median
+        << ", \"mad_seconds\": " << r.time.mad
+        << ", \"against_seconds\": " << r.against_time.median
+        << ", \"against_mad_seconds\": " << r.against_time.mad
+        << ", \"speedup\": " << r.against_time.median / r.time.median << "}"
+        << (i + 1 < pairs.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   std::printf("\nbest GEMM speedup vs scalar: %.2fx\nwrote %s\n",

@@ -284,15 +284,15 @@ Phase trace_phase(ProbabilityTraces& traces, float alpha,
 
 /// Unsupervised hidden-layer phase: schedule parameters all come from the
 /// layer's own config, so the same code drives every layer of the stack.
-Phase unsupervised_phase(parallel::Engine& engine, BcpnnLayer& layer,
-                         std::uint64_t stream) {
+/// The layer's noisy forward runs on its engine, from the shard's stream.
+Phase unsupervised_phase(BcpnnLayer& layer, std::uint64_t stream) {
   const BcpnnConfig& cfg = layer.config();
   Phase phase = trace_phase(layer.mutable_traces(), cfg.alpha,
                             [&layer] { layer.recompute_weights(); });
   phase.epochs = cfg.epochs;
   phase.batch_size = cfg.batch_size;
   phase.stream = mix(cfg.seed, stream);
-  phase.shard_stats = [&engine, &layer, &cfg, phase_stream = phase.stream,
+  phase.shard_stats = [&layer, &cfg, phase_stream = phase.stream,
                        activations = tensor::MatrixF(),
                        pij_scratch = tensor::MatrixF()](
                           const tensor::MatrixF& shard_x,
@@ -305,13 +305,8 @@ Phase unsupervised_phase(parallel::Engine& engine, BcpnnLayer& layer,
                                : 1.0f;
     const float noise_std =
         cfg.noise_start + (cfg.noise_end - cfg.noise_start) * progress;
-    engine.support(shard_x, layer.weights(), layer.bias().data(),
-                   activations);
-    if (noise_std > 0.0f) {
-      util::Rng noise_rng = shard_noise_rng(phase_stream, epoch, batch, shard);
-      add_normal_noise(noise_rng, activations, noise_std);
-    }
-    engine.softmax_hcu(activations, cfg.mcus, cfg.inverse_temperature);
+    util::Rng noise_rng = shard_noise_rng(phase_stream, epoch, batch, shard);
+    layer.forward_noisy(shard_x, activations, noise_std, noise_rng);
     accumulate_trace_stats(shard_x, activations, pij_scratch, slot);
   };
   phase.end_epoch = [&layer] { layer.plasticity_step(); };
@@ -405,7 +400,7 @@ void train_replica(comm::Communicator& comm, const DistributedOptions& opts,
   const tensor::MatrixF below =
       net.train_layers(x, [&](std::size_t l, const tensor::MatrixF& code) {
         run_phase(comm, opts,
-                  unsupervised_phase(net.engine(), net.mutable_layer(l),
+                  unsupervised_phase(net.mutable_layer(l),
                                      net.depth() == 1 ? 1 : 16 + l),
                   code, nullptr, sync_count);
       });

@@ -84,20 +84,32 @@ void BcpnnLayer::forward(const tensor::MatrixF& x,
     throw std::invalid_argument("BcpnnLayer::forward: input width mismatch");
   }
   if (!read_only_support(x, activations)) {
-    engine_->support(x, weights(), bias().data(), activations);
+    engine_->support_masked(x, weights(), bias().data(), weight_mask(),
+                            activations);
   }
   engine_->softmax_hcu(activations, config_.mcus, config_.inverse_temperature);
 }
 
 void BcpnnLayer::forward_noisy(const tensor::MatrixF& x,
                                tensor::MatrixF& activations, float noise_std) {
+  forward_noisy(x, activations, noise_std, rng_);
+}
+
+void BcpnnLayer::forward_noisy(const tensor::MatrixF& x,
+                               tensor::MatrixF& activations, float noise_std,
+                               util::Rng& rng) {
   if (noise_std <= 0.0f) {
     forward(x, activations);
     return;
   }
   require_mutable("forward_noisy");
-  engine_->support(x, weights(), bias().data(), activations);
-  add_normal_noise(rng_, activations, noise_std);
+  if (x.cols() != input_units()) {
+    throw std::invalid_argument(
+        "BcpnnLayer::forward_noisy: input width mismatch");
+  }
+  engine_->support_masked(x, weights(), bias().data(), weight_mask(),
+                          activations);
+  add_normal_noise(rng, activations, noise_std);
   engine_->softmax_hcu(activations, config_.mcus, config_.inverse_temperature);
 }
 

@@ -50,9 +50,16 @@ class BcpnnLayer final : public Weights {
   /// [batch x hidden_units()].
   void forward(const tensor::MatrixF& x, tensor::MatrixF& activations);
 
-  /// Forward with additive Gaussian support noise (training-time only).
+  /// Forward with additive Gaussian support noise (training-time only),
+  /// drawn from the layer's own stream. With noise_std <= 0 it is
+  /// forward().
   void forward_noisy(const tensor::MatrixF& x, tensor::MatrixF& activations,
                      float noise_std);
+
+  /// The same with the noise drawn from `rng` (add_normal_noise's order):
+  /// the distributed trainer's per-shard streams.
+  void forward_noisy(const tensor::MatrixF& x, tensor::MatrixF& activations,
+                     float noise_std, util::Rng& rng);
 
   // --- Learning ----------------------------------------------------------
   /// One unsupervised batch: noisy forward, then the engine's learn_batch

@@ -42,6 +42,12 @@ void WeightMask::apply(tensor::MatrixF& w) const {
                  panel);
 }
 
+void Engine::support_masked(const tensor::MatrixF& x, const tensor::MatrixF& w,
+                            const float* bias, const WeightMask& /*mask*/,
+                            tensor::MatrixF& s) {
+  support(x, w, bias, s);
+}
+
 void Engine::learn_batch(const tensor::MatrixF& x, const tensor::MatrixF& a,
                          float alpha, float eps, float k_beta,
                          const WeightMask& mask, float* pi, float* pj,

@@ -8,17 +8,20 @@
 // (engine_registry.hpp).
 //
 // An Engine supplies the four primitives that dominate BCPNN training,
-// and the training step built from the last two:
+// the support of a masked W, and the training step built from the
+// primitives:
 //
 //   support   : S = X * W + b           (batch GEMM + bias)
 //   softmax   : per-hypercolumn soft-WTA normalization of S
 //   traces    : EMA update of p_i, p_j, p_ij from a batch (X, A)
 //   weights   : w_ij = log(p_ij / (p_i p_j)), b_j = k_beta * log(p_j)
+//   masked    : support, for a W the WeightMask holds at zero
 //   learn     : traces, then weights, then the WeightMask — one batch
 //
-// learn_batch's default is that reference composition, so an engine need
-// not override it; "simd" overrides it with one fused pass over p_ij and
-// W that gives the same bits.
+// support_masked's default is support, and learn_batch's is that
+// reference composition, so an engine need override neither. "simd"
+// overrides both with the same bits: the support skips the masked
+// blocks' products, and the step is one fused pass over p_ij and W.
 
 #include <cstddef>
 #include <cstdint>
@@ -79,6 +82,14 @@ class Engine {
   /// bias has n_out entries, S is [batch x n_out] (resized by callee).
   virtual void support(const tensor::MatrixF& x, const tensor::MatrixF& w,
                        const float* bias, tensor::MatrixF& s) = 0;
+
+  /// support(x, w, bias, s) for a W whose blocks `mask` masks hold +0.0
+  /// (the layer's W after recompute_weights or learn_batch). The default
+  /// calls support; an override may skip the masked blocks' products and
+  /// must give support's bits.
+  virtual void support_masked(const tensor::MatrixF& x,
+                              const tensor::MatrixF& w, const float* bias,
+                              const WeightMask& mask, tensor::MatrixF& s);
 
   /// Per-hypercolumn softmax over blocks of `mcus_per_hcu` columns.
   virtual void softmax_hcu(tensor::MatrixF& s, std::size_t mcus_per_hcu,

@@ -150,9 +150,26 @@ class SimdEngine final : public Engine {
 
   void support(const MatrixF& x, const MatrixF& w, const float* bias,
                MatrixF& s) override {
+    support_masked(x, w, bias, WeightMask{}, s);
+  }
+
+  // gemm's product, and for a sparse X (one-hot codes) its zero-skipping
+  // path with the masked blocks' products skipped too
+  // (tensor::gemm_nonzero_blocks): the bits of support at every tier.
+  // Only the block masks skip work; a keep-mask's zeros are scattered.
+  void support_masked(const MatrixF& x, const MatrixF& w, const float* bias,
+                      const WeightMask& mask, MatrixF& s) override {
+    if (x.cols() != w.rows()) {
+      throw std::invalid_argument("support: dimension mismatch");
+    }
     s.resize(x.rows(), w.cols());
-    tensor::gemm(tensor::Transpose::kNo, tensor::Transpose::kNo, 1.0f, x, w,
-                 0.0f, s);
+    if (w.cols() != 0 && tensor::collect_sparse_rows(x, x_rows_)) {
+      tensor::gemm_nonzero_blocks(x_rows_, w, mask.block_rows,
+                                  mask.block_cols, mask.active, s);
+    } else {
+      tensor::gemm_blocked(tensor::Transpose::kNo, tensor::Transpose::kNo,
+                           1.0f, x, w, 0.0f, s);
+    }
     tensor::add_row_bias(s, bias);
   }
 
@@ -251,6 +268,7 @@ class SimdEngine final : public Engine {
   std::vector<float> mean_x_;
   std::vector<float> mean_a_;
   std::vector<float> log_pj_;
+  tensor::NonzeroRows x_rows_;
   tensor::GemmRows trace_rows_;
 };
 

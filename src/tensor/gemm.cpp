@@ -195,6 +195,33 @@ bool scale_finds_negative_zero(float beta, float* data, std::size_t n) {
   return found != 0;
 }
 
+// range(r0, r1) over row ranges of about equal nonzero count that split
+// `work` multiply-adds into tasks of at least kMinSparseWorkPerTask.
+template <typename Range>
+void for_nonzero_ranges(const NonzeroRows& rows, std::uint64_t work,
+                        const Range& range) {
+  const std::size_t m = rows.rows();
+  const std::uint64_t* row_ptr = rows.row_ptr.data();
+  const std::uint64_t nnz = row_ptr[m];
+  const std::size_t tasks = parallel::task_count(work / kMinSparseWorkPerTask);
+  const auto boundary = [&](std::size_t t) {
+    if (t == tasks) return m;
+    return static_cast<std::size_t>(
+        std::lower_bound(row_ptr, row_ptr + m, nnz * t / tasks) - row_ptr);
+  };
+  parallel::fan_out(tasks, [&](std::size_t t) {
+    range(boundary(t), boundary(t + 1));
+  });
+}
+
+bool holds_negative_zero(const float* data, std::size_t n) {
+  std::uint32_t found = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    found |= std::bit_cast<std::uint32_t>(data[i]) == kNegativeZeroBits;
+  }
+  return found != 0;
+}
+
 // C = alpha * A * B + beta * C from A's nonzero lists (m x k), B packed
 // row-major (k x n). Where beta * C holds a -0.0, the product runs dense
 // over the A that dense_a(storage) returns, packed row-major.
@@ -210,18 +237,7 @@ void multiply_sparse(float alpha, const NonzeroRows& rows,
     return;
   }
   const std::uint64_t* row_ptr = rows.row_ptr.data();
-  const std::uint64_t nnz = row_ptr[m];
-  const std::size_t tasks =
-      parallel::task_count(nnz * n / kMinSparseWorkPerTask);
-  // Row ranges of about equal nonzero count.
-  const auto boundary = [&](std::size_t t) {
-    if (t == tasks) return m;
-    return static_cast<std::size_t>(
-        std::lower_bound(row_ptr, row_ptr + m, nnz * t / tasks) - row_ptr);
-  };
-  parallel::fan_out(tasks, [&](std::size_t t) {
-    const std::size_t r0 = boundary(t);
-    const std::size_t r1 = boundary(t + 1);
+  for_nonzero_ranges(rows, row_ptr[m] * n, [&](std::size_t r0, std::size_t r1) {
     kernels.gemm_sparse_rows(alpha, rows.values.data(), rows.col_idx.data(),
                              row_ptr + r0, r1 - r0, b, n, c.data() + r0 * n,
                              n, n);
@@ -341,6 +357,77 @@ void gemm_nonzero_rows(float alpha, const NonzeroRows& a, const MatrixF& b,
     return static_cast<const float*>(storage.data());
   };
   multiply_sparse(alpha, a, densify, b.data(), beta, c, n, k);
+}
+
+void gemm_nonzero_blocks(const NonzeroRows& a, const MatrixF& b,
+                         std::size_t block_rows, std::size_t block_cols,
+                         const std::uint8_t* active, MatrixF& c) {
+  if (active == nullptr) {
+    gemm_nonzero_rows(1.0f, a, b, 0.0f, c);
+    return;
+  }
+  const std::size_t m = a.rows();
+  const std::size_t k = b.rows();
+  const std::size_t n = b.cols();
+  if (c.rows() != m || c.cols() != n) {
+    throw std::invalid_argument("gemm_nonzero_blocks: dimension mismatch");
+  }
+  if (block_rows == 0 || block_cols == 0 || k % block_rows != 0 ||
+      n % block_cols != 0) {
+    throw std::invalid_argument("gemm_nonzero_blocks: bad block grid");
+  }
+  c.fill(0.0f);
+  if (c.size() == 0) return;
+  const std::size_t blocks = n / block_cols;
+  // Row p of B's block flags starts at active + flag_row[p]. The tasks
+  // read the calling thread's table through the pointer.
+  thread_local std::vector<std::size_t> flag_rows;
+  flag_rows.resize(k);
+  for (std::size_t p = 0; p < k; ++p) flag_rows[p] = (p / block_rows) * blocks;
+  const std::size_t* flag_row = flag_rows.data();
+  const std::size_t grid = k / block_rows * blocks;
+  const std::size_t live = grid - static_cast<std::size_t>(
+                                      std::count(active, active + grid, 0));
+  const KernelSet& kernels = active_kernels();
+  const std::uint64_t* row_ptr = a.row_ptr.data();
+  const std::uint64_t work = row_ptr[m] * n / grid * live;
+  for_nonzero_ranges(a, work, [&](std::size_t r0, std::size_t r1) {
+    thread_local std::vector<float> kept_values;
+    thread_local std::vector<std::uint32_t> kept_cols;
+    for (std::size_t i = r0; i < r1; ++i) {
+      const std::uint64_t begin = row_ptr[i];
+      const std::uint64_t count = row_ptr[i + 1] - begin;
+      kept_values.resize(count);
+      kept_cols.resize(count);
+      float* c_row = c.row(i);
+      bool skipped = false;
+      for (std::size_t h = 0; h < blocks; ++h) {
+        // Branchless filter: every entry is written, only the kept ones
+        // advance. A non-finite entry is kept: its product with a zero
+        // is NaN.
+        std::uint64_t kept = 0;
+        for (std::uint64_t q = begin; q < begin + count; ++q) {
+          const std::uint32_t p = a.col_idx[q];
+          const float value = a.values[q];
+          kept_cols[kept] = p;
+          kept_values[kept] = value;
+          kept += active[flag_row[p] + h] != 0 || !std::isfinite(value);
+        }
+        skipped |= kept < count;
+        const std::uint64_t kept_ptr[2] = {0, kept};
+        kernels.gemm_sparse_rows(1.0f, kept_values.data(), kept_cols.data(),
+                                 kept_ptr, 1, b.data() + h * block_cols, n,
+                                 c_row + h * block_cols, n, block_cols);
+      }
+      // A skipped term could only have turned a -0.0 into +0.0 (see
+      // gemm.hpp), so a row without -0.0 has the unmasked bits.
+      if (skipped && holds_negative_zero(c_row, n)) {
+        std::fill_n(c_row, n, 0.0f);
+        kernels.gemm_sparse_rows(1.0f, a.values.data(), a.col_idx.data(),
+                                 row_ptr + i, 1, b.data(), n, c_row, n, n);
+      }
+    }
+  });
 }
 
 bool GemmRows::reset(Transpose trans_a, float alpha, const MatrixF& a,

@@ -30,6 +30,21 @@
 // (252 of every 280 entries zero), and B is always finite (floored-log
 // weights, probability traces).
 //
+// Masked blocks: gemm_nonzero_blocks also skips, for each column block
+// of C, the finite A entries whose row of B is zero in that block (the
+// hidden layer's receptive-field-silenced weight blocks). A skipped term
+// is then v * (+0.0), a signed zero. C starts at +0.0 (beta = 0), every
+// tier computes each column with the same per-element chain (multiply
+// then add at the generic tiers, one fused step at avx2, lanes and tail
+// alike), so the blocks may run as column strips of their own. Adding a
+// zero leaves every value but -0.0 alone, and turns -0.0 into +0.0 only
+// when the zero is +0.0; it never makes a -0.0. So the skipping chain
+// and the full one end equal, or at -0.0 and +0.0. A separately rounded
+// sum (the generic tiers) never reaches -0.0 from +0.0; the avx2 FMA
+// does when a kept product underflows to a negative zero.
+// A row that skipped a term and holds a -0.0 therefore reruns over all
+// its nonzeros, and the result is the unmasked one bit for bit.
+//
 // StreamBrain expresses both BCPNN activation (batch x weights) and the
 // batched trace outer-product update as GEMM, so these kernels dominate
 // training time exactly as the paper's Section II-B describes.
@@ -106,6 +121,17 @@ void transpose_nonzero_rows(const NonzeroRows& a, std::size_t cols,
 /// gemm_blocked over the dense A the lists describe when B is finite.
 void gemm_nonzero_rows(float alpha, const NonzeroRows& a, const MatrixF& b,
                        float beta, MatrixF& c);
+
+/// C = A * B with A [a.rows() x b.rows()] given by its nonzero lists, for
+/// a B whose (block_rows x block_cols) blocks flagged 0 in `active`
+/// (row-major, b.rows() / block_rows x b.cols() / block_cols) hold only
+/// zeros: a block's finite A entries are skipped along with it. The bits
+/// are gemm_nonzero_rows(1, a, b, 0, c)'s (the masked blocks above); a
+/// null `active` skips no block. Throws std::invalid_argument on a
+/// dimension mismatch or a grid that does not divide B.
+void gemm_nonzero_blocks(const NonzeroRows& a, const MatrixF& b,
+                         std::size_t block_rows, std::size_t block_cols,
+                         const std::uint8_t* active, MatrixF& c);
 
 /// gemm(trans_a, Transpose::kNo, alpha, a, b, beta, c) one row of C at a
 /// time, for a caller that fuses its own per-row work into the same pass

@@ -92,9 +92,60 @@ inline std::int32_t k_qblock_dot(const std::int8_t* qa,
   return total;
 }
 
+// The softmax's 8 index-order sums in the lanes of one vector: each
+// 8 x 8 tile of the blocks is transposed, so lane b adds block b's
+// values one after another, a float add each as in the scalar loop.
+inline void k_block_sums8(float* const* blocks, std::size_t n,
+                          float* totals) {
+  __m256 acc = _mm256_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 r0 = _mm256_loadu_ps(blocks[0] + i);
+    const __m256 r1 = _mm256_loadu_ps(blocks[1] + i);
+    const __m256 r2 = _mm256_loadu_ps(blocks[2] + i);
+    const __m256 r3 = _mm256_loadu_ps(blocks[3] + i);
+    const __m256 r4 = _mm256_loadu_ps(blocks[4] + i);
+    const __m256 r5 = _mm256_loadu_ps(blocks[5] + i);
+    const __m256 r6 = _mm256_loadu_ps(blocks[6] + i);
+    const __m256 r7 = _mm256_loadu_ps(blocks[7] + i);
+    // Pairs of rows interleaved: t0 = r0[0] r1[0] r0[1] r1[1] | [4] [5].
+    const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
+    const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
+    const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
+    const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
+    const __m256 t4 = _mm256_unpacklo_ps(r4, r5);
+    const __m256 t5 = _mm256_unpackhi_ps(r4, r5);
+    const __m256 t6 = _mm256_unpacklo_ps(r6, r7);
+    const __m256 t7 = _mm256_unpackhi_ps(r6, r7);
+    // Quads: s_k holds column k of rows 0-3 (4-7 for s4-s7), with column
+    // k + 4 in the high half.
+    const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+    acc = _mm256_add_ps(acc, _mm256_permute2f128_ps(s0, s4, 0x20));
+    acc = _mm256_add_ps(acc, _mm256_permute2f128_ps(s1, s5, 0x20));
+    acc = _mm256_add_ps(acc, _mm256_permute2f128_ps(s2, s6, 0x20));
+    acc = _mm256_add_ps(acc, _mm256_permute2f128_ps(s3, s7, 0x20));
+    acc = _mm256_add_ps(acc, _mm256_permute2f128_ps(s0, s4, 0x31));
+    acc = _mm256_add_ps(acc, _mm256_permute2f128_ps(s1, s5, 0x31));
+    acc = _mm256_add_ps(acc, _mm256_permute2f128_ps(s2, s6, 0x31));
+    acc = _mm256_add_ps(acc, _mm256_permute2f128_ps(s3, s7, 0x31));
+  }
+  _mm256_storeu_ps(totals, acc);
+  for (; i < n; ++i) {
+    for (std::size_t b = 0; b < 8; ++b) totals[b] += blocks[b][i];
+  }
+}
+
 }  // namespace avx2_impl
 }  // namespace streambrain::tensor
 
+#define SB_KERNEL_CUSTOM_BLOCK_SUMS
 #define SB_KERNEL_CUSTOM_SPDOT
 #define SB_KERNEL_CUSTOM_QBLOCK_DOT
 #define SB_KERNEL_CUSTOM_GEMM_BLOCK
@@ -110,6 +161,7 @@ inline std::int32_t k_qblock_dot(const std::int8_t* qa,
 #undef SB_KERNEL_CUSTOM_GEMM_BLOCK
 #undef SB_KERNEL_CUSTOM_QBLOCK_DOT
 #undef SB_KERNEL_CUSTOM_SPDOT
+#undef SB_KERNEL_CUSTOM_BLOCK_SUMS
 
 namespace streambrain::tensor {
 namespace avx2_impl {
@@ -364,7 +416,7 @@ const KernelSet* kernel_set_avx2() noexcept {
       .threshold_mask = &k_threshold_mask,
       .vexp = &k_vexp,
       .vlog_floored = &k_vlog_floored,
-      .softmax_block = &k_softmax_block,
+      .softmax_blocks = &k_softmax_blocks,
       .gemv = &k_gemv,
       .gemm_block = &k_gemm_block,
       .gemm_sparse_rows = &k_gemm_sparse_rows,

@@ -38,7 +38,7 @@ const KernelSet* kernel_set_scalar() noexcept {
       .threshold_mask = &k_threshold_mask,
       .vexp = &k_vexp,
       .vlog_floored = &k_vlog_floored,
-      .softmax_block = &k_softmax_block,
+      .softmax_blocks = &k_softmax_blocks,
       .gemv = &k_gemv,
       .gemm_block = &k_gemm_block,
       .gemm_sparse_rows = &k_gemm_sparse_rows,

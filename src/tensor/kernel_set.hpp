@@ -2,7 +2,7 @@
 // Runtime-dispatched SIMD kernel subsystem. A KernelSet is a vtable of
 // the hot-loop primitives (gemm tile and its zero-skipping twin, gemv,
 // axpy, dot, reductions, relu / threshold-mask, exp/log transforms,
-// per-block softmax); three sets exist, one per instruction tier:
+// blocked softmax); three sets exist, one per instruction tier:
 //
 //   scalar : plain ordered loops, no reassociation — the correctness
 //            reference (and the only tier on non-x86 hosts)
@@ -57,9 +57,15 @@ struct KernelSet {
   /// out[i] = fast_log(max(x[i], floor))
   void (*vlog_floored)(const float* x, float* out, float floor,
                        std::size_t n);
-  /// Numerically-stable in-place softmax over one contiguous block with
-  /// an inverse-temperature factor on the supports.
-  void (*softmax_block)(float* values, std::size_t n, float inv_temp);
+  /// Numerically-stable in-place softmax over each block of n values,
+  /// with an inverse-temperature factor on the supports. The blocks are
+  /// rows x blocks_per_row, row r's at values + r * ld (ld >=
+  /// blocks_per_row * n). Each block gets the one-block softmax's bits
+  /// (max, exps, index-order sum, normalize); the sums of several blocks
+  /// run at once.
+  void (*softmax_blocks)(float* values, std::size_t rows, std::size_t ld,
+                         std::size_t blocks_per_row, std::size_t n,
+                         float inv_temp);
   /// y[i] = dot(A.row(i), x) for A row-major [m x k] with leading
   /// dimension lda >= k.
   void (*gemv)(const float* a, std::size_t lda, const float* x, float* y,

@@ -89,12 +89,8 @@ void softmax_blocks_temperature(MatrixF& m, std::size_t block,
   const KernelSet& kernels = active_kernels();
   const std::size_t blocks_per_row = m.cols() / block;
   const auto panel = [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t r = r0; r < r1; ++r) {
-      float* row = m.row(r);
-      for (std::size_t b = 0; b < blocks_per_row; ++b) {
-        kernels.softmax_block(row + b * block, block, inverse_temperature);
-      }
-    }
+    kernels.softmax_blocks(m.row(r0), r1 - r0, m.cols(), blocks_per_row,
+                           block, inverse_temperature);
   };
   const std::size_t cols = std::max<std::size_t>(1, m.cols());
   parallel::for_row_panels(

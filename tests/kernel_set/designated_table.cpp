@@ -29,7 +29,8 @@ void relu(float*, std::size_t) {}
 void threshold_mask(const float*, float, float*, std::size_t) {}
 void vexp(const float*, float*, std::size_t) {}
 void vlog_floored(const float*, float*, float, std::size_t) {}
-void softmax_block(float*, std::size_t, float) {}
+void softmax_blocks(float*, std::size_t, std::size_t, std::size_t,
+                    std::size_t, float) {}
 void gemv(const float*, std::size_t, const float*, float*, std::size_t,
           std::size_t) {}
 void gemm_block(float, const float*, std::size_t, const float*, std::size_t,
@@ -75,7 +76,7 @@ const st::KernelSet* stub_kernel_set() {
       .threshold_mask = &threshold_mask,
       .vexp = &vexp,
       .vlog_floored = &vlog_floored,
-      .softmax_block = &softmax_block,
+      .softmax_blocks = &softmax_blocks,
       .gemv = &gemv,
       .gemm_block = &gemm_block,
       .gemm_sparse_rows = &gemm_sparse_rows,

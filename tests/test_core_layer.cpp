@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -15,6 +16,7 @@
 
 #include "core/classifier.hpp"
 #include "core/layer.hpp"
+#include "core/serialization.hpp"
 #include "core/sgd_head.hpp"
 #include "data/dataset.hpp"
 #include "parallel/engine_registry.hpp"
@@ -275,6 +277,92 @@ TEST(BcpnnLayer, SetStateRoundTrip) {
   target.forward(x, a_target);
   for (std::size_t i = 0; i < a_source.size(); ++i) {
     EXPECT_NEAR(a_source.data()[i], a_target.data()[i], 1e-6f);
+  }
+}
+
+namespace {
+
+/// Whether every weight of the layer's receptive-field-silenced blocks is
+/// +0.0, the bits the simd engine's masked support relies on to skip them.
+::testing::AssertionResult silenced_blocks_hold_positive_zero(
+    const sc::BcpnnLayer& layer) {
+  const sc::BcpnnConfig& config = layer.config();
+  const st::MatrixF& w = layer.weights();
+  std::size_t silenced = 0;
+  for (std::size_t h = 0; h < config.hcus; ++h) {
+    for (std::size_t i = 0; i < config.input_hypercolumns; ++i) {
+      if (layer.masks().active(h, i)) continue;
+      ++silenced;
+      for (std::size_t b = 0; b < config.input_bins; ++b) {
+        for (std::size_t m = 0; m < config.mcus; ++m) {
+          const float value = w(i * config.input_bins + b, h * config.mcus + m);
+          if (std::bit_cast<std::uint32_t>(value) != 0) {
+            return ::testing::AssertionFailure()
+                   << "HCU " << h << ", input hypercolumn " << i
+                   << " holds " << value << " at bin " << b << ", MCU " << m;
+          }
+        }
+      }
+    }
+  }
+  if (silenced == 0) {
+    return ::testing::AssertionFailure() << "no silenced block to check";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+}  // namespace
+
+// W is written only by recompute_weights and learn_batch, each followed
+// by the block masks; every path that changes the weights or the masks
+// goes through one of them.
+TEST(BcpnnLayer, SilencedBlocksHoldPositiveZeroAfterEveryWrite) {
+  for (const char* engine_name : {"simd", "naive"}) {
+    for (const std::size_t hcus : {1UL, 3UL}) {
+      SCOPED_TRACE(std::string(engine_name) + ", " + std::to_string(hcus) +
+                   " HCUs");
+      sc::BcpnnConfig config = small_config();
+      config.input_hypercolumns = 8;
+      config.hcus = hcus;
+      config.receptive_field = 0.5;
+      auto engine = sp::EngineRegistry::instance().create(engine_name);
+      su::Rng rng(40 + hcus);
+      sc::BcpnnLayer layer(config, *engine, rng);
+      EXPECT_TRUE(silenced_blocks_hold_positive_zero(layer))
+          << "after construction";
+
+      su::Rng data_rng(50 + hcus);
+      const st::MatrixF x = synthetic_batch(config, 16, data_rng);
+      layer.train_batch(x, 1.0f);
+      EXPECT_TRUE(silenced_blocks_hold_positive_zero(layer))
+          << "after a training batch";
+
+      std::size_t swaps = 0;
+      for (int epoch = 0; epoch < 40 && swaps == 0; ++epoch) {
+        for (int step = 0; step < 4; ++step) layer.train_batch(x, 0.5f);
+        swaps = layer.plasticity_step();
+      }
+      ASSERT_GT(swaps, 0U) << "no plasticity step swapped";
+      EXPECT_TRUE(silenced_blocks_hold_positive_zero(layer))
+          << "after a plasticity step that swapped";
+
+      su::Rng other_rng(60 + hcus);
+      sc::BcpnnLayer adopted(config, *engine, other_rng);
+      adopted.set_state(layer.traces(), layer.masks());
+      EXPECT_TRUE(silenced_blocks_hold_positive_zero(adopted))
+          << "after set_state";
+
+      const std::string path = "/tmp/streambrain_silenced_blocks_" +
+                               std::string(engine_name) + "_" +
+                               std::to_string(hcus) + ".ckpt";
+      sc::save_layer(path, layer);
+      su::Rng load_rng(70 + hcus);
+      sc::BcpnnLayer loaded(config, *engine, load_rng);
+      sc::load_layer(path, loaded);
+      std::remove(path.c_str());
+      EXPECT_TRUE(silenced_blocks_hold_positive_zero(loaded))
+          << "after a dense checkpoint load";
+    }
   }
 }
 

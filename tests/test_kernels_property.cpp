@@ -21,6 +21,8 @@
 #include <tuple>
 #include <vector>
 
+#include "parallel/engine.hpp"
+#include "parallel/engine_registry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "tensor/cpu_features.hpp"
 #include "tensor/gemm.hpp"
@@ -29,6 +31,7 @@
 #include "tensor/vecmath.hpp"
 #include "util/rng.hpp"
 
+namespace sp = streambrain::parallel;
 namespace st = streambrain::tensor;
 namespace su = streambrain::util;
 
@@ -358,8 +361,8 @@ TEST(KernelProperty, SoftmaxBlockMatchesScalar) {
         su::Rng rng(n * 17 + static_cast<std::uint64_t>(inv_temp * 8));
         auto v_ref = random_vector(n, rng, -50.0f, 50.0f);
         auto v_simd = v_ref;
-        scalar.softmax_block(v_ref.data(), n, inv_temp);
-        tier->softmax_block(v_simd.data(), n, inv_temp);
+        scalar.softmax_blocks(v_ref.data(), 1, n, 1, n, inv_temp);
+        tier->softmax_blocks(v_simd.data(), 1, n, 1, n, inv_temp);
         float total = 0.0f;
         for (std::size_t i = 0; i < n; ++i) {
           ASSERT_TRUE(near_ref(v_ref[i], v_simd[i]))
@@ -828,9 +831,117 @@ TEST(KernelProperty, GemmZeroSkipIsBitIdenticalSerialAndOverThePool) {
   }
 }
 
+// --- The masked support: support_masked vs support, bit for bit ----------
+
+namespace {
+
+/// One hidden layer's shape over the paper's 28 x 10 input code.
+struct LayerShape {
+  std::size_t hcus;
+  std::size_t mcus;
+};
+
+constexpr std::size_t kActiveHypercolumns = 12;
+
+/// Non-finite entries an input row can carry.
+const float kNonFinite[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+
+}  // namespace
+
+// The simd engine's support_masked skips the products of the blocks the
+// receptive-field mask silences; it must give support's bits at every
+// tier and on every input: one-hot, sparse, dense and all-zero codes with
+// -0.0 entries, non-finite entries in silenced and active hypercolumns,
+// and a product that underflows to -0.0 ahead of a silenced entry (the
+// avx2 FMA keeps that -0.0, the unmasked chain's skipped +0 term clears
+// it).
+TEST(KernelProperty, MaskedSupportIsBitIdenticalToSupport) {
+  const DispatchGuard guard;
+  auto engine = sp::EngineRegistry::instance().create("simd");
+  std::uint64_t seed = 0;
+  for (const st::DispatchLevel level : runnable_levels()) {
+    st::force_dispatch(level);
+    for (const LayerShape& shape :
+         {LayerShape{1, 300}, LayerShape{1, 3000}, LayerShape{4, 25}}) {
+      const std::size_t n = shape.hcus * shape.mcus;
+      su::Rng rng(++seed * 104729);
+      // Each HCU listens to 12 of the 28 input hypercolumns.
+      std::vector<std::uint8_t> active(kFeatures * shape.hcus, 0);
+      for (std::size_t h = 0; h < shape.hcus; ++h) {
+        std::vector<std::size_t> order(kFeatures);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        for (std::size_t s = 0; s < kActiveHypercolumns; ++s) {
+          const auto pick = static_cast<std::size_t>(rng.uniform_int(
+              static_cast<std::int64_t>(s),
+              static_cast<std::int64_t>(kFeatures - 1)));
+          std::swap(order[s], order[pick]);
+          active[order[s] * shape.hcus + h] = 1;
+        }
+      }
+      const sp::WeightMask mask{.block_rows = kBins,
+                                .block_cols = shape.mcus,
+                                .active = active.data()};
+      const auto hc_active = [&](std::size_t f) {
+        return active[f * shape.hcus] != 0;  // for HCU 0
+      };
+      // An active hypercolumn below a silenced one, for HCU 0.
+      std::size_t low_active = 0;
+      while (!hc_active(low_active)) ++low_active;
+      std::size_t high_silenced = low_active + 1;
+      while (hc_active(high_silenced)) ++high_silenced;
+      ASSERT_LT(high_silenced, kFeatures);
+      std::size_t any_silenced = 0;
+      while (hc_active(any_silenced)) ++any_silenced;
+
+      st::MatrixF w = make_op_b(kOneHotWidth, n, rng);
+      // Products of 1e-30 with this row underflow to -0.0.
+      for (std::size_t j = 0; j < n; ++j) w(low_active * kBins, j) = -1e-20f;
+      mask.apply(w);
+      // -0.0 bias entries keep a -0.0 support distinct from +0.0.
+      std::vector<float> bias(n);
+      for (std::size_t j = 0; j < n; ++j) {
+        bias[j] = j % 2 == 0 ? -0.0f : nonzero_value(rng);
+      }
+
+      for (const std::size_t rows : {0UL, 1UL, 17UL}) {
+        for (const Pattern pattern :
+             {Pattern::kOneHot, Pattern::kTenth, Pattern::kAtCrossover,
+              Pattern::kDense, Pattern::kZero}) {
+          st::MatrixF x = make_op_a(pattern, rows, kOneHotWidth, rng);
+          if (pattern == Pattern::kOneHot && rows > 1) {
+            for (std::size_t r = 1; r < rows && r <= 6; ++r) {
+              std::fill_n(x.row(r), kOneHotWidth, 0.0f);
+            }
+            x(1, low_active * kBins) = 1e-30f;
+            x(1, high_silenced * kBins + 2) = 1.0f;
+            // Rows 2-4: NaN, +inf, -inf in a silenced hypercolumn; rows
+            // 5 and 6: NaN and -inf in an active one.
+            for (std::size_t e = 0; e < std::size(kNonFinite); ++e) {
+              x(2 + e, any_silenced * kBins + 4) = kNonFinite[e];
+              x(2 + e, low_active * kBins + 1) = 1.0f;
+            }
+            x(5, low_active * kBins + 3) = kNonFinite[0];
+            x(6, low_active * kBins + 3) = kNonFinite[2];
+          }
+          st::MatrixF expected;
+          engine->support(x, w, bias.data(), expected);
+          st::MatrixF masked;
+          engine->support_masked(x, w, bias.data(), mask, masked);
+          ASSERT_TRUE(same_bits(expected, masked))
+              << st::dispatch_level_name(level) << " " << shape.hcus << "x"
+              << shape.mcus << " rows=" << rows
+              << " pattern=" << pattern_name(pattern);
+        }
+      }
+    }
+  }
+}
+
 // --- Vectorized loops vs their own scalar remainder, bit for bit ----------
 //
-// At a SIMD tier vexp, vlog_floored and softmax_block run their long
+// At a SIMD tier vexp, vlog_floored and softmax_blocks run their long
 // arrays through vector lanes, and n = 1 through the scalar remainder
 // loop of the same translation unit (same flags, not vectorized). The
 // two must agree bit for bit: that is what keeps each tier's training
@@ -954,9 +1065,57 @@ TEST(KernelProperty, SoftmaxLanesMatchAnOrderedScalarSoftmaxBitForBit) {
         }
         const float inv_total = 1.0f / total;
         for (float& e : expected) e *= inv_total;
-        tier.softmax_block(values.data(), n, inv_temp);
+        tier.softmax_blocks(values.data(), 1, n, 1, n, inv_temp);
         EXPECT_TRUE(same_bits(expected, values))
             << tier.name << " softmax n=" << n << " inv_temp=" << inv_temp;
+      }
+    }
+  }
+}
+
+// softmax_blocks over many blocks in one call (across rows, with padded
+// rows, the 8-block sums and their ragged remainder) gives each block the
+// bits of a call on that block alone.
+TEST(KernelProperty, SoftmaxBlocksMatchOneBlockAtATimeBitForBit) {
+  constexpr float kSentinel = 12345.0f;
+  for (const st::DispatchLevel level : runnable_levels()) {
+    const st::KernelSet& tier = *st::kernel_set_for(level);
+    for (const std::size_t count : {1UL, 7UL, 8UL, 9UL, 67UL}) {
+      for (const std::size_t n : {1UL, 2UL, 3UL, 300UL, 3000UL}) {
+        // All blocks in one row, one block a row, and 2 or 3 rows.
+        for (const std::size_t per_row :
+             {count, std::size_t{1}, count % 3 == 0 ? count / 3 : 1}) {
+          const std::size_t rows = count / per_row;
+          const std::size_t ld = per_row * n + 5;
+          for (const float inv_temp : {1.0f, 0.7f}) {
+            su::Rng rng(count * 1009 + n * 31 + per_row);
+            std::vector<float> values(rows * ld, kSentinel);
+            for (std::size_t r = 0; r < rows; ++r) {
+              for (std::size_t i = 0; i < per_row * n; ++i) {
+                values[r * ld + i] =
+                    static_cast<float>(rng.uniform(-20.0, 20.0));
+              }
+            }
+            const auto block = [&](std::vector<float>& v, std::size_t j) {
+              return v.data() + (j / per_row) * ld + (j % per_row) * n;
+            };
+            // A huge support and a very negative one.
+            if (count > 1) {
+              std::fill_n(block(values, 1), n, 1e30f);
+              block(values, 1)[n / 2] = 3e30f;
+            }
+            if (count > 2) std::fill_n(block(values, 2), n, -1e30f);
+            std::vector<float> expected = values;
+            for (std::size_t j = 0; j < count; ++j) {
+              tier.softmax_blocks(block(expected, j), 1, n, 1, n, inv_temp);
+            }
+            tier.softmax_blocks(values.data(), rows, ld, per_row, n,
+                                inv_temp);
+            ASSERT_TRUE(same_bits(expected, values))
+                << tier.name << " blocks=" << count << " per_row=" << per_row
+                << " n=" << n << " inv_temp=" << inv_temp;
+          }
+        }
       }
     }
   }
