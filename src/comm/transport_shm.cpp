@@ -325,11 +325,10 @@ class ShmTransport final : public detail::FramedTransport {
  private:
   // Polls that yield before a waiting rank sleeps. A rank of an exact-mode
   // fit waits for its peers after every batch, for well under a
-  // millisecond on a host with a core per rank; a yield keeps it on
-  // time and still lets a peer on a shared core run. 200 us sleeps from
-  // the 17th poll on made 4 shm ranks slower than TCP loopback
-  // (ROADMAP.md, item 1). A wait this many yields long is a peer that
-  // is really not there yet, and the rank sleeps so it holds no core.
+  // millisecond when each rank has a core, so a 200 us sleep would cost
+  // most batches a whole sleep; a yield still lets a peer that shares
+  // the core run. A wait this many polls long means a peer that is not
+  // there yet, and the rank sleeps so it holds no core.
   static constexpr int kYieldPolls = 4096;
 
   static void backoff(int& spins) {

@@ -377,7 +377,7 @@ void gemm_nonzero_blocks(const NonzeroRows& a, const MatrixF& b,
     throw std::invalid_argument("gemm_nonzero_blocks: bad block grid");
   }
   c.fill(0.0f);
-  if (c.size() == 0) return;
+  if (c.size() == 0 || k == 0) return;
   const std::size_t blocks = n / block_cols;
   // Row p of B's block flags starts at active + flag_row[p]. The tasks
   // read the calling thread's table through the pointer.
